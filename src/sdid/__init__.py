@@ -12,8 +12,8 @@ from .analytic import (CoherenceTrace, coherence_1spec, coherence_Nspec,
                        cpmg_effective, eta_diag, heuristic_rate,
                        phase_bounds, ramsey_trace)
 from .config import (ConfigError, ExperimentConfig, config_from_dict,
-                     device_from_dict, device_to_dict, load_config,
-                     nu_from_4nu_khz)
+                     config_to_dict, device_from_dict, device_to_dict,
+                     load_config, nu_from_4nu_khz)
 from .derivations import (BathSpectrum, BohrTerm, Cluster, RateMatrix,
                           bohr_spectrum, build_bmpsa, build_bmrwa,
                           build_cetcg, cetcg_rate, choi_matrix, cluster_bohr,
@@ -22,7 +22,7 @@ from .derivations import (BathSpectrum, BohrTerm, Cluster, RateMatrix,
 from .fitting import FitResult, fit_exponential, fit_rb
 from .model import (DeviceModel, LiouvillianBundle, PhysicalityError,
                     QubitParams, build_hamiltonian, build_liouvillian,
-                    control_coherence, dissipator, parse_spectator_init,
+                    control_coherence, parse_spectator_init,
                     propagate, ramsey_initial_state)
 from .rb import (CliffordGroup, ConditionalChannel, ForbiddenTransitionError,
                  RBCurve, clifford_group, conditional_channel,
@@ -36,8 +36,8 @@ __all__ = [
     "__version__",
     "CoherenceTrace", "coherence_1spec", "coherence_Nspec", "cpmg_effective",
     "eta_diag", "heuristic_rate", "phase_bounds", "ramsey_trace",
-    "ConfigError", "ExperimentConfig", "config_from_dict", "device_from_dict",
-    "device_to_dict", "load_config", "nu_from_4nu_khz",
+    "ConfigError", "ExperimentConfig", "config_from_dict", "config_to_dict",
+    "device_from_dict", "device_to_dict", "load_config", "nu_from_4nu_khz",
     "BathSpectrum", "BohrTerm", "Cluster", "RateMatrix", "bohr_spectrum",
     "build_bmpsa", "build_bmrwa", "build_cetcg", "cetcg_rate", "choi_matrix",
     "cluster_bohr", "two_qubit_cetcg_reference", "two_qubit_coupling",
@@ -45,7 +45,7 @@ __all__ = [
     "FitResult", "fit_exponential", "fit_rb",
     "DeviceModel", "LiouvillianBundle", "PhysicalityError", "QubitParams",
     "build_hamiltonian", "build_liouvillian", "control_coherence",
-    "dissipator", "parse_spectator_init", "propagate", "ramsey_initial_state",
+    "parse_spectator_init", "propagate", "ramsey_initial_state",
     "CliffordGroup", "ConditionalChannel", "ForbiddenTransitionError",
     "RBCurve", "clifford_group", "conditional_channel", "lambda_analytic",
     "p_experimental", "rb_decay_constant", "simulate_rb",

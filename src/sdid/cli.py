@@ -8,15 +8,14 @@ and `fit` (re-fit a CSV produced by the other subcommands).
 
 Every run writes a CSV plus a JSON sidecar (resolved config, fitted
 parameters, seed, version).  Identical config and seed give byte-identical
-CSV output.  SDID_THREADS caps the worker threads used for sweeps.
+CSV output.  A configuration error ends the command with a one-line message
+that names the field.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -25,7 +24,7 @@ import numpy as np
 from . import __version__
 from . import analytic, trajectory
 from .config import (ConfigError, ExperimentConfig, config_from_dict,
-                     device_to_dict, load_config)
+                     config_to_dict, load_config)
 from .derivations import (BathSpectrum, bohr_spectrum, build_cetcg,
                           cluster_bohr, sinc, two_qubit_cetcg_reference,
                           two_qubit_coupling, two_qubit_hamiltonian)
@@ -34,21 +33,6 @@ from .model import (build_liouvillian, control_coherence,
                     parse_spectator_init, propagate, ramsey_initial_state)
 from .rb import simulate_rb
 from .trajectory import EnsembleSpec
-
-
-def _n_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("SDID_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    workers = _n_workers()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _fmt(x) -> str:
@@ -69,26 +53,6 @@ def _write_sidecar(path: Path, payload: dict) -> None:
     sidecar = path.with_suffix(path.suffix + ".meta.json")
     sidecar.write_text(json.dumps(payload, indent=2, sort_keys=True,
                                   default=float) + "\n")
-
-
-def _resolved_config(cfg: ExperimentConfig) -> dict:
-    return {
-        "version": "v1",
-        "device": device_to_dict(cfg.device),
-        "experiment": cfg.experiment,
-        "spectator_init": cfg.spectator_init,
-        "tmax_us": cfg.tmax_us,
-        "points": cfg.points,
-        "orders": list(cfg.orders),
-        "lengths": list(cfg.lengths),
-        "n_seq": cfg.n_seq,
-        "n_traj": cfg.n_traj,
-        "seed": cfg.seed,
-        "tgate_ns": cfg.tgate_ns,
-        "frame": cfg.frame,
-        "engines": list(cfg.engines),
-        "nu_tauc": list(cfg.nu_tauc),
-    }
 
 
 def _lindblad_trace(device, s, times) -> np.ndarray:
@@ -118,7 +82,7 @@ def run_ramsey(cfg: ExperimentConfig, out: Path) -> dict:
             return engine, tr.values, tr.stderr
         raise ConfigError(f"unknown engine {engine!r}")
 
-    results = _map_ordered(compute, list(cfg.engines))
+    results = [compute(engine) for engine in cfg.engines]
 
     rows = []
     for engine, values, stderr in results:
@@ -129,7 +93,7 @@ def run_ramsey(cfg: ExperimentConfig, out: Path) -> dict:
     _write_csv(out, ["time_us", "coh_re", "coh_im", "coh_abs", "engine",
                      "stderr_abs"], rows)
 
-    meta: dict = {"resolved_config": _resolved_config(cfg),
+    meta: dict = {"resolved_config": config_to_dict(cfg),
                   "sdid_version": __version__, "fits": {}, "cross_checks": {}}
     by_engine = {engine: values for engine, values, _ in results}
     for engine, values in by_engine.items():
@@ -163,7 +127,7 @@ def run_cpmg(cfg: ExperimentConfig, out: Path) -> dict:
         fit = fit_exponential(times, np.abs(values))
         return n, times, values, fit
 
-    results = _map_ordered(compute, list(cfg.orders))
+    results = [compute(n) for n in cfg.orders]
     rows = []
     for n, times, values, _ in results:
         for k, t in enumerate(times):
@@ -171,7 +135,7 @@ def run_cpmg(cfg: ExperimentConfig, out: Path) -> dict:
                          abs(values[k]), "analytic", ""])
     _write_csv(out, ["cpmg_n", "time_us", "coh_re", "coh_im", "coh_abs",
                      "engine", "stderr_abs"], rows)
-    meta = {"resolved_config": _resolved_config(cfg),
+    meta = {"resolved_config": config_to_dict(cfg),
             "sdid_version": __version__,
             "fitted_t2_us": {str(n): fit.params["t2"] * 1e6
                              for n, _, _, fit in results},
@@ -184,11 +148,13 @@ def run_rb(cfg: ExperimentConfig, out: Path) -> dict:
     curve = simulate_rb(cfg.device, cfg.spectator_init, cfg.lengths,
                         n_seq=cfg.n_seq, t_gate=cfg.t_gate, frame=cfg.frame,
                         seed=cfg.seed)
-    fit = fit_rb(curve.lengths, curve.survival)
+    # The simulation has no state-preparation or measurement error, so the
+    # survival decays to 1/2.
+    fit = fit_rb(curve.lengths, curve.survival, offset=0.5)
     rows = [[int(m), surv, se] for m, surv, se in
             zip(curve.lengths, curve.survival, curve.stderr)]
     _write_csv(out, ["length", "survival", "stderr"], rows)
-    meta = {"resolved_config": _resolved_config(cfg),
+    meta = {"resolved_config": config_to_dict(cfg),
             "sdid_version": __version__,
             "fit": {"p": fit.params["p"], "epc": fit.params["epc"],
                     "amplitude": fit.params["amplitude"],
@@ -220,7 +186,7 @@ def run_derive(cfg: ExperimentConfig, out: Path) -> dict:
         rows.append([x, coef_plus, coef_minus, coef_cross, diff])
     _write_csv(out, ["nu_tauc", "coef_uncorrelated", "coef_correlated",
                      "coef_cross", "builder_vs_reference_max_abs_diff"], rows)
-    meta = {"resolved_config": _resolved_config(cfg),
+    meta = {"resolved_config": config_to_dict(cfg),
             "sdid_version": __version__,
             "note": "coefficients of D[I(x)sm], D[Zs(x)sm], and the cross "
                     "sandwich term versus nu*tau_c"}
@@ -239,15 +205,11 @@ def run(cfg: ExperimentConfig) -> dict:
 
 
 def _base_config(config_path, **overrides) -> ExperimentConfig:
-    if config_path:
-        cfg = load_config(config_path)
-        data = dict(cfg.raw)
-    else:
+    if not config_path:
         raise ConfigError("a --config file is required")
-    for key, value in overrides.items():
-        if value is not None:
-            data[key] = value
-    return config_from_dict(data)
+    return load_config(config_path, **{key: value for key, value
+                                       in overrides.items()
+                                       if value is not None})
 
 
 def _int_list(_ctx, _param, value):
@@ -268,7 +230,17 @@ def _str_list(_ctx, _param, value):
     return [x.strip() for x in value.split(",")]
 
 
-@click.group()
+class _Group(click.Group):
+    """Reports a ConfigError as a one-line error instead of a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ConfigError as exc:
+            raise click.ClickException(str(exc)) from None
+
+
+@click.group(cls=_Group)
 @click.version_option(version=__version__)
 def main():
     """Spectator-decay-induced dephasing simulator."""
@@ -338,11 +310,9 @@ def rb(config_path, spectator_init, lengths, n_seq, tgate_ns, frame, seed,
 
 @main.command()
 @click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--two-qubit", "two_qubit", is_flag=True, default=True,
-              help="Two-qubit reference sweep (the only supported mode).")
 @click.option("--nu-tauc", "nu_tauc", callback=_float_list, default=None)
 @click.option("--out", required=True, type=click.Path())
-def derive(config_path, two_qubit, nu_tauc, out):
+def derive(config_path, nu_tauc, out):
     """Sweep nu*tau_c and tabulate coarse-grained generator coefficients."""
     if config_path:
         cfg = _base_config(config_path, experiment="derive", nu_tauc=nu_tauc,

@@ -11,16 +11,19 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .model import DeviceModel, QubitParams
+from .model import DeviceModel, QubitParams, parse_spectator_init
 
 SCHEMA_VERSION = "v1"
 
 VALID_EXPERIMENTS = ("ramsey", "cpmg", "rb", "derive")
 VALID_FRAMES = ("bare", "experimental")
 VALID_ENGINES = ("analytic", "lindblad", "trajectory")
+# Spectator preparations that RB accepts besides N-bit strings ("0", "1" and
+# "+" are short forms of the names).
+_RB_PREPARATIONS = ("zero", "one", "plus", "0", "1", "+")
 
 
 class ConfigError(ValueError):
@@ -118,18 +121,23 @@ class ExperimentConfig:
     engines: tuple[str, ...] = ("analytic",)
     nu_tauc: tuple[float, ...] = (0.001, 0.1, 1.0, 10.0, 1000.0)
     out: str | None = None
-    raw: dict = field(default_factory=dict)
 
     @property
     def t_gate(self) -> float:
         return self.tgate_ns * 1e-9
 
 
-_KNOWN_KEYS = {
-    "version", "device", "experiment", "spectator_init", "tmax_us", "points",
-    "orders", "lengths", "n_seq", "n_traj", "seed", "tgate_ns", "frame",
-    "engines", "nu_tauc", "out",
-}
+_KNOWN_KEYS = {f.name for f in fields(ExperimentConfig)} | {"version"}
+
+
+def config_to_dict(cfg: ExperimentConfig) -> dict:
+    """Re-emit a config in file form, without `out`; sidecars record this."""
+    data = {"version": SCHEMA_VERSION, "device": device_to_dict(cfg.device)}
+    for f in fields(ExperimentConfig):
+        if f.name not in ("device", "out"):
+            value = getattr(cfg, f.name)
+            data[f.name] = list(value) if isinstance(value, tuple) else value
+    return data
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -146,16 +154,26 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError("field 'device' is required")
     device = device_from_dict(data["device"])
 
-    cfg = ExperimentConfig(device=device, raw=dict(data))
+    cfg = ExperimentConfig(device=device)
     experiment = data.get("experiment", cfg.experiment)
     if experiment not in VALID_EXPERIMENTS:
         raise ConfigError(f"field 'experiment' must be one of "
                           f"{VALID_EXPERIMENTS}, got {experiment!r}")
     cfg.experiment = experiment
 
-    init = data.get("spectator_init",
-                    "1" * device.n_spectators)
-    cfg.spectator_init = str(init)
+    cfg.spectator_init = str(data.get("spectator_init",
+                                      "1" * device.n_spectators))
+    if experiment != "derive" and not (
+            experiment == "rb" and cfg.spectator_init in _RB_PREPARATIONS):
+        try:
+            parse_spectator_init(cfg.spectator_init, device.n_spectators)
+        except ValueError:
+            allowed = f"a {device.n_spectators}-bit 0/1 string"
+            if experiment == "rb":
+                allowed += " or one of 'zero', 'one', 'plus'"
+            raise ConfigError(f"field 'spectator_init' must be {allowed} "
+                              f"for {experiment!r}, got "
+                              f"{cfg.spectator_init!r}") from None
 
     if "tmax_us" in data:
         cfg.tmax_us = _require_positive(data["tmax_us"], "tmax_us")
@@ -196,7 +214,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return cfg
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, **overrides) -> ExperimentConfig:
+    """Read a JSON config file; `overrides` replace its top-level fields
+    before the merged config is validated."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
@@ -204,4 +224,6 @@ def load_config(path) -> ExperimentConfig:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+    if isinstance(data, dict):
+        data = {**data, **overrides}
     return config_from_dict(data)

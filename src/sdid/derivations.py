@@ -162,10 +162,7 @@ def build_bmrwa(terms: Sequence[BohrTerm], bath: BathSpectrum,
             s = bath.lamb_of(term.frequency)
             if s != 0.0:
                 h = h + s * (term.op.conj().T @ term.op)
-    bundle = LiouvillianBundle(superop=np.zeros((d * d, d * d), dtype=complex),
-                               hamiltonian=h, jump_terms=tuple(jumps))
-    return LiouvillianBundle(superop=bundle.reassemble(), hamiltonian=h,
-                             jump_terms=bundle.jump_terms)
+    return LiouvillianBundle.from_terms(h, jumps)
 
 
 def cluster_bohr(terms: Sequence[BohrTerm],
@@ -207,10 +204,7 @@ def build_bmpsa(clusters: Sequence[Cluster],
         if rate > 0:
             jumps.append((rate, cluster.collective_op))
     h = np.zeros((d, d), dtype=complex)
-    bundle = LiouvillianBundle(superop=np.zeros((d * d, d * d), dtype=complex),
-                               hamiltonian=h, jump_terms=tuple(jumps))
-    return LiouvillianBundle(superop=bundle.reassemble(), hamiltonian=h,
-                             jump_terms=bundle.jump_terms)
+    return LiouvillianBundle.from_terms(h, jumps)
 
 
 def cetcg_rate(omega: float, omega_p: float, tau_c: float,
@@ -263,10 +257,7 @@ def build_cetcg(clusters: Sequence[Cluster], bath: BathSpectrum,
         jumps.extend(_kossakowski_jumps(rm.matrix,
                                         [m.op for m in cluster.members]))
     h = np.zeros((d, d), dtype=complex)
-    bundle = LiouvillianBundle(superop=np.zeros((d * d, d * d), dtype=complex),
-                               hamiltonian=h, jump_terms=tuple(jumps))
-    return LiouvillianBundle(superop=bundle.reassemble(), hamiltonian=h,
-                             jump_terms=bundle.jump_terms)
+    return LiouvillianBundle.from_terms(h, jumps)
 
 
 def two_qubit_hamiltonian(omega0: float, omega1: float,

@@ -80,6 +80,31 @@ def _levenberg_marquardt(residual_fn, jacobian_fn, theta0,
     return theta, cov, converged, n_iter
 
 
+def _fit_free(residual_fn, jacobian_fn, theta0, free):
+    """Run LM over the entries of theta0 where `free` is True.
+
+    The pinned entries keep their theta0 value and get stderr 0.  Returns
+    (theta, stderr, converged) over all entries.
+    """
+    free = np.asarray(free, dtype=bool)
+    theta0 = np.asarray(theta0, dtype=float)
+
+    def full(sub):
+        theta = theta0.copy()
+        theta[free] = sub
+        return theta
+
+    # The column selection must be C-contiguous, like a freshly stacked
+    # Jacobian, for the normal equations to round the same way.
+    sub, cov, converged, _ = _levenberg_marquardt(
+        lambda sub: residual_fn(full(sub)),
+        lambda sub: np.ascontiguousarray(jacobian_fn(full(sub))[:, free]),
+        theta0[free])
+    stderr = np.zeros(theta0.size)
+    stderr[free] = np.sqrt(np.abs(np.diag(cov)))
+    return full(sub), stderr, converged
+
+
 def fit_exponential(times, magnitudes,
                     offset: float | None = None) -> FitResult:
     """Fit A e^{-r t} + C; reports rate r, t2 = 1/r, amplitude, and offset.
@@ -103,40 +128,17 @@ def fit_exponential(times, magnitudes,
     if r0 <= 0:
         r0 = 1.0 / (t.max() - t.min() + 1e-300)
 
-    if offset is None:
-        theta0 = np.array([a0, r0, floor])
-
-        def residual(theta):
-            a, r, c = theta
-            return a * np.exp(np.clip(-r * t, None, 50.0)) + c - y
-
-        def jacobian(theta):
-            a, r, c = theta
-            e = np.exp(np.clip(-r * t, None, 50.0))
-            return np.stack([e, -a * t * e, np.ones_like(t)], axis=1)
-
-        theta, cov, converged, _ = _levenberg_marquardt(residual, jacobian,
-                                                        theta0)
+    def residual(theta):
         a, r, c = theta
-        se = np.sqrt(np.abs(np.diag(cov)))
-        se_a, se_r, se_c = se
-    else:
-        def residual(theta):
-            a, r = theta
-            return a * np.exp(np.clip(-r * t, None, 50.0)) + floor - y
+        return a * np.exp(np.clip(-r * t, None, 50.0)) + c - y
 
-        def jacobian(theta):
-            a, r = theta
-            e = np.exp(np.clip(-r * t, None, 50.0))
-            return np.stack([e, -a * t * e], axis=1)
+    def jacobian(theta):
+        a, r, c = theta
+        e = np.exp(np.clip(-r * t, None, 50.0))
+        return np.stack([e, -a * t * e, np.ones_like(t)], axis=1)
 
-        theta, cov, converged, _ = _levenberg_marquardt(
-            residual, jacobian, np.array([a0, r0]))
-        a, r = theta
-        c = floor
-        se = np.sqrt(np.abs(np.diag(cov)))
-        se_a, se_r, se_c = se[0], se[1], 0.0
-
+    (a, r, c), (se_a, se_r, se_c), converged = _fit_free(
+        residual, jacobian, [a0, r0, floor], [True, True, offset is None])
     notes = []
     if not converged:
         notes.append("fit did not converge; returning best iterate")
@@ -178,41 +180,18 @@ def fit_rb(lengths, survival, offset: float | None = None) -> FitResult:
     else:
         p0 = 0.99
 
-    if offset is None:
-        def residual(theta):
-            a, b, p = theta
-            return a * np.power(np.clip(p, 1e-12, None), m) + b - y
-
-        def jacobian(theta):
-            a, b, p = theta
-            pc = np.clip(p, 1e-12, None)
-            pm = np.power(pc, m)
-            return np.stack([pm, np.ones_like(m),
-                             a * m * np.power(pc, m - 1)], axis=1)
-
-        theta, cov, converged, _ = _levenberg_marquardt(
-            residual, jacobian, np.array([a0, b0, p0]))
+    def residual(theta):
         a, b, p = theta
-        se = np.sqrt(np.abs(np.diag(cov)))
-        se_a, se_b, se_p = se
-    else:
-        def residual(theta):
-            a, p = theta
-            return a * np.power(np.clip(p, 1e-12, None), m) + b0 - y
+        return a * np.power(np.clip(p, 1e-12, None), m) + b - y
 
-        def jacobian(theta):
-            a, p = theta
-            pc = np.clip(p, 1e-12, None)
-            return np.stack([np.power(pc, m),
-                             a * m * np.power(pc, m - 1)], axis=1)
+    def jacobian(theta):
+        a, b, p = theta
+        pc = np.clip(p, 1e-12, None)
+        return np.stack([np.power(pc, m), np.ones_like(m),
+                         a * m * np.power(pc, m - 1)], axis=1)
 
-        theta, cov, converged, _ = _levenberg_marquardt(
-            residual, jacobian, np.array([a0, p0]))
-        a, p = theta
-        b = b0
-        se = np.sqrt(np.abs(np.diag(cov)))
-        se_a, se_b, se_p = se[0], 0.0, se[1]
-        theta = np.array([a, b, p])
+    (a, b, p), (se_a, se_b, se_p), converged = _fit_free(
+        residual, jacobian, [a0, b0, p0], [True, offset is None, True])
     notes = []
     if not converged:
         notes.append("fit did not converge; returning best iterate")

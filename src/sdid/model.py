@@ -129,17 +129,27 @@ class LiouvillianBundle:
     hamiltonian: np.ndarray
     jump_terms: tuple[tuple[float, np.ndarray], ...] = ()
 
+    @classmethod
+    def from_terms(cls, h: np.ndarray, jumps) -> "LiouvillianBundle":
+        """Bundle for ``-i[h, .] + sum rate D[op]`` over (rate, op) in jumps."""
+        jumps = tuple(jumps)
+        return cls(superop=_superop_from_terms(h, jumps), hamiltonian=h,
+                   jump_terms=jumps)
+
     @property
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
 
     def reassemble(self) -> np.ndarray:
         """Rebuild the superoperator from H and the jump list (consistency check)."""
-        h = self.hamiltonian
-        total = -1j * (ops.left_mult(h) - ops.right_mult(h))
-        for rate, op in self.jump_terms:
-            total = total + rate * dissipator_superop(op)
-        return total
+        return _superop_from_terms(self.hamiltonian, self.jump_terms)
+
+
+def _superop_from_terms(h: np.ndarray, jumps) -> np.ndarray:
+    total = -1j * (ops.left_mult(h) - ops.right_mult(h))
+    for rate, op in jumps:
+        total = total + rate * dissipator_superop(op)
+    return total
 
 
 def dissipator_superop(op: np.ndarray) -> np.ndarray:
@@ -148,10 +158,6 @@ def dissipator_superop(op: np.ndarray) -> np.ndarray:
     xdx = op.conj().T @ op
     return (ops.sandwich(op, op.conj().T)
             - 0.5 * (ops.left_mult(xdx) + ops.right_mult(xdx)))
-
-
-# Alias matching the operation name used elsewhere in the package.
-dissipator = dissipator_superop
 
 
 def build_hamiltonian(device: DeviceModel) -> np.ndarray:
@@ -181,13 +187,7 @@ def build_liouvillian(device: DeviceModel) -> LiouvillianBundle:
             jumps.append((q.gamma, ops.embed(SIGMA_MINUS, j, n)))
         if q.gamma_phi > 0:
             jumps.append((q.gamma_phi / 2.0, ops.embed(Z, j, n)))
-    bundle = LiouvillianBundle(
-        superop=np.zeros((4 ** n, 4 ** n), dtype=complex),
-        hamiltonian=h,
-        jump_terms=tuple(jumps),
-    )
-    return LiouvillianBundle(superop=bundle.reassemble(), hamiltonian=h,
-                             jump_terms=bundle.jump_terms)
+    return LiouvillianBundle.from_terms(h, jumps)
 
 
 def validate_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> None:

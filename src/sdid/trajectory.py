@@ -81,19 +81,12 @@ class EnsembleSpec:
 
 
 def sample_decays(device: DeviceModel, s: SpectatorInit,
-                  rng: np.random.Generator) -> np.ndarray:
-    """One decay time per spectator: Exp(gamma_j) if excited, inf otherwise."""
+                  rng: np.random.Generator, n: int) -> np.ndarray:
+    """(n, N) decay times: Exp(gamma_j) if spectator j is excited, else inf.
+
+    Column order matches the spectator list.
+    """
     s = parse_spectator_init(s, device.n_spectators)
-    out = np.full(device.n_spectators, np.inf)
-    for j, (bit, (q, _)) in enumerate(zip(s, device.spectators)):
-        if bit and q.gamma > 0:
-            out[j] = rng.exponential(1.0 / q.gamma)
-    return out
-
-
-def _sample_decays_batch(device: DeviceModel, s: SpectatorInit,
-                         rng: np.random.Generator, n: int) -> np.ndarray:
-    """(n, N) decay times; column order matches the spectator list."""
     cols = []
     for bit, (q, _) in zip(s, device.spectators):
         if bit and q.gamma > 0:
@@ -156,7 +149,7 @@ def ensemble_coherence(device: DeviceModel, s: SpectatorInit,
         raise ValueError("n_traj must be positive")
     s = parse_spectator_init(s, device.n_spectators)
     rng = ens.rng(stream)
-    decays = _sample_decays_batch(device, s, rng, ens.n_traj)
+    decays = sample_decays(device, s, rng, ens.n_traj)
     phi = _phases_from_decays(seq, decays, device, s)
     shots = np.exp(-1j * phi)
     envelope = np.exp(-device.control.gamma_tilde * seq.total_time)

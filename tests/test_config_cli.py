@@ -74,6 +74,28 @@ def test_config_diagnostics_name_the_field():
                                      "spectators": [{"t1_us": 100.0}]}})
 
 
+def test_spectator_init_is_checked_against_the_experiment():
+    for experiment, init in (("ramsey", "plus"), ("ramsey", "11"),
+                             ("cpmg", "1a1"), ("rb", "abc"), ("rb", "1101")):
+        with pytest.raises(ConfigError, match="'spectator_init'"):
+            config_from_dict({"device": DEVICE_B, "experiment": experiment,
+                              "spectator_init": init})
+    for init in ("zero", "one", "plus", "101"):
+        cfg = config_from_dict({"device": DEVICE_B, "experiment": "rb",
+                                "spectator_init": init})
+        assert cfg.spectator_init == init
+
+
+def test_cli_reports_config_errors_without_traceback(tmp_path):
+    cfg = _write_config(tmp_path / "b.json", DEVICE_B, spectator_init="plus")
+    result = CliRunner().invoke(main, [
+        "ramsey", "--config", cfg, "--out", str(tmp_path / "r.csv")])
+    assert result.exit_code != 0
+    assert "Traceback" not in result.output
+    assert "Error: field 'spectator_init'" in result.output
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_device_round_trips_through_config_units():
     device = device_from_dict(DEVICE_B)
     again = device_from_dict(device_to_dict(device))
@@ -176,6 +198,20 @@ def test_cli_rb_and_fit_round_trip(tmp_path):
     assert result.exit_code == 0, result.output
     payload = json.loads(fit_out.read_text())
     assert 0.0 < payload["params"]["p"] <= 1.0 + 1e-9
+
+
+def test_cli_rb_fit_pins_the_offset(tmp_path):
+    # A SPAM-free simulation decays to 1/2; a free offset lets the fit run off.
+    # The file's "plus" is checked against the subcommand's experiment.
+    cfg = _write_config(tmp_path / "b.json", DEVICE_B, seed=3,
+                        spectator_init="plus")
+    out = tmp_path / "rb.csv"
+    result = CliRunner().invoke(main, [
+        "rb", "--config", cfg, "--nseq", "10", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    fit = json.loads((tmp_path / "rb.csv.meta.json").read_text())["fit"]
+    assert fit["converged"] is True
+    assert fit["offset"] == 0.5
 
 
 def test_cli_derive_table_matches_closed_forms(tmp_path):

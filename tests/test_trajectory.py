@@ -93,11 +93,15 @@ def test_sampled_decay_times_have_correct_mean():
     device = _one_spec_device()
     ens = EnsembleSpec(n_traj=1, seed=5)
     rng = ens.rng()
-    draws = np.array([sample_decays(device, "1", rng)[0]
-                      for _ in range(200_000)])
+    draws = sample_decays(device, "1", rng, 200_000)[:, 0]
     assert abs(draws.mean() - 107e-6) / 107e-6 <= 0.005
-    frozen = sample_decays(device, "0", rng)
-    assert np.isinf(frozen[0])
+    # The batch draw follows the stream one shot at a time.
+    loop = ens.rng()
+    scale = 1.0 / device.spectators[0][0].gamma
+    assert np.array_equal(draws[:1000],
+                          [loop.exponential(scale) for _ in range(1000)])
+    frozen = sample_decays(device, "0", rng, 1)
+    assert np.isinf(frozen[0, 0])
 
 
 def test_sampled_phases_respect_cpmg_bounds(rng):
