@@ -348,7 +348,8 @@ def fit(in_path, kind, out):
     else:
         lengths = np.array([int(r["length"]) for r in rows])
         survival = np.array([float(r["survival"]) for r in rows])
-        result = fit_rb(lengths, survival)
+        # Pinned as in `run_rb`, so the re-fit reproduces the run's sidecar.
+        result = fit_rb(lengths, survival, offset=0.5)
         payload = {"model": result.model, "converged": result.converged,
                    "params": result.params, "stderr": result.stderr}
     text = json.dumps(payload, indent=2, sort_keys=True, default=float)

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import operators as ops
-from .model import LiouvillianBundle, dissipator_superop
+from .model import LiouvillianBundle
 
 
 def sinc(x) -> np.ndarray:

@@ -91,6 +91,24 @@ def right_mult(b: np.ndarray) -> np.ndarray:
     return kron(np.asarray(b, dtype=complex).T, np.eye(d, dtype=complex))
 
 
+def add_left_right_mult(superop: np.ndarray, a: np.ndarray,
+                        b: np.ndarray) -> None:
+    """In place: ``superop += left_mult(a) + right_mult(b)``.
+
+    Viewed as ``s[i, j, k, l]`` (row i*d + j, column k*d + l), left_mult(a)
+    is ``a[j, l]`` where i == k and right_mult(b) is ``b[k, i]`` where
+    j == l, so only those d^3 entries are written, without forming the
+    d^2 x d^2 Kronecker products.
+    """
+    if not superop.flags.c_contiguous:
+        raise ValueError("add_left_right_mult needs a C-contiguous superop")
+    d = a.shape[0]
+    k = np.arange(d)
+    s4 = superop.reshape(d, d, d, d)
+    s4[k, :, k, :] += a
+    s4[:, k, :, k] += np.asarray(b).T
+
+
 def trace_row(d: int) -> np.ndarray:
     """Row functional r such that ``r @ vec(rho) == trace(rho)``."""
     return vectorize(np.eye(d, dtype=complex))
@@ -99,15 +117,52 @@ def trace_row(d: int) -> np.ndarray:
 def expm(m: np.ndarray) -> np.ndarray:
     """Matrix exponential (scaling-and-squaring with Pade approximant).
 
-    Raises ValueError on non-finite entries; delegates the numerics to
-    ``scipy.linalg.expm``.
+    The input is split into the connected components of its nonzero
+    pattern (index i is joined to j when m[i, j] or m[j, i] is nonzero),
+    and each diagonal block is exponentiated on its own. The split is
+    exact: ordering the indices by component gives P^T m P = diag(B_k) for
+    a permutation P, and exp(P^T m P) = P^T exp(m) P, so
+    exp(m) = P diag(exp(B_k)) P^T, with zeros between components. A
+    Liouvillian with diagonal H and local sigma-/Z jumps falls into
+    3^(N+1) such blocks, none wider than 2^(N+1).
+
+    Raises ValueError on non-finite entries; delegates the numerics of each
+    block to ``scipy.linalg.expm``.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expm expects a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("expm input contains non-finite entries")
-    return scipy.linalg.expm(m)
+    labels = _component_labels(m)
+    order = np.argsort(labels, kind="stable")
+    cuts = np.flatnonzero(np.diff(labels[order])) + 1
+    if cuts.size == 0:
+        return scipy.linalg.expm(m)
+    out = np.zeros_like(m)
+    for idx in np.split(order, cuts):
+        block = np.ix_(idx, idx)
+        out[block] = scipy.linalg.expm(m[block])
+    return out
+
+
+def _component_labels(m: np.ndarray) -> np.ndarray:
+    """Smallest index of each index's connected component in m's pattern.
+
+    Label propagation: every index takes the smallest label among its
+    neighbours, then follows its label's own label (pointer jumping),
+    until nothing changes.
+    """
+    rows, cols = np.nonzero(m)
+    labels = np.arange(m.shape[0])
+    while True:
+        new = labels.copy()
+        np.minimum.at(new, rows, labels[cols])
+        np.minimum.at(new, cols, labels[rows])
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
 
 
 def hermiticity_defect(m: np.ndarray) -> float:

@@ -154,11 +154,10 @@ def test_cli_runs_are_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_cli_threads_do_not_change_output(tmp_path, monkeypatch):
+def test_cli_lindblad_csv_is_byte_identical(tmp_path):
     cfg = _write_config(tmp_path / "a.json", DEVICE_A)
     blobs = []
-    for threads, name in (("1", "t1.csv"), ("4", "t4.csv")):
-        monkeypatch.setenv("SDID_THREADS", threads)
+    for name in ("l1.csv", "l2.csv"):
         out = tmp_path / name
         result = CliRunner().invoke(main, [
             "ramsey", "--config", cfg, "--tmax-us", "400", "--points", "21",
@@ -212,6 +211,13 @@ def test_cli_rb_fit_pins_the_offset(tmp_path):
     fit = json.loads((tmp_path / "rb.csv.meta.json").read_text())["fit"]
     assert fit["converged"] is True
     assert fit["offset"] == 0.5
+    # Re-fitting the CSV gives the run's own fit.
+    result = CliRunner().invoke(main, ["fit", "--in", str(out), "--kind", "rb"])
+    assert result.exit_code == 0, result.output
+    refit = json.loads(result.output)
+    assert refit["converged"] is True
+    assert refit["params"]["offset"] == 0.5
+    assert abs(refit["params"]["epc"] - fit["epc"]) <= 1e-12
 
 
 def test_cli_derive_table_matches_closed_forms(tmp_path):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from sdid import (DeviceModel, PhysicalityError, QubitParams,
-                  build_hamiltonian, build_liouvillian, control_coherence,
-                  parse_spectator_init, propagate, ramsey_initial_state)
+                  build_cpmg, build_hamiltonian, build_liouvillian,
+                  control_coherence, parse_spectator_init, propagate,
+                  ramsey_initial_state)
 from sdid import operators as ops
 from sdid.model import dissipator_superop, validate_density_matrix
 
@@ -127,6 +128,8 @@ def test_propagate_validates_pulses_and_grid():
     rho0 = np.outer(ops.KET_0, ops.KET_0.conj())
     with pytest.raises(ValueError):
         propagate(bundle, rho0, [1e-6, 0.5e-6])
+    with pytest.raises(ValueError, match="sorted, non-negative grid"):
+        propagate(bundle, rho0, [])
     with pytest.raises(ValueError):
         propagate(bundle, rho0, [1e-6], pulse_times=[2e-6])
     with pytest.raises(ValueError):
@@ -134,6 +137,36 @@ def test_propagate_validates_pulses_and_grid():
     with pytest.raises(ValueError):
         propagate(bundle, rho0, [1e-6], pulse_times=[0.5e-6],
                   pulse_axis="q")
+
+
+def _count_expm_calls(monkeypatch):
+    calls = []
+    original = ops.expm
+
+    def counting(m):
+        calls.append(m.shape)
+        return original(m)
+
+    monkeypatch.setattr(ops, "expm", counting)
+    return calls
+
+
+def test_uniform_grid_costs_one_step_exponential(device_a, monkeypatch):
+    # linspace gives ten distinct float spacings; they round to one step.
+    calls = _count_expm_calls(monkeypatch)
+    rho0 = ramsey_initial_state(device_a, "1")
+    propagate(build_liouvillian(device_a), rho0, np.linspace(0, 500e-6, 101))
+    assert len(calls) == 1
+
+
+def test_cpmg_train_costs_two_step_exponentials(device_a, monkeypatch):
+    # Order 4 at T: tau/2, four spacings tau, tau/2; tau = T/5.
+    calls = _count_expm_calls(monkeypatch)
+    rho0 = ramsey_initial_state(device_a, "1")
+    T = 150e-6
+    pulses = build_cpmg(T, 4).pulse_times
+    propagate(build_liouvillian(device_a), rho0, [T], pulse_times=pulses)
+    assert len(calls) == 2
 
 
 def test_control_coherence_block_sum(rng):

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from sdid import build_liouvillian
 from sdid import operators as ops
 
 
@@ -57,6 +59,10 @@ def test_sandwich_identity_on_random_triples(rng):
                            ops.vectorize(a @ rho), atol=1e-12)
         assert np.allclose(ops.right_mult(b) @ ops.vectorize(rho),
                            ops.vectorize(rho @ b), atol=1e-12)
+        both = ops.sandwich(a, b)
+        ops.add_left_right_mult(both, a, b)
+        assert np.allclose(both, ops.sandwich(a, b) + ops.left_mult(a)
+                           + ops.right_mult(b), atol=1e-12)
 
 
 def test_trace_row_extracts_trace(rng):
@@ -87,6 +93,26 @@ def test_expm_commuting_sum_factorizes(rng):
     d2 = np.diag(rng.standard_normal(4) + 1j * rng.standard_normal(4))
     assert np.allclose(ops.expm(d1 + d2), ops.expm(d1) @ ops.expm(d2),
                        atol=1e-12)
+
+
+def _random_complex(rng, n):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def test_expm_block_split_matches_full_expm(device_b):
+    # Device B's Liouvillian splits into 3^4 sectors; a permuted
+    # block-diagonal matrix splits into its 3 blocks; a dense matrix has one
+    # component and goes to scipy whole.
+    rng = np.random.default_rng(7)
+    superop = build_liouvillian(device_b).superop * 5e-6
+    blocks = scipy.linalg.block_diag(*(_random_complex(rng, n) * 0.3
+                                       for n in (5, 1, 8)))
+    perm = rng.permutation(blocks.shape[0])
+    permuted = blocks[np.ix_(perm, perm)]
+    dense = _random_complex(rng, 12) * 0.3
+    for m, n_components in ((superop, 81), (permuted, 3), (dense, 1)):
+        assert np.unique(ops._component_labels(m)).size == n_components
+        assert np.max(np.abs(ops.expm(m) - scipy.linalg.expm(m))) <= 1e-13
 
 
 def test_expm_rejects_bad_input():
