@@ -124,7 +124,9 @@ def run_cpmg(cfg: ExperimentConfig, out: Path) -> dict:
         tmax = cfg.tmax_us * 1e-6 if cfg.tmax_us else 5.0 / rate
         times = np.linspace(0.0, tmax, cfg.points)
         values = analytic.ramsey_trace(eff, s, times).values
-        fit = fit_exponential(times, np.abs(values))
+        # The coherence decays to zero; a free offset lets the fit trade
+        # the rate against a floor that the model does not have.
+        fit = fit_exponential(times, np.abs(values), offset=0.0)
         return n, times, values, fit
 
     results = [compute(n) for n in cfg.orders]
@@ -139,6 +141,8 @@ def run_cpmg(cfg: ExperimentConfig, out: Path) -> dict:
             "sdid_version": __version__,
             "fitted_t2_us": {str(n): fit.params["t2"] * 1e6
                              for n, _, _, fit in results},
+            "fit_converged": {str(n): fit.converged
+                              for n, _, _, fit in results},
             "tmax_scaling": "5x heuristic decay time unless tmax_us given"}
     _write_sidecar(out, meta)
     return meta

@@ -43,6 +43,17 @@ def _require_positive(value, name: str) -> float:
     return float(value)
 
 
+def _require_seed(value) -> int:
+    """A Philox key: an integer in [0, 2**128); 3.0 counts as 3."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or not 0 <= value < 2 ** 128):
+        raise ConfigError(f"field 'seed' must be an integer in [0, 2**128), "
+                          f"got {value!r}")
+    return value
+
+
 def _qubit_from_dict(d: dict, name: str) -> QubitParams:
     if not isinstance(d, dict):
         raise ConfigError(f"field {name!r} must be an object")
@@ -192,7 +203,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if "n_traj" in data:
         cfg.n_traj = int(_require_positive(data["n_traj"], "n_traj"))
     if "seed" in data:
-        cfg.seed = int(data["seed"])
+        cfg.seed = _require_seed(data["seed"])
     if "tgate_ns" in data:
         cfg.tgate_ns = _require_positive(data["tgate_ns"], "tgate_ns")
     frame = data.get("frame", cfg.frame)

@@ -23,13 +23,16 @@ Measured cause of the 5a failure (device B, spectators 111, seed 21):
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sdid
 from sdid import (DeviceModel, EnsembleSpec, QubitParams, bohr_spectrum,
                   build_bmpsa, build_bmrwa, build_cetcg, build_liouvillian,
                   choi_matrix, cluster_bohr, conditional_channel,
@@ -328,6 +331,12 @@ def test_criterion_10_cli_determinism(tmp_path):
     }
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
+    # The CLI processes import the same package as this test, installed or
+    # not.
+    src = str(Path(sdid.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH")
+                 else [])))
     blobs = []
     for name in ("run1", "run2"):
         out = tmp_path / f"{name}.csv"
@@ -340,7 +349,7 @@ def test_criterion_10_cli_determinism(tmp_path):
              "--lengths", "1,20,60", "--nseq", "5", "--out", str(rb_out)],
         ):
             proc = subprocess.run([sys.executable, "-m", "sdid.cli"] + args,
-                                  capture_output=True, text=True)
+                                  capture_output=True, text=True, env=env)
             assert proc.returncode == 0, proc.stderr
         blobs.append(out.read_bytes() + rb_out.read_bytes())
     _report("10", blobs[0] == blobs[1],

@@ -96,6 +96,26 @@ def test_cli_reports_config_errors_without_traceback(tmp_path):
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_seed_must_be_a_non_negative_integer(tmp_path):
+    for bad in (-1, 1.5, "7", True, 2 ** 128, float("nan")):
+        with pytest.raises(ConfigError, match="'seed'"):
+            config_from_dict({"device": DEVICE_A, "seed": bad})
+    assert config_from_dict({"device": DEVICE_A, "seed": 3.0}).seed == 3
+    assert config_from_dict({"device": DEVICE_A, "seed": 0}).seed == 0
+    # The trajectory and RB engines key Philox with the seed; a bad one is a
+    # one-line error, not a traceback.
+    cfg = _write_config(tmp_path / "b.json", DEVICE_B, seed=-1)
+    for args in (["ramsey", "--engines", "trajectory"], ["rb"]):
+        out = tmp_path / "x.csv"
+        result = CliRunner().invoke(main, args + ["--config", cfg,
+                                                  "--out", str(out)])
+        assert result.exit_code != 0
+        assert "Traceback" not in result.output
+        assert result.output.strip().splitlines() == [
+            "Error: field 'seed' must be an integer in [0, 2**128), got -1"]
+        assert not out.exists()
+
+
 def test_device_round_trips_through_config_units():
     device = device_from_dict(DEVICE_B)
     again = device_from_dict(device_to_dict(device))
@@ -179,6 +199,24 @@ def test_cli_cpmg_sweep(tmp_path):
     meta = json.loads((tmp_path / "cpmg.csv.meta.json").read_text())
     assert set(meta["fitted_t2_us"]) == {"0", "4"}
     assert meta["fitted_t2_us"]["4"] > 0
+
+
+def test_cli_cpmg_fits_are_physical(tmp_path):
+    # The coherence decays to zero, so the fit pins the offset to 0: no
+    # order's T2 may exceed the control's own 241 us.
+    cfg = _write_config(tmp_path / "b.json", DEVICE_B)
+    out = tmp_path / "cpmg.csv"
+    result = CliRunner().invoke(main, [
+        "cpmg", "--config", cfg, "--orders", "0,1,4,16,64,160",
+        "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    meta = json.loads((tmp_path / "cpmg.csv.meta.json").read_text())
+    orders = {"0", "1", "4", "16", "64", "160"}
+    assert set(meta["fit_converged"]) == orders
+    assert all(meta["fit_converged"].values())
+    t2s = meta["fitted_t2_us"]
+    assert set(t2s) == orders
+    assert all(0.0 < t2 <= 241.0 for t2 in t2s.values()), t2s
 
 
 def test_cli_rb_and_fit_round_trip(tmp_path):

@@ -7,7 +7,7 @@ from sdid import (DeviceModel, EnsembleSpec, PulseSequence, QubitParams,
                   accumulated_phase, build_cpmg, build_liouvillian,
                   control_coherence, ensemble_coherence, ensemble_trace,
                   phase_bounds, propagate, ramsey_initial_state, ramsey_trace,
-                  sample_decays)
+                  sample_decays, trajectory)
 
 
 def _one_spec_device(nu=2 * np.pi * 11250.0, gamma=1.0 / 107e-6,
@@ -181,3 +181,184 @@ def test_invalid_trajectory_count(device_a):
     with pytest.raises(ValueError):
         ensemble_coherence(device_a, "1", PulseSequence.ramsey(1e-5),
                            EnsembleSpec(n_traj=0, seed=0))
+    with pytest.raises(ValueError):
+        ensemble_trace(device_a, "1", [1e-5], EnsembleSpec(n_traj=-3, seed=0))
+
+
+# Reference implementation: the binary-search phase that the bucket kernel
+# replaces, with one `exponential` draw per spectator column.  The kernel
+# must reproduce it to the last bit.
+
+def _reference_parity(seq, t):
+    t = np.asarray(t, dtype=float)
+    edges = np.array((0.0,) + seq.pulse_times)
+    seg_lengths = np.diff(np.append(edges, np.inf))[:-1]
+    signs = (-1.0) ** np.arange(edges.size)
+    p_at_edges = np.concatenate(([0.0], np.cumsum(signs[:-1] * seg_lengths)))
+    idx = np.searchsorted(edges, t, side="right") - 1
+    return p_at_edges[idx] + signs[idx] * (t - edges[idx])
+
+
+def _reference_phases(seq, decays, device, s):
+    T = seq.total_time
+    p_total = float(_reference_parity(seq, T))
+    phi = np.zeros(decays.shape[0])
+    for j, (bit, nu) in enumerate(zip(s, device.nus)):
+        if bit:
+            t_d = np.minimum(decays[:, j], T)
+            phi += 2.0 * nu * (p_total - 2.0 * _reference_parity(seq, t_d))
+        else:
+            phi += 2.0 * nu * p_total
+    return phi
+
+
+def _reference_coherence(device, s, seq, ens, stream=0):
+    """Toggling-frame mean and standard error, drawn column by column."""
+    rng = ens.rng(stream)
+    cols = [rng.exponential(1.0 / q.gamma, size=ens.n_traj)
+            if bit and q.gamma > 0 else np.full(ens.n_traj, np.inf)
+            for bit, (q, _) in zip(s, device.spectators)]
+    shots = np.exp(-1j * _reference_phases(seq, np.stack(cols, axis=1),
+                                           device, s))
+    envelope = np.exp(-device.control.gamma_tilde * seq.total_time)
+    mean = envelope * complex(shots.mean())
+    var = 0.0
+    if ens.n_traj > 1:
+        var = (shots.real.var(ddof=1) + shots.imag.var(ddof=1)) / ens.n_traj
+    return mean, envelope * float(np.sqrt(var))
+
+
+def _lab_frame(value, seq):
+    return np.conj(value) if len(seq.pulse_times) % 2 else value
+
+
+def _mixed_device(device_b):
+    """Device B with its second spectator made stable (gamma = 0)."""
+    specs = list(device_b.spectators)
+    specs[1] = (QubitParams(gamma=0.0), specs[1][1])
+    return DeviceModel(control=device_b.control, spectators=tuple(specs))
+
+
+def _adversarial_sequences():
+    T = 100e-6
+    p = 40e-6
+    ulps = (p, np.nextafter(p, 1.0), np.nextafter(np.nextafter(p, 1.0), 1.0),
+            70e-6)
+    yield PulseSequence.ramsey(T)
+    for n in (0, 1, 2, 3, 4, 16, 64, 160):
+        yield build_cpmg(T, n)
+    yield PulseSequence(T, ulps)
+    yield PulseSequence(T, (5e-324, 1e-300, T / 2, np.nextafter(T, 0.0)))
+    yield PulseSequence(1.0, tuple(0.3 + np.cumsum(np.full(30, 1e-16))))
+
+
+def _times_for(seq, rng):
+    """Times in [0, T]: 0, T, every edge and its neighbours, and random."""
+    T = seq.total_time
+    edges = np.array((0.0,) + seq.pulse_times)
+    t = np.concatenate(([0.0, T, np.nextafter(T, 0.0)], edges,
+                        np.nextafter(edges, np.inf),
+                        np.nextafter(edges[1:], -np.inf),
+                        rng.uniform(0.0, T, 3000)))
+    return np.clip(t, 0.0, T)
+
+
+def test_parity_kernel_matches_searchsorted_reference():
+    rng = np.random.default_rng(11)
+    seqs = list(_adversarial_sequences())
+    for _ in range(20):
+        T = float(rng.uniform(1e-6, 1e-3))
+        pulses = np.unique(rng.uniform(0.0, T, int(rng.integers(1, 200))))
+        seqs.append(PulseSequence(T, tuple(p for p in pulses if 0 < p < T)))
+    for seq in seqs:
+        t = _times_for(seq, rng)
+        edges = np.array((0.0,) + seq.pulse_times)
+        parity = trajectory._Parity(seq)
+        ws = trajectory._Workspace(0, t.size)
+        assert parity.last_bucket + 1 <= 4 * edges.size
+        seg = parity.segments(t, ws, t.size)
+        assert np.array_equal(seg, np.searchsorted(edges, t, "right") - 1)
+        assert np.array_equal(parity(t, ws, t.size),
+                              _reference_parity(seq, t))
+        assert parity.total == float(_reference_parity(seq, seq.total_time))
+    # Uniform trains need one correction step at most: O(1) per lookup.
+    for n in range(0, 161):
+        for T in (1e-6, 37.3e-6, 2.5e-3):
+            assert trajectory._Parity(build_cpmg(T, n)).steps == 1
+    assert trajectory._Parity(PulseSequence.ramsey(1e-4)).steps == 0
+
+
+def test_accumulated_phase_matches_reference_bitwise(device_b):
+    rng = np.random.default_rng(12)
+    device = _mixed_device(device_b)
+    for seq in _adversarial_sequences():
+        T = seq.total_time
+        cand = np.concatenate((_times_for(seq, rng)[:60], [1.5 * T, np.inf]))
+        for s in ("111", "101", "010"):
+            bits = tuple(int(c) for c in s)
+            for t_d in cand:
+                decays = np.array([t_d, 0.5 * t_d, rng.uniform(0, 2 * T)])
+                want = _reference_phases(seq, decays[None, :], device,
+                                         bits)[0]
+                assert accumulated_phase(seq, decays, device, s) == want
+
+
+def test_sampled_decays_match_per_column_draws(device_b):
+    device = _mixed_device(device_b)
+    ens = EnsembleSpec(n_traj=1, seed=8)
+    got = sample_decays(device, "111", ens.rng(3), 5001)
+    loop = ens.rng(3)
+    want = np.stack([loop.exponential(1.0 / q.gamma, size=5001)
+                     if q.gamma > 0 else np.full(5001, np.inf)
+                     for q, _ in device.spectators], axis=1)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_traj", [1, 7, 8192, 8193, 20_000])
+def test_ensemble_coherence_matches_reference(device_b, n_traj):
+    device = _mixed_device(device_b)
+    ens = EnsembleSpec(n_traj=n_traj, seed=31)
+    for seq in _adversarial_sequences():
+        for s in ("111", "011", "000"):
+            bits = tuple(int(c) for c in s)
+            val, err = ensemble_coherence(device, s, seq, ens, stream=5)
+            ref, ref_err = _reference_coherence(device, bits, seq, ens,
+                                                stream=5)
+            assert val == _lab_frame(ref, seq)
+            assert err == ref_err
+
+
+def test_ensemble_trace_matches_per_point_reference(device_b):
+    times = np.array([0.0, 4e-6, 33.3e-6, 120e-6, 0.7e-3])
+    ens = EnsembleSpec(n_traj=9000, seed=2)
+    for order in (None, 0, 1, 4, 17):
+        trace = ensemble_trace(device_b, "111", times, ens, cpmg_order=order,
+                               normalized=False)
+        want = np.empty(times.size, dtype=complex)
+        want_err = np.empty(times.size)
+        want[0], want_err[0] = 1.0, 0.0
+        for k, T in enumerate(times[1:], start=1):
+            seq = (PulseSequence.ramsey(T) if order is None
+                   else build_cpmg(T, order))
+            ref, want_err[k] = _reference_coherence(device_b, (1, 1, 1), seq,
+                                                    ens, stream=k)
+            want[k] = _lab_frame(ref, seq)
+        assert np.array_equal(trace.values, 0.5 * want)
+        assert np.array_equal(trace.stderr, 0.5 * want_err)
+
+
+def test_pulsed_coherence_matches_dense_engine_as_complex_number():
+    # Lab-frame convention: the trajectory mean is the dense engine's
+    # coherence, phase included, for even and odd pulse counts alike.
+    device = _one_spec_device(control_t2=241e-6, gamma=1.0 / 150e-6)
+    T = 60e-6
+    bundle = build_liouvillian(device)
+    rho0 = ramsey_initial_state(device, "1")
+    for n in range(5):
+        seq = build_cpmg(T, n)
+        val, err = ensemble_coherence(device, "1", seq,
+                                      EnsembleSpec(n_traj=200_000, seed=7))
+        rho = propagate(bundle, rho0, [T],
+                        pulse_times=list(seq.pulse_times))[0]
+        dense = 2.0 * control_coherence(rho)
+        assert abs(val - dense) <= 4.0 * err, (n, val, dense, err)
