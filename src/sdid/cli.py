@@ -338,17 +338,31 @@ def derive(config_path, nu_tauc, out):
               default="exponential")
 @click.option("--out", type=click.Path(), default=None)
 def fit(in_path, kind, out):
-    """Fit a CSV written by ramsey/cpmg (exponential) or rb."""
+    """Fit a CSV written by ramsey/cpmg (exponential) or rb.
+
+    An exponential fit is made per engine and CPMG order and listed under
+    "fits".
+    """
     with open(in_path) as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)
     if kind == "exponential":
-        times = np.array([float(r["time_us"]) for r in rows]) * 1e-6
-        mags = np.array([float(r["coh_abs"]) for r in rows])
-        result = fit_exponential(times, mags)
-        payload = {"model": result.model, "converged": result.converged,
-                   "t2_us": result.params["t2"] * 1e6,
-                   "params": result.params, "stderr": result.stderr}
+        groups: dict = {}
+        for r in rows:
+            groups.setdefault((r["engine"], r.get("cpmg_n")), []).append(r)
+        fits = []
+        for (engine, order), group in groups.items():
+            times = np.array([float(r["time_us"]) for r in group]) * 1e-6
+            mags = np.array([float(r["coh_abs"]) for r in group])
+            result = fit_exponential(times, mags)
+            entry = {"engine": engine, "model": result.model,
+                     "converged": result.converged,
+                     "t2_us": result.params["t2"] * 1e6,
+                     "params": result.params, "stderr": result.stderr}
+            if order is not None:
+                entry["cpmg_n"] = int(order)
+            fits.append(entry)
+        payload = {"fits": fits}
     else:
         lengths = np.array([int(r["length"]) for r in rows])
         survival = np.array([float(r["survival"]) for r in rows])

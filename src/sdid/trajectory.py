@@ -20,18 +20,32 @@ when it applies each pulse to the state (`model.propagate(...,
 pulse_times=...)`).  Magnitudes and standard errors are the same in both
 frames.
 
-Kernel design: one point draws all its decay times with a single
-`standard_exponential` call into a buffer that the whole trace reuses, and
-builds the phase in blocks of `_BLOCK` shots so that the temporaries stay in
-cache.  The pulse segment of each decay time comes from a bucket table of at
-most 4 x (pulses + 1) uniform buckets, plus a fixed number of exact
-correction steps, instead of a binary search; the result is the segment that
+Kernel design: one point builds the phase of all its shots in the imaginary
+part of the complex shot buffer, one decaying spectator at a time, in
+spectator order.  Each spectator's decay times are drawn from the point's
+stream in blocks of `_BLOCK` shots, so the draw temporaries stay in cache and
+no (spectators, shots) array is held; the blocks continue the Generator
+exactly, so they are the numbers a single draw would give.  The pulse
+segment of each decay time comes from a bucket table of at most
+4 x (pulses + 1) uniform buckets, plus a fixed number of exact correction
+steps, instead of a binary search; the result is the segment that
 `np.searchsorted(edges, t, "right") - 1` gives, so the phases are the same
 to the last bit.
+
+`ensemble_trace` spreads its grid points over one worker thread per CPU the
+process may use, the calling thread among them, each with its own
+workspace; numpy releases the interpreter lock inside the kernel's array
+operations.  A point reads only
+its own counter-based stream and writes only its own result, so the output
+does not depend on the number of workers or on their timing.  The pulse
+sequences and streams are made in the calling thread before the workers
+start, so the workers run only private code.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +53,11 @@ import numpy as np
 from .analytic import CoherenceTrace
 from .model import DeviceModel, SpectatorInit, parse_spectator_init
 
-# Shots per phase block; the block's float temporaries (64 kB each) stay in
-# cache.
-_BLOCK = 8192
+# Shots per phase block.  The block's float temporaries (256 kB each) stay in
+# cache, and a block is long enough that the interpreter work per numpy call
+# is small next to the call itself, which worker threads run without the
+# interpreter lock.
+_BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -70,10 +86,6 @@ class PulseSequence:
     def hahn(cls, total_time: float) -> "PulseSequence":
         return cls(total_time=total_time, pulse_times=(total_time / 2,),
                    kind="hahn")
-
-    @classmethod
-    def cpmg(cls, total_time: float, n: int) -> "PulseSequence":
-        return build_cpmg(total_time, n)
 
 
 def build_cpmg(total_time: float, n: int) -> PulseSequence:
@@ -119,26 +131,23 @@ def sample_decays(device: DeviceModel, s: SpectatorInit,
     ensemble engine draws for a point from the same stream.
     """
     s = parse_spectator_init(s, device.n_spectators)
-    decaying = _decaying(device, s)
-    draws = np.empty((len(decaying), n))
-    rng.standard_exponential(out=draws)
     out = np.full((n, device.n_spectators), np.inf)
-    for row, (j, scale) in enumerate(decaying):
-        out[:, j] = draws[row] * scale
+    for j, scale in _decaying(device, s):
+        out[:, j] = rng.standard_exponential(n) * scale
     return out
 
 
 class _Workspace:
-    """Buffers for one ensemble size, reused for every point of a trace."""
+    """Buffers of one worker: n_traj complex shots, and scratch for blocks
+    of up to `block` shots.  Reused for every point the worker computes."""
 
-    def __init__(self, n_rows: int, n_traj: int):
-        self.draws = np.empty((n_rows, n_traj))
+    def __init__(self, n_traj: int, block: int):
         self.shots = np.empty(n_traj, dtype=complex)
-        m = min(n_traj, _BLOCK)
-        self.phi, self.t, self.p, self.tmp = (np.empty(m) for _ in range(4))
-        self.bucket = np.empty(m, dtype=np.intp)
-        self.seg = np.empty(m, dtype=np.intp)
-        self.step = np.empty(m, dtype=bool)
+        self.block = block
+        self.t, self.p, self.tmp = (np.empty(block) for _ in range(3))
+        self.bucket = np.empty(block, dtype=np.intp)
+        self.seg = np.empty(block, dtype=np.intp)
+        self.step = np.empty(block, dtype=bool)
 
 
 class _Parity:
@@ -212,39 +221,45 @@ class _Parity:
         return p
 
 
-def _terms(device: DeviceModel, s: SpectatorInit, rows: dict) -> list:
-    """(excited, 2 nu, row, scale) per spectator, in spectator order.
+def _terms(device: DeviceModel, s: SpectatorInit, scales: dict) -> list:
+    """(excited, 2 nu, scale) per spectator, in spectator order.
 
-    `rows` maps a spectator index to (row of its decay times, scale of that
-    row); a spectator without a row never decays during the sequence.
+    `scales` maps each spectator that decays during the sequence to the
+    factor that turns its drawn times into decay times; any other
+    spectator has scale None and keeps its state.
     """
-    return [(bit, 2.0 * nu) + rows.get(j, (None, 1.0))
+    return [(bit, 2.0 * nu, scales.get(j))
             for j, (bit, nu) in enumerate(zip(s, device.nus))]
 
 
-def _phase_block(parity: _Parity, terms: list, rows: np.ndarray, a: int,
-                 b: int, ws: _Workspace) -> np.ndarray:
-    """Total control phase of shots a..b-1 (a view into ws).
+def _phase(parity: _Parity, terms: list, draw, ws: _Workspace) -> np.ndarray:
+    """Total control phase of every shot, built in ws.shots.imag (returned).
 
     Each spectator adds 2 nu (P(T) - 2 P(t_d)) with t_d = min(decay, T):
     its sign is -1 until the decay and +1 after.  A spectator in |0> adds
-    2 nu P(T).
+    2 nu P(T).  `draw(j, out)` fills `out` with spectator j's next unscaled
+    times.  The terms are added in spectator order, each a block of shots
+    at a time.
     """
-    m = b - a
-    phi, t = ws.phi[:m], ws.t[:m]
-    T, p_total = parity.total_time, parity.total
+    phi = ws.shots.imag
     phi.fill(0.0)
-    for excited, two_nu, row, scale in terms:
-        if row is None:
+    T, p_total = parity.total_time, parity.total
+    n, block = phi.size, ws.block
+    for j, (excited, two_nu, scale) in enumerate(terms):
+        if scale is None:
             phi += two_nu * (p_total - 2.0 * p_total if excited else p_total)
             continue
-        np.multiply(rows[row, a:b], scale, out=t)
-        np.minimum(t, T, out=t)
-        p = parity(t, ws, m)
-        p *= 2.0
-        np.subtract(p_total, p, out=p)
-        p *= two_nu
-        phi += p
+        for a in range(0, n, block):
+            m = min(block, n - a)
+            t = ws.t[:m]
+            draw(j, t)
+            t *= scale
+            np.minimum(t, T, out=t)
+            p = parity(t, ws, m)
+            p *= 2.0
+            np.subtract(p_total, p, out=p)
+            p *= two_nu
+            phi[a:a + m] += p
     return phi
 
 
@@ -253,10 +268,9 @@ def accumulated_phase(seq: PulseSequence, decays, device: DeviceModel,
     """Total control phase for one shot, given the spectator decay times."""
     s = parse_spectator_init(s, device.n_spectators)
     decays = np.asarray(decays, dtype=float)
-    terms = _terms(device, s, {j: (j, 1.0) for j, bit in enumerate(s)
-                               if bit})
-    phi = _phase_block(_Parity(seq), terms, decays[:, None], 0, 1,
-                       _Workspace(0, 1))
+    terms = _terms(device, s, {j: 1.0 for j, bit in enumerate(s) if bit})
+    phi = _phase(_Parity(seq), terms, lambda j, out: out.fill(decays[j]),
+                 _Workspace(1, 1))
     return float(phi[0])
 
 
@@ -264,19 +278,21 @@ def _coherence(device: DeviceModel, seq: PulseSequence, terms: list,
                rng: np.random.Generator, ws: _Workspace,
                frame: str) -> tuple[complex, float]:
     """One point of `ensemble_coherence`, computed in the workspace."""
-    T = seq.total_time
     parity = _Parity(seq)
-    rng.standard_exponential(out=ws.draws)
+    phi = _phase(parity, terms,
+                 lambda j, out: rng.standard_exponential(out=out), ws)
     shots = ws.shots
     n = shots.size
-    for a in range(0, n, _BLOCK):
-        b = min(a + _BLOCK, n)
-        phi = _phase_block(parity, terms, ws.draws, a, b, ws)
-        np.multiply(phi, -1j, out=shots[a:b])
+    for a in range(0, n, ws.block):
+        b = min(a + ws.block, n)
+        tmp = ws.tmp[:b - a]
+        np.copyto(tmp, phi[a:b])
+        np.multiply(tmp, -1j, out=shots[a:b])
         np.exp(shots[a:b], out=shots[a:b])
-    envelope = np.exp(-device.control.gamma_tilde * T)
+    envelope = np.exp(-device.control.gamma_tilde * seq.total_time)
     mean = envelope * complex(shots.mean())
-    if len(seq.pulse_times) % 2:
+    odd = len(seq.pulse_times) % 2
+    if odd:
         mean = mean.conjugate()
     if n > 1:
         var = (shots.real.var(ddof=1) + shots.imag.var(ddof=1)) / n
@@ -284,20 +300,69 @@ def _coherence(device: DeviceModel, seq: PulseSequence, terms: list,
         var = 0.0
     stderr = envelope * float(np.sqrt(var))
     if frame == "experimental":
-        mean *= np.exp(2j * device.nus.sum() * T)
+        # Divide out the all-ground phase e^{-2i sum(nu) P(T)} of the same
+        # train, conjugated like the mean after an odd number of pulses.
+        static = np.exp(2j * device.nus.sum() * parity.total)
+        mean *= static.conjugate() if odd else static
     elif frame != "bare":
         raise ValueError(f"unknown frame {frame!r}")
     return mean, stderr
 
 
-def _ensemble(device: DeviceModel, s: SpectatorInit,
-              n_traj: int) -> tuple[list, _Workspace]:
-    """Spectator terms and a fresh workspace for ensembles of n_traj shots."""
+def _ensemble_terms(device: DeviceModel, s: SpectatorInit,
+                    n_traj: int) -> list:
+    """Spectator terms of ensembles of n_traj shots drawn from a stream."""
     if n_traj <= 0:
         raise ValueError("n_traj must be positive")
-    decaying = _decaying(device, s)
-    rows = {j: (row, scale) for row, (j, scale) in enumerate(decaying)}
-    return _terms(device, s, rows), _Workspace(len(decaying), n_traj)
+    return _terms(device, s, dict(_decaying(device, s)))
+
+
+def _workspace(n_traj: int) -> _Workspace:
+    return _Workspace(n_traj, min(n_traj, _BLOCK))
+
+
+def _cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # not available on every platform
+        return os.cpu_count() or 1
+
+
+def _compute_points(device: DeviceModel, terms: list, points: list,
+                    n_traj: int, frame: str, values: np.ndarray,
+                    errs: np.ndarray) -> None:
+    """values[k], errs[k] of each point (k, seq, rng), on W threads.
+
+    W = min(CPUs, points); worker w computes points w, w + W, ... in its own
+    workspace, and the calling thread is worker 0.  The first exception a
+    worker raises is raised here once every worker has stopped.
+    """
+    if not points:
+        return
+    n_workers = min(_cpus(), len(points))
+    spaces = [_workspace(n_traj) for _ in range(n_workers)]
+    failures = []
+
+    def work(w):
+        try:
+            for k, seq, rng in points[w::n_workers]:
+                values[k], errs[k] = _coherence(device, seq, terms, rng,
+                                                spaces[w], frame)
+        except Exception as exc:
+            failures.append(exc)
+
+    threads = [threading.Thread(target=work, args=(w,))
+               for w in range(1, n_workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
 
 
 def ensemble_coherence(device: DeviceModel, s: SpectatorInit,
@@ -309,12 +374,15 @@ def ensemble_coherence(device: DeviceModel, s: SpectatorInit,
     Returns e^{-gamma_tilde T} <e^{-i phi}> and the standard error of the
     complex mean (sqrt of summed quadrature variances over n_traj).  After
     an odd number of pulses the mean is conjugated into the lab frame (see
-    the module docstring).  In the 'experimental' frame the static
-    ground-state ZZ phase e^{-2i sum(nu) T} is divided out.
+    the module docstring).  The 'experimental' frame divides out the static
+    phase that all-ground spectators give under the same pulse train,
+    e^{-2i sum(nu) P(T)} (conjugated after an odd number of pulses), where
+    P(T) is the toggling-frame time: T for Ramsey, 0 for CPMG.
     """
     s = parse_spectator_init(s, device.n_spectators)
-    terms, ws = _ensemble(device, s, ens.n_traj)
-    return _coherence(device, seq, terms, ens.rng(stream), ws, frame)
+    terms = _ensemble_terms(device, s, ens.n_traj)
+    return _coherence(device, seq, terms, ens.rng(stream),
+                      _workspace(ens.n_traj), frame)
 
 
 def ensemble_trace(device: DeviceModel, s: SpectatorInit, times,
@@ -326,23 +394,20 @@ def ensemble_trace(device: DeviceModel, s: SpectatorInit, times,
     Each grid point is an independent experiment of ens.n_traj shots with its
     own counter-based stream, so the whole trace is reproducible per seed.
     With `cpmg_order` set, every point uses an explicit CPMG_n pulse train.
-    All points share one workspace.
+    The points run on one worker thread per CPU the process may use; the
+    output is the same for any number of workers.
     """
     s = parse_spectator_init(s, device.n_spectators)
-    terms, ws = _ensemble(device, s, ens.n_traj)
+    terms = _ensemble_terms(device, s, ens.n_traj)
     times = np.asarray(times, dtype=float)
-    values = np.empty(times.size, dtype=complex)
-    errs = np.empty(times.size)
-    for k, T in enumerate(times):
-        if T <= 0:
-            values[k], errs[k] = 1.0, 0.0
-            continue
-        if cpmg_order is None:
-            seq = PulseSequence.ramsey(T)
-        else:
-            seq = build_cpmg(T, cpmg_order)
-        values[k], errs[k] = _coherence(device, seq, terms, ens.rng(k), ws,
-                                        frame)
+    values = np.ones(times.size, dtype=complex)
+    errs = np.zeros(times.size)
+    # Sequences and streams are made here, in the calling thread, so that
+    # the workers call no public function.
+    points = [(k, PulseSequence.ramsey(T) if cpmg_order is None
+               else build_cpmg(T, cpmg_order), ens.rng(k))
+              for k, T in enumerate(times) if T > 0]
+    _compute_points(device, terms, points, ens.n_traj, frame, values, errs)
     scale = spam_scale * (1.0 if normalized else 0.5)
     return CoherenceTrace(times=times, values=scale * values,
                           normalization=scale, stderr=abs(scale) * errs)

@@ -288,7 +288,35 @@ def test_cli_fit_exponential_from_ramsey_csv(tmp_path):
     assert result.exit_code == 0, result.output
     payload = json.loads(result.output)
     # ground-state spectators leave the bare control decay, T2 = 127 us
-    assert abs(payload["t2_us"] - 127.0) / 127.0 <= 1e-3
+    assert abs(payload["fits"][0]["t2_us"] - 127.0) / 127.0 <= 1e-3
+
+
+def test_cli_fit_fits_each_engine_and_order_separately(tmp_path):
+    cfg = _write_config(tmp_path / "a.json", DEVICE_A, n_traj=2000)
+    out = tmp_path / "ramsey.csv"
+    result = CliRunner().invoke(main, [
+        "ramsey", "--config", cfg, "--spectators", "0", "--tmax-us", "500",
+        "--points", "41", "--engines", "analytic,lindblad,trajectory",
+        "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    result = CliRunner().invoke(main, ["fit", "--in", str(out)])
+    assert result.exit_code == 0, result.output
+    fits = json.loads(result.output)["fits"]
+    assert [f["engine"] for f in fits] == ["analytic", "lindblad",
+                                           "trajectory"]
+    for f in fits:
+        assert "cpmg_n" not in f
+        assert abs(f["t2_us"] - 127.0) / 127.0 <= 1e-3, f
+    out = tmp_path / "cpmg.csv"
+    result = CliRunner().invoke(main, [
+        "cpmg", "--config", cfg, "--orders", "0,4", "--points", "31",
+        "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    result = CliRunner().invoke(main, ["fit", "--in", str(out)])
+    assert result.exit_code == 0, result.output
+    fits = json.loads(result.output)["fits"]
+    assert [(f["engine"], f["cpmg_n"]) for f in fits] == [("analytic", 0),
+                                                          ("analytic", 4)]
 
 
 def test_cli_requires_output_path(tmp_path):

@@ -1,5 +1,9 @@
 """Monte-Carlo phase-kick engine: sequences, phases, and ensemble traces."""
 
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -154,6 +158,27 @@ def test_ground_state_experimental_frame_is_static():
     with pytest.raises(ValueError):
         ensemble_coherence(device, "0", PulseSequence.ramsey(T),
                            EnsembleSpec(n_traj=100, seed=0), frame="lab")
+
+
+@pytest.mark.parametrize("n", [None, 0, 1, "odd"])
+def test_all_ground_experimental_frame_is_static_with_pulses(device_a,
+                                                             device_b, n):
+    # The frame divides out the all-ground phase of the same train: what is
+    # left is the real intrinsic envelope, for any pulse count.
+    T = 80e-6
+    if n is None:
+        seq = PulseSequence.ramsey(T)
+    elif n == "odd":
+        seq = PulseSequence(T, (0.3 * T,))    # P(T) = -0.4 T
+    else:
+        seq = build_cpmg(T, n)
+    for device, s in ((device_a, "0"), (device_b, "000")):
+        val, err = ensemble_coherence(device, s, seq,
+                                      EnsembleSpec(n_traj=100, seed=0),
+                                      frame="experimental")
+        expected = np.exp(-device.control.gamma_tilde * T)
+        assert abs(val - expected) <= 1e-12, (s, seq, val)
+        assert err <= 1e-12
 
 
 def test_same_seed_is_bit_identical(device_a):
@@ -362,3 +387,85 @@ def test_pulsed_coherence_matches_dense_engine_as_complex_number():
                         pulse_times=list(seq.pulse_times))[0]
         dense = 2.0 * control_coherence(rho)
         assert abs(val - dense) <= 4.0 * err, (n, val, dense, err)
+
+
+def test_ensemble_trace_is_bitwise_the_same_for_any_worker_count(
+        device_b, monkeypatch):
+    times = np.array([0.0, 5e-6, 40e-6, 90e-6, 150e-6, 310e-6, 0.6e-3])
+    ens = EnsembleSpec(n_traj=trajectory._BLOCK + 5, seed=14)
+    traces = []
+    # More workers than cores, switching often: a lost or misplaced write
+    # would change the output.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(trajectory, "_cpus", lambda w=workers: w)
+            traces.append([ensemble_trace(device_b, "101", times, ens,
+                                          cpmg_order=order)
+                           for order in (None, 3)])
+    finally:
+        sys.setswitchinterval(interval)
+    for other in traces[1:]:
+        for a, b in zip(traces[0], other):
+            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a.stderr, b.stderr)
+
+
+def test_workers_call_no_public_function(device_b, monkeypatch):
+    # Tracing wraps the public functions with one span stack per process, so
+    # the sequences are built in the calling thread; the points run on both
+    # workers.
+    monkeypatch.setattr(trajectory, "_cpus", lambda: 2)
+    built, computed = [], []
+    build, coherence = trajectory.build_cpmg, trajectory._coherence
+
+    def recording_build(*args):
+        built.append(threading.get_ident())
+        return build(*args)
+
+    def recording_coherence(*args):
+        computed.append(threading.get_ident())
+        return coherence(*args)
+
+    monkeypatch.setattr(trajectory, "build_cpmg", recording_build)
+    monkeypatch.setattr(trajectory, "_coherence", recording_coherence)
+    times = np.linspace(10e-6, 200e-6, 6)
+    ensemble_trace(device_b, "111", times, EnsembleSpec(n_traj=2000, seed=1),
+                   cpmg_order=2)
+    assert built == [threading.get_ident()] * times.size
+    assert len(computed) == times.size
+    assert len(set(computed)) == 2
+
+
+def test_worker_exception_propagates(device_b, monkeypatch):
+    monkeypatch.setattr(trajectory, "_cpus", lambda: 2)
+    coherence = trajectory._coherence
+
+    def failing(device, seq, *args):
+        if seq.total_time > 100e-6:
+            raise RuntimeError("worker failed")
+        return coherence(device, seq, *args)
+
+    monkeypatch.setattr(trajectory, "_coherence", failing)
+    with pytest.raises(RuntimeError, match="worker failed"):
+        ensemble_trace(device_b, "111", np.linspace(10e-6, 200e-6, 6),
+                       EnsembleSpec(n_traj=100, seed=1))
+
+
+def test_workspace_does_not_grow_with_excited_spectators(device_b,
+                                                         monkeypatch):
+    # One worker: the peak of two workers depends on whether their
+    # temporaries happen to overlap in time.
+    monkeypatch.setattr(trajectory, "_cpus", lambda: 1)
+    times = np.array([20e-6, 60e-6])
+    ens = EnsembleSpec(n_traj=100_000, seed=3)
+    peaks = {}
+    for s in ("100", "111"):
+        tracemalloc.start()
+        try:
+            ensemble_trace(device_b, s, times, ens, cpmg_order=4)
+            peaks[s] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["111"] <= 1.1 * peaks["100"], peaks
