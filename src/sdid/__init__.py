@@ -1,9 +1,10 @@
 """Simulator for control-qubit dephasing induced by spectator relaxation.
 
-Engines: closed-form coherence (`analytic`), dense Lindblad propagation
-(`model`), and Monte-Carlo phase-kick trajectories (`trajectory`), plus
-randomized-benchmarking channels (`rb`), microscopic master-equation
-builders (`derivations`), curve fitting (`fitting`), and a CLI (`cli`).
+Engines: closed-form coherence (`analytic`), exact Lindblad propagation in
+sector blocks (`model`), and Monte-Carlo phase-kick trajectories
+(`trajectory`), plus randomized-benchmarking channels (`rb`), microscopic
+master-equation builders (`derivations`), curve fitting (`fitting`), and a
+CLI (`cli`).
 """
 
 __version__ = "0.1.0"

@@ -341,7 +341,7 @@ def fit(in_path, kind, out):
     """Fit a CSV written by ramsey/cpmg (exponential) or rb.
 
     An exponential fit is made per engine and CPMG order and listed under
-    "fits".
+    "fits"; a CPMG order's fit pins the offset to 0, as `sdid cpmg` does.
     """
     with open(in_path) as fh:
         reader = csv.DictReader(fh)
@@ -354,7 +354,10 @@ def fit(in_path, kind, out):
         for (engine, order), group in groups.items():
             times = np.array([float(r["time_us"]) for r in group]) * 1e-6
             mags = np.array([float(r["coh_abs"]) for r in group])
-            result = fit_exponential(times, mags)
+            # Pinned as in `run_cpmg`, so the re-fit reproduces the run's
+            # sidecar; Ramsey rows keep the free offset of `run_ramsey`.
+            result = fit_exponential(
+                times, mags, offset=None if order is None else 0.0)
             entry = {"engine": engine, "model": result.model,
                      "converged": result.converged,
                      "t2_us": result.params["t2"] * 1e6,

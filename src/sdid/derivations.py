@@ -310,7 +310,10 @@ def two_qubit_cetcg_reference(nu: float, tau_c: float,
                          + ops.right_mult(lb.conj().T @ la)))
     jumps = tuple(_kossakowski_jumps(k, lind))
     h = np.zeros((4, 4), dtype=complex)
-    return LiouvillianBundle(superop=superop, hamiltonian=h, jump_terms=jumps)
+    # One block over all 16 indices keeps this sum independent of the
+    # sector builder.
+    whole = ((np.arange(16)[None, :], superop[None]),)
+    return LiouvillianBundle(hamiltonian=h, jump_terms=jumps, sectors=whole)
 
 
 def cetcg_rate_quadrature(omega: float, omega_p: float, tau_c: float,

@@ -1,5 +1,10 @@
-"""Dense complex operator algebra: Pauli matrices, tensor embedding,
-vectorization, and the matrix exponential.
+"""Small dense operator algebra shared by the engines: Pauli matrices,
+tensor embedding, vectorization, superoperator helpers and a checked matrix
+exponential.
+
+The exponential takes any matrix, or a stack of equal-size matrices; the
+Lindblad engine in :mod:`sdid.model` exponentiates its sector blocks with
+it, and other callers pass small dense generators.
 
 Conventions used throughout the package:
 
@@ -117,52 +122,16 @@ def trace_row(d: int) -> np.ndarray:
 def expm(m: np.ndarray) -> np.ndarray:
     """Matrix exponential (scaling-and-squaring with Pade approximant).
 
-    The input is split into the connected components of its nonzero
-    pattern (index i is joined to j when m[i, j] or m[j, i] is nonzero),
-    and each diagonal block is exponentiated on its own. The split is
-    exact: ordering the indices by component gives P^T m P = diag(B_k) for
-    a permutation P, and exp(P^T m P) = P^T exp(m) P, so
-    exp(m) = P diag(exp(B_k)) P^T, with zeros between components. A
-    Liouvillian with diagonal H and local sigma-/Z jumps falls into
-    3^(N+1) such blocks, none wider than 2^(N+1).
-
-    Raises ValueError on non-finite entries; delegates the numerics of each
-    block to ``scipy.linalg.expm``.
+    Takes a square matrix or a stack (..., n, n) of them, each exponentiated
+    on its own. Raises ValueError on non-finite entries; delegates the
+    numerics to ``scipy.linalg.expm``.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expm expects a square matrix, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expm expects square matrices, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("expm input contains non-finite entries")
-    labels = _component_labels(m)
-    order = np.argsort(labels, kind="stable")
-    cuts = np.flatnonzero(np.diff(labels[order])) + 1
-    if cuts.size == 0:
-        return scipy.linalg.expm(m)
-    out = np.zeros_like(m)
-    for idx in np.split(order, cuts):
-        block = np.ix_(idx, idx)
-        out[block] = scipy.linalg.expm(m[block])
-    return out
-
-
-def _component_labels(m: np.ndarray) -> np.ndarray:
-    """Smallest index of each index's connected component in m's pattern.
-
-    Label propagation: every index takes the smallest label among its
-    neighbours, then follows its label's own label (pointer jumping),
-    until nothing changes.
-    """
-    rows, cols = np.nonzero(m)
-    labels = np.arange(m.shape[0])
-    while True:
-        new = labels.copy()
-        np.minimum.at(new, rows, labels[cols])
-        np.minimum.at(new, cols, labels[rows])
-        new = new[new]
-        if np.array_equal(new, labels):
-            return labels
-        labels = new
+    return scipy.linalg.expm(m)
 
 
 def hermiticity_defect(m: np.ndarray) -> float:

@@ -15,7 +15,7 @@ Phase convention with pulses: the phase is integrated in the toggling frame,
 where a pi pulse flips the sign of the coupling instead of the control.
 After an odd number of pulses the control's |0> and |1> are swapped with
 respect to that frame, so the engine reports the complex conjugate of the
-toggling-frame mean: the lab-frame coherence that the dense engine gives
+toggling-frame mean: the lab-frame coherence that the Lindblad engine gives
 when it applies each pulse to the state (`model.propagate(...,
 pulse_times=...)`).  Magnitudes and standard errors are the same in both
 frames.
@@ -81,11 +81,6 @@ class PulseSequence:
     @classmethod
     def ramsey(cls, total_time: float) -> "PulseSequence":
         return cls(total_time=total_time, kind="ramsey")
-
-    @classmethod
-    def hahn(cls, total_time: float) -> "PulseSequence":
-        return cls(total_time=total_time, pulse_times=(total_time / 2,),
-                   kind="hahn")
 
 
 def build_cpmg(total_time: float, n: int) -> PulseSequence:

@@ -3,7 +3,8 @@
 Device A: single spectator, control T2 = 127 us, spectator T1 = 107 us,
 4*nu = 45 kHz.  Device B: three spectators, control T1/T2 = 141/241 us,
 spectator T1 = {150, 218, 122} us, T2 = {258, 400, 175} us,
-4*nu = {47, 48, 41} kHz.
+4*nu = {47, 48, 41} kHz.  Devices B4 and B5 add a fourth spectator
+(T1/T2 = 180/300 us, 44 kHz) and a fifth (T1/T2 = 200/330 us, 46 kHz).
 """
 
 import numpy as np
@@ -31,6 +32,26 @@ def device_b() -> DeviceModel:
          nu_from_4nu_khz(f))
         for k, (t1, t2, f) in enumerate(zip(t1s, t2s, khz)))
     return DeviceModel(control=control, spectators=spectators)
+
+
+def _with_spectators(device, params) -> DeviceModel:
+    extra = tuple(
+        (QubitParams.from_times(t1=t1, t2=t2,
+                                label=f"s{device.n_spectators + k + 1}"),
+         nu_from_4nu_khz(f))
+        for k, (t1, t2, f) in enumerate(params))
+    return DeviceModel(control=device.control,
+                       spectators=device.spectators + extra)
+
+
+@pytest.fixture(scope="session")
+def device_b4(device_b) -> DeviceModel:
+    return _with_spectators(device_b, [(180e-6, 300e-6, 44.0)])
+
+
+@pytest.fixture(scope="session")
+def device_b5(device_b4) -> DeviceModel:
+    return _with_spectators(device_b4, [(200e-6, 330e-6, 46.0)])
 
 
 @pytest.fixture(scope="session")

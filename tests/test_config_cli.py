@@ -319,6 +319,25 @@ def test_cli_fit_fits_each_engine_and_order_separately(tmp_path):
                                                           ("analytic", 4)]
 
 
+def test_cli_fit_of_a_cpmg_csv_reproduces_the_sidecar(tmp_path):
+    # `sdid cpmg` pins each order's offset to 0; the re-fit must too.
+    cfg = _write_config(tmp_path / "b.json", DEVICE_B, seed=5)
+    out = tmp_path / "cpmg.csv"
+    result = CliRunner().invoke(main, [
+        "cpmg", "--config", cfg, "--orders", "0,1,4,16", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    sidecar = json.loads((tmp_path / "cpmg.csv.meta.json").read_text())
+    result = CliRunner().invoke(main, ["fit", "--in", str(out)])
+    assert result.exit_code == 0, result.output
+    fits = json.loads(result.output)["fits"]
+    assert [f["cpmg_n"] for f in fits] == [0, 1, 4, 16]
+    for f in fits:
+        want = sidecar["fitted_t2_us"][str(f["cpmg_n"])]
+        assert abs(f["t2_us"] - want) <= 1e-12, (f["cpmg_n"], f["t2_us"],
+                                                 want)
+        assert f["params"]["offset"] == 0.0
+
+
 def test_cli_requires_output_path(tmp_path):
     cfg = _write_config(tmp_path / "a.json", DEVICE_A)
     result = CliRunner().invoke(main, ["ramsey", "--config", cfg])

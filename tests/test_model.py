@@ -1,18 +1,55 @@
 """Device model, Liouvillian assembly, and exact propagation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sdid import (DeviceModel, PhysicalityError, QubitParams,
-                  build_cpmg, build_hamiltonian, build_liouvillian,
-                  control_coherence, parse_spectator_init, propagate,
-                  ramsey_initial_state)
+from sdid import (BathSpectrum, DeviceModel, EnsembleSpec, PhysicalityError,
+                  QubitParams, bohr_spectrum, build_bmpsa, build_bmrwa,
+                  build_cetcg, build_cpmg, build_hamiltonian,
+                  build_liouvillian, cluster_bohr, control_coherence,
+                  ensemble_coherence, parse_spectator_init, propagate,
+                  ramsey_initial_state, ramsey_trace, two_qubit_coupling,
+                  two_qubit_hamiltonian)
+from sdid import model
 from sdid import operators as ops
-from sdid.model import dissipator_superop, validate_density_matrix
+from sdid.model import validate_density_matrix
 
 
 def _apply(superop, rho):
     return ops.unvectorize(superop @ ops.vectorize(rho))
+
+
+# Reference: the dense d^2 x d^2 builder that the sector builder replaced.
+
+def _superop_from_terms(h: np.ndarray, jumps) -> np.ndarray:
+    # Each dissipator is complete before it is scaled and added, so
+    # rate * D[x] keeps its trace cancellation exact instead of mixing the
+    # rates of different jumps.
+    d = h.shape[0]
+    total = np.zeros((d * d, d * d), dtype=complex)
+    ops.add_left_right_mult(total, -1j * h, 1j * h)
+    for rate, op in jumps:
+        term = dissipator_superop(op)
+        term *= rate
+        total += term
+    return total
+
+
+def dissipator_superop(op: np.ndarray) -> np.ndarray:
+    """Superoperator of ``D[x] rho = x rho x^dag - {x^dag x, rho}/2``."""
+    op = np.asarray(op, dtype=complex)
+    half_xdx = 0.5 * (op.conj().T @ op)
+    term = ops.sandwich(op, op.conj().T)
+    ops.add_left_right_mult(term, -half_xdx, -half_xdx)
+    return term
+
+
+def _pulse_superop(n_qubits: int, pauli: np.ndarray) -> np.ndarray:
+    """Dense superoperator of a pi rotation about `pauli` on the control."""
+    u_full = ops.embed(-1j * pauli, 0, n_qubits)
+    return ops.sandwich(u_full, u_full.conj().T)
 
 
 def test_qubit_params_validation():
@@ -72,9 +109,42 @@ def test_liouvillian_trace_preserving(device_a, device_b):
         assert np.max(np.abs(row)) <= 1e-12
 
 
-def test_liouvillian_reassembles(device_b):
-    bundle = build_liouvillian(device_b)
-    assert np.max(np.abs(bundle.reassemble() - bundle.superop)) <= 1e-12
+def test_liouvillian_reassembles(device_a, device_b, device_b4):
+    # The blocks hold the reference's sums, entry for entry.  When every
+    # qubit relaxes there are 3^(N+1) sectors, of widths 1 to 2^(N+1).
+    for device in (device_a, device_b, device_b4):
+        bundle = build_liouvillian(device)
+        dense = _superop_from_terms(bundle.hamiltonian, bundle.jump_terms)
+        assert np.array_equal(bundle.superop, dense)
+    for device in (device_b, device_b4):
+        sectors = build_liouvillian(device).sectors
+        n = device.n_qubits
+        assert sum(idx.shape[0] for idx, _ in sectors) == 3 ** n
+        assert [idx.shape[1] for idx, _ in sectors] == [2 ** k
+                                                        for k in range(n + 1)]
+
+
+def test_master_equation_bundles_match_dense_reference():
+    h_s = two_qubit_hamiltonian(500.0, 700.0, 1.0)
+    terms = bohr_spectrum(h_s, two_qubit_coupling(a=0.3))
+    bath = BathSpectrum.flat(1.0)
+    clusters = cluster_bohr(terms, delta_omega=3.0)
+    bundles = [build_bmrwa(terms, bath, lamb_shift=True),
+               build_bmpsa(clusters, bath),
+               build_cetcg(clusters, bath, 0.7)]
+    for bundle in bundles:
+        dense = _superop_from_terms(bundle.hamiltonian, bundle.jump_terms)
+        assert np.max(np.abs(bundle.superop - dense)) <= 1e-15
+
+
+def test_pulse_permutation_matches_dense_pulse_superop():
+    for n_qubits in (1, 2, 3):
+        d2 = 4 ** n_qubits
+        for axis, pauli in (("x", ops.X), ("y", ops.Y)):
+            perm, sign = model._pulse_permutation(n_qubits, axis)
+            dense = np.zeros((d2, d2), dtype=complex)
+            dense[np.arange(d2), perm] = sign
+            assert np.array_equal(dense, _pulse_superop(n_qubits, pauli))
 
 
 def test_dephasing_rate_convention():
@@ -139,34 +209,70 @@ def test_propagate_validates_pulses_and_grid():
                   pulse_axis="q")
 
 
-def _count_expm_calls(monkeypatch):
-    calls = []
-    original = ops.expm
+def _count_step_propagators(monkeypatch):
+    """Count step propagators built, and record each exponential's width."""
+    calls, widths = [], []
+    original_step, original_expm = model._step_propagator, ops.expm
 
-    def counting(m):
-        calls.append(m.shape)
-        return original(m)
+    def counting_step(bundle, dt):
+        calls.append(dt)
+        return original_step(bundle, dt)
 
-    monkeypatch.setattr(ops, "expm", counting)
-    return calls
+    def recording_expm(m):
+        widths.append(m.shape[-1])
+        return original_expm(m)
+
+    monkeypatch.setattr(model, "_step_propagator", counting_step)
+    monkeypatch.setattr(ops, "expm", recording_expm)
+    return calls, widths
 
 
 def test_uniform_grid_costs_one_step_exponential(device_a, monkeypatch):
     # linspace gives ten distinct float spacings; they round to one step.
-    calls = _count_expm_calls(monkeypatch)
+    calls, widths = _count_step_propagators(monkeypatch)
     rho0 = ramsey_initial_state(device_a, "1")
     propagate(build_liouvillian(device_a), rho0, np.linspace(0, 500e-6, 101))
     assert len(calls) == 1
+    assert max(widths) <= 2 ** device_a.n_qubits
 
 
 def test_cpmg_train_costs_two_step_exponentials(device_a, monkeypatch):
     # Order 4 at T: tau/2, four spacings tau, tau/2; tau = T/5.
-    calls = _count_expm_calls(monkeypatch)
+    calls, widths = _count_step_propagators(monkeypatch)
     rho0 = ramsey_initial_state(device_a, "1")
     T = 150e-6
     pulses = build_cpmg(T, 4).pulse_times
     propagate(build_liouvillian(device_a), rho0, [T], pulse_times=pulses)
     assert len(calls) == 2
+    assert max(widths) <= 2 ** device_a.n_qubits
+
+
+def test_five_spectators_without_the_dense_superoperator(device_b5):
+    # The dense 4096 x 4096 superoperator alone would take 268 MB.
+    s = "11111"
+    times = np.linspace(0.0, 500e-6, 101)
+    tracemalloc.start()
+    try:
+        bundle = build_liouvillian(device_b5)
+        rho0 = ramsey_initial_state(device_b5, s)
+        states = propagate(bundle, rho0, times)
+        lindblad = 2.0 * np.array([control_coherence(r) for r in states])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6, peak
+    analytic = ramsey_trace(device_b5, s, times).values
+    assert np.max(np.abs(lindblad - analytic)) <= 1e-12
+
+    # One pulsed point: CPMG_0 (a Hahn echo) against the trajectories, as
+    # a complex number.
+    T = 60e-6
+    seq = build_cpmg(T, 0)
+    rho = propagate(bundle, rho0, [T], pulse_times=seq.pulse_times)[0]
+    dense = 2.0 * control_coherence(rho)
+    val, err = ensemble_coherence(device_b5, s, seq,
+                                  EnsembleSpec(n_traj=200_000, seed=3))
+    assert abs(val - dense) <= 4.0 * err, (val, dense, err)
 
 
 def test_control_coherence_block_sum(rng):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sdid import build_liouvillian
+from sdid import build_liouvillian, model
 from sdid import operators as ops
 
 
@@ -100,19 +100,32 @@ def _random_complex(rng, n):
 
 
 def test_expm_block_split_matches_full_expm(device_b):
-    # Device B's Liouvillian splits into 3^4 sectors; a permuted
-    # block-diagonal matrix splits into its 3 blocks; a dense matrix has one
-    # component and goes to scipy whole.
+    # Device B's Liouvillian splits into 3^4 sectors, and its scattered
+    # block exponentials are the exponential of the dense matrix.  The
+    # component finder also splits a permuted block-diagonal matrix into
+    # its 3 blocks and keeps a dense matrix whole.
     rng = np.random.default_rng(7)
-    superop = build_liouvillian(device_b).superop * 5e-6
+    bundle = build_liouvillian(device_b)
+    assert sum(idx.shape[0] for idx, _ in bundle.sectors) == 81
+    scattered = model._assemble(bundle.dim ** 2,
+                                model._step_propagator(bundle, 5e-6))
+    full = scipy.linalg.expm(bundle.superop * 5e-6)
+    assert np.max(np.abs(scattered - full)) <= 1e-13
     blocks = scipy.linalg.block_diag(*(_random_complex(rng, n) * 0.3
                                        for n in (5, 1, 8)))
     perm = rng.permutation(blocks.shape[0])
     permuted = blocks[np.ix_(perm, perm)]
     dense = _random_complex(rng, 12) * 0.3
-    for m, n_components in ((superop, 81), (permuted, 3), (dense, 1)):
-        assert np.unique(ops._component_labels(m)).size == n_components
-        assert np.max(np.abs(ops.expm(m) - scipy.linalg.expm(m))) <= 1e-13
+    for m, n_components in ((permuted, 3), (dense, 1)):
+        labels = model._component_labels(*np.nonzero(m), m.shape[0])
+        assert np.unique(labels).size == n_components
+
+
+def test_expm_of_a_stack_is_the_expm_of_each_matrix(rng):
+    stack = np.stack([_random_complex(rng, 6) * 0.3 for _ in range(4)])
+    out = ops.expm(stack)
+    for m, e in zip(stack, out):
+        assert np.array_equal(e, scipy.linalg.expm(m))
 
 
 def test_expm_rejects_bad_input():

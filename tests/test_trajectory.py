@@ -37,13 +37,13 @@ def test_pulse_sequence_validation():
         PulseSequence(total_time=1.0, pulse_times=(0.5, 0.4))
     with pytest.raises(ValueError):
         PulseSequence(total_time=1.0, pulse_times=(1.0,))
-    assert PulseSequence.hahn(2.0).pulse_times == (1.0,)
+    assert build_cpmg(2.0, 0).pulse_times == (1.0,)
     assert PulseSequence.ramsey(2.0).pulse_times == ()
 
 
 def test_hahn_cancels_phase_of_frozen_spectator():
     device = _one_spec_device(gamma=0.0)
-    seq = PulseSequence.hahn(80e-6)
+    seq = build_cpmg(80e-6, 0)
     phi = accumulated_phase(seq, [np.inf], device, "1")
     assert abs(phi) <= 1e-18
     phi0 = accumulated_phase(seq, [np.inf], device, "0")
@@ -54,7 +54,7 @@ def test_decay_at_echo_midpoint_gives_maximal_phase():
     device = _one_spec_device()
     nu = device.nus[0]
     T = 80e-6
-    seq = PulseSequence.hahn(T)
+    seq = build_cpmg(T, 0)
     phi = accumulated_phase(seq, [T / 2], device, "1")
     assert np.isclose(abs(phi), 2 * nu * T, rtol=1e-12)
 
@@ -82,7 +82,7 @@ def test_accumulated_phase_matches_piecewise_oracle(rng):
     device = _one_spec_device()
     nu = device.nus[0]
     T = 100e-6
-    for seq in (PulseSequence.ramsey(T), PulseSequence.hahn(T),
+    for seq in (PulseSequence.ramsey(T), build_cpmg(T, 0),
                 build_cpmg(T, 3), build_cpmg(T, 8)):
         for _ in range(20):
             t_d = float(rng.uniform(0.0, 1.5 * T))
@@ -373,7 +373,7 @@ def test_ensemble_trace_matches_per_point_reference(device_b):
 
 
 def test_pulsed_coherence_matches_dense_engine_as_complex_number():
-    # Lab-frame convention: the trajectory mean is the dense engine's
+    # Lab-frame convention: the trajectory mean is the Lindblad engine's
     # coherence, phase included, for even and odd pulse counts alike.
     device = _one_spec_device(control_t2=241e-6, gamma=1.0 / 150e-6)
     T = 60e-6
