@@ -1,17 +1,17 @@
 """Simulator for control-qubit dephasing induced by spectator relaxation.
 
-Engines: closed-form coherence (`analytic`), exact Lindblad propagation in
-sector blocks (`model`), and Monte-Carlo phase-kick trajectories
-(`trajectory`), plus randomized-benchmarking channels (`rb`), microscopic
-master-equation builders (`derivations`), curve fitting (`fitting`), and a
-CLI (`cli`).
+Engines: closed-form coherence for Ramsey and any pulse train
+(`analytic`), exact Lindblad propagation in sector blocks (`model`), and
+Monte-Carlo phase-kick trajectories (`trajectory`), plus
+randomized-benchmarking channels (`rb`), microscopic master-equation
+builders (`derivations`), curve fitting (`fitting`), and a CLI (`cli`).
 """
 
 __version__ = "0.1.0"
 
-from .analytic import (CoherenceTrace, coherence_1spec, coherence_Nspec,
-                       cpmg_effective, eta_diag, heuristic_rate,
-                       phase_bounds, ramsey_trace)
+from .analytic import (CoherenceTrace, PulseSequence, build_cpmg, coherence,
+                       cpmg_effective, heuristic_rate, phase_bounds,
+                       ramsey_trace)
 from .config import (ConfigError, ExperimentConfig, config_from_dict,
                      config_to_dict, device_from_dict, device_to_dict,
                      load_config, nu_from_4nu_khz)
@@ -29,14 +29,13 @@ from .rb import (CliffordGroup, ConditionalChannel, ForbiddenTransitionError,
                  RBCurve, clifford_group, conditional_channel,
                  lambda_analytic, p_experimental, rb_decay_constant,
                  simulate_rb, transition_probability)
-from .trajectory import (EnsembleSpec, PulseSequence, accumulated_phase,
-                         build_cpmg, ensemble_coherence, ensemble_trace,
-                         sample_decays)
+from .trajectory import (EnsembleSpec, accumulated_phase,
+                         ensemble_coherence, ensemble_trace, sample_decays)
 
 __all__ = [
     "__version__",
-    "CoherenceTrace", "coherence_1spec", "coherence_Nspec", "cpmg_effective",
-    "eta_diag", "heuristic_rate", "phase_bounds", "ramsey_trace",
+    "CoherenceTrace", "PulseSequence", "build_cpmg", "coherence",
+    "cpmg_effective", "heuristic_rate", "phase_bounds", "ramsey_trace",
     "ConfigError", "ExperimentConfig", "config_from_dict", "config_to_dict",
     "device_from_dict", "device_to_dict", "load_config", "nu_from_4nu_khz",
     "BathSpectrum", "BohrTerm", "Cluster", "RateMatrix", "bohr_spectrum",
@@ -51,6 +50,6 @@ __all__ = [
     "RBCurve", "clifford_group", "conditional_channel", "lambda_analytic",
     "p_experimental", "rb_decay_constant", "simulate_rb",
     "transition_probability",
-    "EnsembleSpec", "PulseSequence", "accumulated_phase", "build_cpmg",
-    "ensemble_coherence", "ensemble_trace", "sample_decays",
+    "EnsembleSpec", "accumulated_phase", "ensemble_coherence",
+    "ensemble_trace", "sample_decays",
 ]

@@ -1,19 +1,26 @@
 """Closed-form coherence of a control qubit dephased by decaying spectators.
 
-The control-qubit coherence Tr[rho_01(t)] factorizes over spectators.  A
-spectator frozen in |0> contributes a pure phase e^{-2i nu t}; an initially
-excited spectator contributes
+A pi-pulse train enters through its parity integral P(t) (`PulseSequence`):
+slope s_k = +-1 and P(a_k) = p_k on segment k = [a_k, b_k]; Ramsey has no
+pulses, P(t) = t.  The coherence factorizes over spectators.  One that keeps
+its state adds a static phase: e^{-2i nu P(T)} in |0>, e^{+2i nu P(T)} in |1>
+with gamma = 0.  One that decays at t_d ~ Exp(gamma) adds the phase
+2 nu (P(T) - 2 P(min(t_d, T))), whose average is exact because P is
+piecewise linear: with c_k = -gamma + 4i nu s_k,
 
-    (4 i nu e^{(2 i nu - gamma) t} - gamma e^{-2 i nu t}) / (4 i nu - gamma),
+    E[e^{-i phi}] = e^{-2i nu P(T)} [sum_k gamma e^{4i nu (p_k - s_k a_k)}
+        (e^{c_k b_k} - e^{c_k a_k}) / c_k + e^{-gamma T + 4i nu P(T)}],
 
-and the control's intrinsic decoherence multiplies everything by
-e^{-gamma_tilde t}.  CPMG suppression enters through the effective coupling
-nu' = nu / (n + 1).
+or (4i nu e^{(2i nu - gamma) T} - gamma e^{-2i nu T}) / (4i nu - gamma) for
+Ramsey.  The control's own decoherence multiplies all by e^{-gamma_tilde T},
+and after an odd number of pulses the value is conjugated into the lab
+frame, as in the trajectory engine.  This is the filter-function picture of
+Cywinski et al., PRB 77, 174509 (2008), exact for one decay per spectator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,73 +29,114 @@ from .model import DeviceModel, SpectatorInit, parse_spectator_init
 
 @dataclass(frozen=True)
 class CoherenceTrace:
-    """Time grid plus complex coherence values, with the applied normalization.
+    """Time grid plus complex coherence values normalized to start at 1.
 
-    `values` are the (possibly rescaled) Tr[rho_01(t)]; `normalization` is the
-    multiplicative factor that was applied to the raw trace (1.0 means none).
     `stderr` is the per-point standard error for Monte-Carlo traces, None for
     deterministic engines.
     """
 
     times: np.ndarray
     values: np.ndarray
-    normalization: complex = 1.0
     stderr: np.ndarray | None = None
 
 
-def eta_diag(init: int, nu: float, gamma1: float, t) -> np.ndarray:
-    """Per-spectator coherence factor with intrinsic control decay removed.
+@dataclass(frozen=True)
+class PulseSequence:
+    """Instantaneous pi-pulse times inside a window of length total_time.
 
-    init=0: e^{-2i nu t}.  init=1: the decaying-spectator factor above.  The
-    denominator 4i nu - gamma1 only vanishes when both are zero, where the
-    factor is identically 1.
+    The train's geometry is its parity integral
+    P(t) = integral from 0 to t of (-1)^(#pulses before t'), 0 <= t <= T.
+    Segment k starts at `starts[k]` (0, then the pulses), P is linear with
+    slope `signs[k]` inside it, `p_starts[k]` is P at its start, and
+    `p_total` is P(T): T for Ramsey, 0 for CPMG.
     """
-    t = np.asarray(t, dtype=float)
-    if init == 0:
-        return np.exp(-2j * nu * t)
-    if init != 1:
-        raise ValueError("init must be 0 or 1")
-    denom = 4j * nu - gamma1
-    if denom == 0:
-        return np.ones_like(t, dtype=complex)
-    return (4j * nu * np.exp((2j * nu - gamma1) * t)
-            - gamma1 * np.exp(-2j * nu * t)) / denom
+
+    total_time: float
+    pulse_times: tuple[float, ...] = ()
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
+    signs: np.ndarray = field(init=False, repr=False, compare=False)
+    p_starts: np.ndarray = field(init=False, repr=False, compare=False)
+    p_total: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Negated comparisons, so that NaN fails them.
+        if not 0 < self.total_time < np.inf:
+            raise ValueError("total_time must be positive and finite")
+        pt = tuple(float(t) for t in self.pulse_times)
+        starts = np.array((0.0,) + pt)
+        if not np.all(np.diff(np.append(starts, self.total_time)) > 0):
+            raise ValueError("pulse times must increase strictly in (0, T)")
+        signs = (-1.0) ** np.arange(starts.size)
+        p_starts = np.concatenate(
+            ([0.0], np.cumsum(signs[:-1] * np.diff(starts))))
+        p_total = p_starts[-1] + signs[-1] * (self.total_time - starts[-1])
+        for name, value in (("pulse_times", pt), ("starts", starts),
+                            ("signs", signs), ("p_starts", p_starts),
+                            ("p_total", p_total)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def ramsey(cls, total_time: float) -> "PulseSequence":
+        return cls(total_time=total_time)
 
 
-def coherence_1spec(c00: complex, c11: complex, nu: float,
-                    gamma0_tilde: float, gamma1: float, t) -> np.ndarray:
-    """Tr[rho_01(t)] for one spectator with initial diagonal (c00, c11)."""
-    t = np.asarray(t, dtype=float)
-    envelope = np.exp(-gamma0_tilde * t)
-    return envelope * (c00 * eta_diag(0, nu, gamma1, t)
-                       + c11 * eta_diag(1, nu, gamma1, t))
+def build_cpmg(total_time: float, n: int) -> PulseSequence:
+    """CPMG_n: n+1 equidistant pulses at (k + 1/2) T / (n+1)."""
+    if n < 0:
+        raise ValueError("CPMG order must be >= 0")
+    tau = total_time / (n + 1)
+    pulses = tuple((k + 0.5) * tau for k in range(n + 1))
+    return PulseSequence(total_time=total_time, pulse_times=pulses)
 
 
-def coherence_Nspec(device: DeviceModel, s: SpectatorInit, t,
-                    amplitude: complex = 1.0) -> np.ndarray:
-    """Tr[rho_01(t)] for N spectators each starting in a Z eigenstate."""
+def _coherence(device: DeviceModel, s: SpectatorInit, seq: PulseSequence,
+               scale) -> np.ndarray:
+    """Coherence under `seq` stretched by `scale`: 1.0, or shape (..., 1).
+
+    Segment k adds gamma / c_k (z_{k+1} - z_k) with z_k = e^{4i nu p_k -
+    gamma a_k} at its boundaries (0, the pulses, T): neighbouring segments
+    share their exponentials there.
+    """
     s = parse_spectator_init(s, device.n_spectators)
-    t = np.asarray(t, dtype=float)
-    out = amplitude * np.exp(-device.control.gamma_tilde * t) * np.ones_like(
-        t, dtype=complex)
+    a = scale * np.append(seq.starts, seq.total_time)
+    p = scale * np.append(seq.p_starts, seq.p_total)
+    out = np.exp(-device.control.gamma_tilde * a[..., -1]) + 0j
     for bit, (q, nu) in zip(s, device.spectators):
-        out = out * eta_diag(bit, nu, q.gamma, t)
-    return out
+        static = np.exp(-2j * nu * p[..., -1])
+        if not bit:
+            out = out * static
+        elif q.gamma == 0:
+            out = out * static.conj()
+        else:
+            z = np.exp(4j * nu * p - q.gamma * a)
+            w = q.gamma / (4j * nu * seq.signs - q.gamma)
+            out = out * static * (np.diff(z) @ w + z[..., -1])
+    return out.conj() if len(seq.pulse_times) % 2 else out
+
+
+def coherence(device: DeviceModel, s: SpectatorInit,
+              seq: PulseSequence) -> complex:
+    """Exact coherence at t = seq.total_time under the pulse train `seq`.
+
+    The counterpart of `trajectory.ensemble_coherence` in its bare frame,
+    conjugated the same way after an odd number of pulses.
+    """
+    return complex(_coherence(device, s, seq, 1.0))
 
 
 def ramsey_trace(device: DeviceModel, s: SpectatorInit, times,
-                 normalized: bool = True,
-                 spam_scale: complex = 1.0) -> CoherenceTrace:
-    """Analytic Ramsey trace; control starts in |+> (raw initial coherence 1/2).
+                 cpmg_order: int | None = None) -> CoherenceTrace:
+    """Exact coherence over a grid of total times, starting at 1.
 
-    With `normalized` the curve starts at 1; `spam_scale` multiplies the whole
-    curve afterwards (single-parameter SPAM rescale).
+    With `cpmg_order` set, every point uses a CPMG_n train over its own
+    window, as in `trajectory.ensemble_trace`.  CPMG_n at time T is T times
+    CPMG_n at T = 1, so the grid is one broadcast over (times x segments).
     """
     times = np.asarray(times, dtype=float)
-    amplitude = 1.0 if normalized else 0.5
-    values = spam_scale * coherence_Nspec(device, s, times, amplitude=amplitude)
-    return CoherenceTrace(times=times, values=values,
-                          normalization=spam_scale * (amplitude / 0.5))
+    unit = (PulseSequence.ramsey(1.0) if cpmg_order is None
+            else build_cpmg(1.0, cpmg_order))
+    return CoherenceTrace(times=times,
+                          values=_coherence(device, s, unit, times[..., None]))
 
 
 def heuristic_rate(device: DeviceModel, s: SpectatorInit) -> float:
@@ -102,7 +150,8 @@ def heuristic_rate(device: DeviceModel, s: SpectatorInit) -> float:
 
 
 def cpmg_effective(device: DeviceModel, n: int) -> DeviceModel:
-    """Device with every coupling replaced by nu/(n+1); rates unchanged."""
+    """The paper's CPMG_n envelope model: every coupling replaced by nu/(n+1),
+    rates unchanged.  `ramsey_trace(..., cpmg_order=n)` is the exact one."""
     if n < 0:
         raise ValueError("CPMG order must be >= 0")
     return device.with_couplings(device.nus / (n + 1))

@@ -1,8 +1,8 @@
 """Command-line surface: experiment orchestration and CSV/JSON output.
 
 Subcommands mirror the experiments: `ramsey` (coherence traces from up to
-three engines), `cpmg` (effective-coupling sweep over pulse orders with
-per-order T2 fits), `rb` (Clifford-level randomized benchmarking), `derive`
+three engines), `cpmg` (exact coherence of CPMG trains, with a T2 fit per
+order), `rb` (Clifford-level randomized benchmarking), `derive`
 (coarse-graining-time sweep of the two-qubit master-equation coefficients),
 and `fit` (re-fit a CSV produced by the other subcommands).
 
@@ -117,21 +117,20 @@ def run_ramsey(cfg: ExperimentConfig, out: Path) -> dict:
 def run_cpmg(cfg: ExperimentConfig, out: Path) -> dict:
     device = cfg.device
     s = parse_spectator_init(cfg.spectator_init, device.n_spectators)
-    rate = analytic.heuristic_rate(device, s)
+    tmax = (cfg.tmax_us * 1e-6 if cfg.tmax_us
+            else 5.0 / analytic.heuristic_rate(device, s))
+    times = np.linspace(0.0, tmax, cfg.points)
 
     def compute(n):
-        eff = analytic.cpmg_effective(device, n)
-        tmax = cfg.tmax_us * 1e-6 if cfg.tmax_us else 5.0 / rate
-        times = np.linspace(0.0, tmax, cfg.points)
-        values = analytic.ramsey_trace(eff, s, times).values
+        values = analytic.ramsey_trace(device, s, times, cpmg_order=n).values
         # The coherence decays to zero; a free offset lets the fit trade
         # the rate against a floor that the model does not have.
         fit = fit_exponential(times, np.abs(values), offset=0.0)
-        return n, times, values, fit
+        return n, values, fit
 
     results = [compute(n) for n in cfg.orders]
     rows = []
-    for n, times, values, _ in results:
+    for n, values, _ in results:
         for k, t in enumerate(times):
             rows.append([n, t * 1e6, values[k].real, values[k].imag,
                          abs(values[k]), "analytic", ""])
@@ -140,9 +139,13 @@ def run_cpmg(cfg: ExperimentConfig, out: Path) -> dict:
     meta = {"resolved_config": config_to_dict(cfg),
             "sdid_version": __version__,
             "fitted_t2_us": {str(n): fit.params["t2"] * 1e6
-                             for n, _, _, fit in results},
+                             for n, _, fit in results},
             "fit_converged": {str(n): fit.converged
-                              for n, _, _, fit in results},
+                              for n, _, fit in results},
+            # T2 is not monotone in the order: report window and residuals.
+            "fit_residual": {str(n): fit.residual_norm
+                             for n, _, fit in results},
+            "tmax_us": tmax * 1e6,
             "tmax_scaling": "5x heuristic decay time unless tmax_us given"}
     _write_sidecar(out, meta)
     return meta
@@ -281,7 +284,7 @@ def ramsey(config_path, spectator_init, tmax_us, points, engines, n_traj,
 @click.option("--points", type=int, default=None)
 @click.option("--out", required=True, type=click.Path())
 def cpmg(config_path, orders, spectator_init, tmax_us, points, out):
-    """Effective-coupling CPMG sweep with per-order T2 fits."""
+    """Exact CPMG coherence over pulse orders with per-order T2 fits."""
     cfg = _base_config(config_path, experiment="cpmg", orders=orders,
                        spectator_init=spectator_init, tmax_us=tmax_us,
                        points=points, out=out)

@@ -47,10 +47,6 @@ class BathSpectrum:
         return cls(gamma_of=lambda omega: gamma0 if omega > 0 else 0.0,
                    tag="flat")
 
-    @classmethod
-    def zero(cls) -> "BathSpectrum":
-        return cls(gamma_of=lambda omega: 0.0, tag="zero")
-
 
 @dataclass(frozen=True)
 class BohrTerm:

@@ -10,7 +10,7 @@ demonstrates that RB is insensitive to spectator-decay-induced dephasing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -186,7 +186,6 @@ class RBCurve:
     survival: np.ndarray
     stderr: np.ndarray
     n_seq: int
-    metadata: dict = field(default_factory=dict)
 
 
 def _branch_weights(init: str, n_spec: int) -> list[tuple[tuple[int, ...], float]]:
@@ -292,6 +291,4 @@ def simulate_rb(device: DeviceModel, init: str, lengths, n_seq: int,
         survival[li] = per_seq.mean()
         stderr[li] = per_seq.std(ddof=1) / np.sqrt(n_seq) if n_seq > 1 else 0.0
     return RBCurve(lengths=lengths, survival=survival, stderr=stderr,
-                   n_seq=n_seq,
-                   metadata={"t_gate": t_gate, "frame": frame, "seed": seed,
-                             "init": init})
+                   n_seq=n_seq)

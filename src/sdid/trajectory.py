@@ -4,8 +4,8 @@ Each shot draws a relaxation time for every initially excited spectator,
 integrates the piecewise-constant Z-phase on the control (with sign flips at
 echo pulses), and contributes e^{-i phi}.  The ensemble average times the
 deterministic intrinsic envelope e^{-gamma_tilde T} reproduces the analytic
-coherence; with explicit CPMG pulse trains it serves as the independent
-cross-check for the effective-coupling model.
+coherence; with explicit pulse trains (`analytic.PulseSequence`) it is the
+independent cross-check of the closed-form pulse-train coherence.
 
 Sign convention: a spectator frozen in |0> yields the coherence factor
 e^{-2 i nu T}, matching the closed-form engine.  The Z-frequency seen by the
@@ -29,8 +29,8 @@ exactly, so they are the numbers a single draw would give.  The pulse
 segment of each decay time comes from a bucket table of at most
 4 x (pulses + 1) uniform buckets, plus a fixed number of exact correction
 steps, instead of a binary search; the result is the segment that
-`np.searchsorted(edges, t, "right") - 1` gives, so the phases are the same
-to the last bit.
+`np.searchsorted(seq.starts, t, "right") - 1` gives, so the phases are the
+same to the last bit.
 
 `ensemble_trace` spreads its grid points over one worker thread per CPU the
 process may use, the calling thread among them, each with its own
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import CoherenceTrace
+from .analytic import CoherenceTrace, PulseSequence, build_cpmg
 from .model import DeviceModel, SpectatorInit, parse_spectator_init
 
 # Shots per phase block.  The block's float temporaries (256 kB each) stay in
@@ -58,39 +58,6 @@ from .model import DeviceModel, SpectatorInit, parse_spectator_init
 # is small next to the call itself, which worker threads run without the
 # interpreter lock.
 _BLOCK = 32768
-
-
-@dataclass(frozen=True)
-class PulseSequence:
-    """Instantaneous pi-pulse times inside a Ramsey window of length total_time."""
-
-    total_time: float
-    pulse_times: tuple[float, ...] = ()
-    kind: str = "ramsey"
-
-    def __post_init__(self):
-        if self.total_time <= 0:
-            raise ValueError("total_time must be positive")
-        pt = tuple(float(t) for t in self.pulse_times)
-        if any(b <= a for a, b in zip(pt, pt[1:])):
-            raise ValueError("pulse times must be strictly increasing")
-        if pt and (pt[0] <= 0 or pt[-1] >= self.total_time):
-            raise ValueError("pulse times must lie strictly inside (0, T)")
-        object.__setattr__(self, "pulse_times", pt)
-
-    @classmethod
-    def ramsey(cls, total_time: float) -> "PulseSequence":
-        return cls(total_time=total_time, kind="ramsey")
-
-
-def build_cpmg(total_time: float, n: int) -> PulseSequence:
-    """CPMG_n: n+1 equidistant pulses at (k + 1/2) T / (n+1)."""
-    if n < 0:
-        raise ValueError("CPMG order must be >= 0")
-    tau = total_time / (n + 1)
-    pulses = tuple((k + 0.5) * tau for k in range(n + 1))
-    return PulseSequence(total_time=total_time, pulse_times=pulses,
-                         kind=f"cpmg({n})")
 
 
 @dataclass(frozen=True)
@@ -146,32 +113,23 @@ class _Workspace:
 
 
 class _Parity:
-    """P(t) = integral from 0 to t of (-1)^(#pulses before t'), 0 <= t <= T.
+    """O(1) lookup of the segment of a time in a train, and P there.
 
-    Segment k starts at edges[k] (0, then the pulses), and P is linear with
-    slope signs[k] inside it.  The segment of t is looked up in O(1): [0, T]
-    is cut into uniform buckets about as wide as the shortest segment (at
-    most 4 per edge), `first[b]` is the last edge that falls in a bucket
-    before b, and `steps` moves forward over the edges that share t's
-    bucket.  An edge and a time go through the same float arithmetic to
-    find their bucket, and that map is monotone, so the edges below t's
-    bucket are exactly those below t, whatever the rounding: after `steps`
-    corrections the segment is `searchsorted(edges, t, "right") - 1`.
+    The geometry (segment starts, slopes, P at the starts) is the
+    sequence's own.  [0, T] is cut into uniform buckets about as wide as
+    the shortest segment (at most 4 per segment), `first[b]` is the last
+    segment start that falls in a bucket before b, and `steps` moves
+    forward over the starts that share t's bucket.  A start and a time go
+    through the same float arithmetic to find their bucket, and that map
+    is monotone, so the starts below t's bucket are exactly those below t,
+    whatever the rounding: after `steps` corrections the segment is
+    `searchsorted(seq.starts, t, "right") - 1`.
     """
 
     def __init__(self, seq: PulseSequence):
-        self.total_time = T = seq.total_time
-        edges = np.array((0.0,) + seq.pulse_times)
-        seg_lengths = np.diff(np.append(edges, np.inf))[:-1]
-        self.edges = edges
-        self.signs = (-1.0) ** np.arange(edges.size)
-        self.p_at_edges = np.concatenate(
-            ([0.0], np.cumsum(self.signs[:-1] * seg_lengths)))
+        self.seq = seq
+        T, edges = seq.total_time, seq.starts
         self.next_edges = np.append(edges[1:], np.inf)
-        last = edges.size - 1
-        self.total = (self.p_at_edges[last]
-                      + self.signs[last] * (T - edges[last]))
-
         shortest = np.diff(np.append(edges, T)).min()
         cap = 4 * edges.size
         n_buckets = min(int(np.ceil(T / max(shortest, T / cap))), cap)
@@ -205,13 +163,13 @@ class _Parity:
     def __call__(self, t, ws: _Workspace, m: int) -> np.ndarray:
         """P at each of the m times t, into ws.p."""
         idx = self.segments(t, ws, m)
-        p, tmp = ws.p[:m], ws.tmp[:m]
-        # p_at_edges[idx] + signs[idx] * (t - edges[idx])
-        np.take(self.edges, idx, out=tmp, mode="clip")
+        seq, p, tmp = self.seq, ws.p[:m], ws.tmp[:m]
+        # p_starts[idx] + signs[idx] * (t - starts[idx])
+        np.take(seq.starts, idx, out=tmp, mode="clip")
         np.subtract(t, tmp, out=tmp)
-        np.take(self.signs, idx, out=p, mode="clip")
+        np.take(seq.signs, idx, out=p, mode="clip")
         tmp *= p
-        np.take(self.p_at_edges, idx, out=p, mode="clip")
+        np.take(seq.p_starts, idx, out=p, mode="clip")
         p += tmp
         return p
 
@@ -238,7 +196,7 @@ def _phase(parity: _Parity, terms: list, draw, ws: _Workspace) -> np.ndarray:
     """
     phi = ws.shots.imag
     phi.fill(0.0)
-    T, p_total = parity.total_time, parity.total
+    T, p_total = parity.seq.total_time, parity.seq.p_total
     n, block = phi.size, ws.block
     for j, (excited, two_nu, scale) in enumerate(terms):
         if scale is None:
@@ -273,8 +231,7 @@ def _coherence(device: DeviceModel, seq: PulseSequence, terms: list,
                rng: np.random.Generator, ws: _Workspace,
                frame: str) -> tuple[complex, float]:
     """One point of `ensemble_coherence`, computed in the workspace."""
-    parity = _Parity(seq)
-    phi = _phase(parity, terms,
+    phi = _phase(_Parity(seq), terms,
                  lambda j, out: rng.standard_exponential(out=out), ws)
     shots = ws.shots
     n = shots.size
@@ -297,7 +254,7 @@ def _coherence(device: DeviceModel, seq: PulseSequence, terms: list,
     if frame == "experimental":
         # Divide out the all-ground phase e^{-2i sum(nu) P(T)} of the same
         # train, conjugated like the mean after an odd number of pulses.
-        static = np.exp(2j * device.nus.sum() * parity.total)
+        static = np.exp(2j * device.nus.sum() * seq.p_total)
         mean *= static.conjugate() if odd else static
     elif frame != "bare":
         raise ValueError(f"unknown frame {frame!r}")
@@ -382,8 +339,7 @@ def ensemble_coherence(device: DeviceModel, s: SpectatorInit,
 
 def ensemble_trace(device: DeviceModel, s: SpectatorInit, times,
                    ens: EnsembleSpec, cpmg_order: int | None = None,
-                   normalized: bool = True, frame: str = "bare",
-                   spam_scale: complex = 1.0) -> CoherenceTrace:
+                   frame: str = "bare") -> CoherenceTrace:
     """Trajectory-engine trace over a grid of total times.
 
     Each grid point is an independent experiment of ens.n_traj shots with its
@@ -403,6 +359,4 @@ def ensemble_trace(device: DeviceModel, s: SpectatorInit, times,
                else build_cpmg(T, cpmg_order), ens.rng(k))
               for k, T in enumerate(times) if T > 0]
     _compute_points(device, terms, points, ens.n_traj, frame, values, errs)
-    scale = spam_scale * (1.0 if normalized else 0.5)
-    return CoherenceTrace(times=times, values=scale * values,
-                          normalization=scale, stderr=abs(scale) * errs)
+    return CoherenceTrace(times=times, values=values, stderr=errs)

@@ -19,7 +19,9 @@ Measured cause of the 5a failure (device B, spectators 111, seed 21):
   trace uses `build_cpmg(T, 0)`, a one-pulse Hahn echo;
 - PAPER.md gives neither the model's accuracy nor a tolerance, so whether
   a pointwise 1e-2 match is promised is not settled there.  The 1e-2 bound
-  stays; the gap closes only with an exact pulse-aware model.
+  stays.  The exact pulse-aware model now exists
+  (`ramsey_trace(..., cpmg_order=n)`, checked against the trajectories in
+  tests/test_analytic.py), and 5a still tests `cpmg_effective`.
 """
 
 import json

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from sdid import (ConfigError, config_from_dict, device_from_dict,
-                  device_to_dict, nu_from_4nu_khz)
+                  device_to_dict, fit_exponential, nu_from_4nu_khz)
 from sdid.cli import main
 
 DEVICE_A = {
@@ -217,6 +217,29 @@ def test_cli_cpmg_fits_are_physical(tmp_path):
     t2s = meta["fitted_t2_us"]
     assert set(t2s) == orders
     assert all(0.0 < t2 <= 241.0 for t2 in t2s.values()), t2s
+
+
+def test_cli_cpmg_sidecar_records_window_and_residuals(tmp_path):
+    # The exact T2 is not monotone in the order, so each fit is reported
+    # with its window and residual rather than as a trend.
+    cfg = _write_config(tmp_path / "b.json", DEVICE_B, spectator_init="111")
+    out = tmp_path / "cpmg.csv"
+    result = CliRunner().invoke(main, [
+        "cpmg", "--config", cfg, "--orders", "0,1,4,16", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    meta = json.loads((tmp_path / "cpmg.csv.meta.json").read_text())
+    rows = _read_rows(out)
+    assert meta["tmax_us"] == max(float(r["time_us"]) for r in rows)
+    rate = 1 / 241e-6 + 1 / 150e-6 + 1 / 218e-6 + 1 / 122e-6
+    assert math.isclose(meta["tmax_us"], 5e6 / rate, rel_tol=1e-6)
+    assert set(meta["fit_residual"]) == {"0", "1", "4", "16"}
+    for n, residual in meta["fit_residual"].items():
+        group = [r for r in rows if r["cpmg_n"] == n]
+        times = np.array([float(r["time_us"]) for r in group]) * 1e-6
+        mags = np.array([float(r["coh_abs"]) for r in group])
+        refit = fit_exponential(times, mags, offset=0.0)
+        assert 0.0 < residual < 1.0
+        assert abs(residual - refit.residual_norm) <= 1e-12, n
 
 
 def test_cli_rb_and_fit_round_trip(tmp_path):
