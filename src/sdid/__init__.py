@@ -29,8 +29,7 @@ from .rb import (CliffordGroup, ConditionalChannel, ForbiddenTransitionError,
                  RBCurve, clifford_group, conditional_channel,
                  lambda_analytic, p_experimental, rb_decay_constant,
                  simulate_rb, transition_probability)
-from .trajectory import (EnsembleSpec, accumulated_phase,
-                         ensemble_coherence, ensemble_trace, sample_decays)
+from .trajectory import EnsembleSpec, ensemble_coherence, ensemble_trace
 
 __all__ = [
     "__version__",
@@ -50,6 +49,5 @@ __all__ = [
     "RBCurve", "clifford_group", "conditional_channel", "lambda_analytic",
     "p_experimental", "rb_decay_constant", "simulate_rb",
     "transition_probability",
-    "EnsembleSpec", "accumulated_phase", "ensemble_coherence",
-    "ensemble_trace", "sample_decays",
+    "EnsembleSpec", "ensemble_coherence", "ensemble_trace",
 ]

@@ -118,8 +118,8 @@ def coherence(device: DeviceModel, s: SpectatorInit,
               seq: PulseSequence) -> complex:
     """Exact coherence at t = seq.total_time under the pulse train `seq`.
 
-    The counterpart of `trajectory.ensemble_coherence` in its bare frame,
-    conjugated the same way after an odd number of pulses.
+    The counterpart of `trajectory.ensemble_coherence`, conjugated the
+    same way after an odd number of pulses.
     """
     return complex(_coherence(device, s, seq, 1.0))
 

@@ -108,8 +108,7 @@ def run_ramsey(cfg: ExperimentConfig, out: Path) -> dict:
             np.max(np.abs(by_engine["analytic"] - by_engine["lindblad"])))
     if "analytic" in by_engine and "trajectory" in by_engine:
         meta["cross_checks"]["analytic_vs_trajectory_max_abs_diff"] = float(
-            np.max(np.abs(np.abs(by_engine["analytic"])
-                          - np.abs(by_engine["trajectory"]))))
+            np.max(np.abs(by_engine["analytic"] - by_engine["trajectory"])))
     _write_sidecar(out, meta)
     return meta
 
@@ -219,22 +218,21 @@ def _base_config(config_path, **overrides) -> ExperimentConfig:
                                        if value is not None})
 
 
-def _int_list(_ctx, _param, value):
+# Entry type of each comma-list option.
+_LIST_ENTRIES = {"engines": str, "orders": int, "lengths": int,
+                 "nu_tauc": float}
+
+
+def _comma_list(_ctx, param, value):
+    """Split a comma list option into entries of its type."""
     if value is None:
         return None
-    return [int(x) for x in value.split(",")]
-
-
-def _float_list(_ctx, _param, value):
-    if value is None:
-        return None
-    return [float(x) for x in value.split(",")]
-
-
-def _str_list(_ctx, _param, value):
-    if value is None:
-        return None
-    return [x.strip() for x in value.split(",")]
+    convert = _LIST_ENTRIES[param.name]
+    try:
+        return [convert(x.strip()) for x in value.split(",")]
+    except ValueError:
+        raise click.BadParameter(f"{value!r} is not a comma list of "
+                                 f"{convert.__name__} values") from None
 
 
 class _Group(click.Group):
@@ -259,7 +257,7 @@ def main():
               help="Initial spectator bits, e.g. 111.")
 @click.option("--tmax-us", type=float, default=None)
 @click.option("--points", type=int, default=None)
-@click.option("--engines", callback=_str_list, default=None,
+@click.option("--engines", callback=_comma_list, default=None,
               help="Comma list from analytic,lindblad,trajectory.")
 @click.option("--ntraj", "n_traj", type=int, default=None)
 @click.option("--seed", type=int, default=None)
@@ -277,7 +275,7 @@ def ramsey(config_path, spectator_init, tmax_us, points, engines, n_traj,
 
 @main.command()
 @click.option("--config", "config_path", type=click.Path(), required=True)
-@click.option("--orders", callback=_int_list, default=None,
+@click.option("--orders", callback=_comma_list, default=None,
               help="Comma list of CPMG orders.")
 @click.option("--spectators", "spectator_init", default=None)
 @click.option("--tmax-us", type=float, default=None)
@@ -297,7 +295,7 @@ def cpmg(config_path, orders, spectator_init, tmax_us, points, out):
 @click.option("--init", "spectator_init", default=None,
               type=click.Choice(["zero", "one", "plus"]),
               help="Spectator preparation.")
-@click.option("--lengths", callback=_int_list, default=None)
+@click.option("--lengths", callback=_comma_list, default=None)
 @click.option("--nseq", "n_seq", type=int, default=None)
 @click.option("--tgate-ns", "tgate_ns", type=float, default=None)
 @click.option("--frame", type=click.Choice(["bare", "experimental"]),
@@ -317,7 +315,7 @@ def rb(config_path, spectator_init, lengths, n_seq, tgate_ns, frame, seed,
 
 @main.command()
 @click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--nu-tauc", "nu_tauc", callback=_float_list, default=None)
+@click.option("--nu-tauc", "nu_tauc", callback=_comma_list, default=None)
 @click.option("--out", required=True, type=click.Path())
 def derive(config_path, nu_tauc, out):
     """Sweep nu*tau_c and tabulate coarse-grained generator coefficients."""

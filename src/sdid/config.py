@@ -38,9 +38,26 @@ def nu_from_4nu_khz(zz_4nu_khz: float) -> float:
 def _require_positive(value, name: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"field {name!r} must be a number")
-    if value <= 0:
+    if not value > 0:       # NaN fails too
         raise ConfigError(f"field {name!r} must be positive, got {value}")
     return float(value)
+
+
+def _require_int(value, name: str, minimum: int) -> int:
+    """An integer >= minimum; 3.0 counts as 3."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or value < minimum):
+        raise ConfigError(f"field {name!r} must be an integer >= {minimum}, "
+                          f"got {value!r}")
+    return value
+
+
+def _require_list(value, name: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"field {name!r} must be a list, got {value!r}")
+    return list(value)
 
 
 def _require_seed(value) -> int:
@@ -189,19 +206,26 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if "tmax_us" in data:
         cfg.tmax_us = _require_positive(data["tmax_us"], "tmax_us")
     if "points" in data:
-        cfg.points = int(_require_positive(data["points"], "points"))
+        cfg.points = _require_int(data["points"], "points", 1)
+    if experiment == "cpmg" and cfg.points < 4:
+        raise ConfigError(f"field 'points' must be >= 4 for 'cpmg' (the T2 "
+                          f"fit needs 4 points), got {cfg.points}")
     if "orders" in data:
-        cfg.orders = tuple(int(n) for n in data["orders"])
-        if any(n < 0 for n in cfg.orders):
-            raise ConfigError("field 'orders' entries must be >= 0")
+        cfg.orders = tuple(
+            _require_int(n, f"orders[{k}]", 0)
+            for k, n in enumerate(_require_list(data["orders"], "orders")))
     if "lengths" in data:
-        cfg.lengths = tuple(int(m) for m in data["lengths"])
-        if any(m < 1 for m in cfg.lengths):
-            raise ConfigError("field 'lengths' entries must be >= 1")
+        cfg.lengths = tuple(
+            _require_int(m, f"lengths[{k}]", 1)
+            for k, m in enumerate(_require_list(data["lengths"], "lengths")))
+    if experiment == "rb" and len(set(cfg.lengths)) < 3:
+        raise ConfigError(f"field 'lengths' needs at least 3 distinct "
+                          f"lengths for 'rb' (the fit needs them), got "
+                          f"{list(cfg.lengths)}")
     if "n_seq" in data:
-        cfg.n_seq = int(_require_positive(data["n_seq"], "n_seq"))
+        cfg.n_seq = _require_int(data["n_seq"], "n_seq", 1)
     if "n_traj" in data:
-        cfg.n_traj = int(_require_positive(data["n_traj"], "n_traj"))
+        cfg.n_traj = _require_int(data["n_traj"], "n_traj", 1)
     if "seed" in data:
         cfg.seed = _require_seed(data["seed"])
     if "tgate_ns" in data:
@@ -212,14 +236,16 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                           f"got {frame!r}")
     cfg.frame = frame
     if "engines" in data:
-        engines = tuple(data["engines"])
+        engines = tuple(_require_list(data["engines"], "engines"))
         for e in engines:
             if e not in VALID_ENGINES:
                 raise ConfigError(f"field 'engines' entry {e!r} not in "
                                   f"{VALID_ENGINES}")
         cfg.engines = engines
     if "nu_tauc" in data:
-        cfg.nu_tauc = tuple(float(x) for x in data["nu_tauc"])
+        cfg.nu_tauc = tuple(
+            _require_positive(x, f"nu_tauc[{k}]")
+            for k, x in enumerate(_require_list(data["nu_tauc"], "nu_tauc")))
     if "out" in data:
         cfg.out = str(data["out"])
     return cfg

@@ -16,7 +16,7 @@ sigma_minus components appear at positive Bohr frequencies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,20 +32,17 @@ def sinc(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BathSpectrum:
-    """Decay rate and Lamb shift as functions of the Bohr frequency (1/s).
+    """Decay rate as a function of the Bohr frequency (1/s).
 
     Zero temperature: no spectral weight at non-positive frequencies.
     """
 
     gamma_of: Callable[[float], float]
-    lamb_of: Callable[[float], float] = lambda omega: 0.0
-    tag: str = "custom"
 
     @classmethod
     def flat(cls, gamma0: float) -> "BathSpectrum":
-        """Gamma(omega) = gamma0 for omega > 0, zero otherwise; no Lamb shift."""
-        return cls(gamma_of=lambda omega: gamma0 if omega > 0 else 0.0,
-                   tag="flat")
+        """Gamma(omega) = gamma0 for omega > 0, zero otherwise."""
+        return cls(gamma_of=lambda omega: gamma0 if omega > 0 else 0.0)
 
 
 @dataclass(frozen=True)
@@ -65,11 +62,6 @@ class Cluster:
     @property
     def mean(self) -> float:
         return float(np.mean([m.frequency for m in self.members]))
-
-    @property
-    def spread(self) -> float:
-        freqs = [m.frequency for m in self.members]
-        return float(max(abs(f - self.mean) for f in freqs))
 
     @property
     def collective_op(self) -> np.ndarray:
@@ -140,24 +132,20 @@ def bohr_spectrum(h_s: np.ndarray, x: np.ndarray,
     return out
 
 
-def build_bmrwa(terms: Sequence[BohrTerm], bath: BathSpectrum,
-                lamb_shift: bool = False) -> LiouvillianBundle:
+def build_bmrwa(terms: Sequence[BohrTerm],
+                bath: BathSpectrum) -> LiouvillianBundle:
     """Fully secular generator: one dissipator per Bohr frequency.
 
-    The Lamb-shift Hamiltonian sum S(Omega) L^dag L is off by default; it only
-    weakly renormalizes the system energies.
+    No Lamb-shift Hamiltonian: it would only weakly renormalize the system
+    energies, so the generator is purely dissipative.
     """
     d = terms[0].op.shape[0] if terms else 1
-    h = np.zeros((d, d), dtype=complex)
     jumps = []
     for term in terms:
         rate = bath.gamma_of(term.frequency)
         if rate > 0:
             jumps.append((rate, term.op))
-        if lamb_shift:
-            s = bath.lamb_of(term.frequency)
-            if s != 0.0:
-                h = h + s * (term.op.conj().T @ term.op)
+    h = np.zeros((d, d), dtype=complex)
     return LiouvillianBundle.from_terms(h, jumps)
 
 

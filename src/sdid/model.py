@@ -5,7 +5,7 @@ engine: a control qubit coupled to N spectators through always-on ZZ
 interactions, each qubit with its own relaxation and pure dephasing rate.
 This module builds the Hamiltonian ``H = sum_j nu_j Z_0 Z_j`` (rotating
 frame, no self-energies) and the Liouvillian, and propagates density
-matrices exactly with optional instantaneous pi pulses on the control.
+matrices exactly with optional instantaneous X pi pulses on the control.
 
 The Liouvillian is never built as a dense 4^(N+1) matrix.  Its sectors
 (sets of vec(rho) indices that no term of H or of the jumps connects to the
@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from . import operators as ops
-from .operators import SIGMA_MINUS, X, Y, Z
+from .operators import SIGMA_MINUS, X, Z
 
 
 class PhysicalityError(ValueError):
@@ -324,23 +324,15 @@ def validate_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> None:
                                f"(min eigenvalue {evals.min():.2e})")
 
 
-_PULSE_AXES = {"x": X, "y": Y}
+def _pulse_permutation(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """An instantaneous X pi pulse on the control as a signed permutation.
 
-
-def _pulse_permutation(n_qubits: int,
-                       axis: str) -> tuple[np.ndarray, np.ndarray]:
-    """An instantaneous pi rotation on the control as a signed permutation.
-
-    The pulse U = exp(-i pi/2 P) = -i P (P a Pauli) has one nonzero per row,
+    The pulse U = exp(-i pi/2 X) = -i X has one nonzero per row,
     U[j, c_j] = u_j, so rho -> U rho U^dag sends vec index i*d + j to
     ``sign * v[perm]`` with perm = c_i*d + c_j and sign = conj(u_i) u_j,
     which is +-1.
     """
-    try:
-        pauli = _PULSE_AXES[axis.lower()]
-    except KeyError:
-        raise ValueError(f"unknown pulse axis {axis!r}; expected 'x' or 'y'")
-    u = ops.embed(-1j * pauli, 0, n_qubits)
+    u = ops.embed(-1j * X, 0, n_qubits)
     d = u.shape[0]
     col = np.argmax(u != 0, axis=1)
     val = u[np.arange(d), col]
@@ -351,9 +343,8 @@ def _pulse_permutation(n_qubits: int,
 
 def propagate(bundle: LiouvillianBundle, rho0: np.ndarray,
               times: Sequence[float],
-              pulse_times: Sequence[float] | None = None,
-              pulse_axis: str = "x") -> list[np.ndarray]:
-    """Evolve rho0 under exp(L t), applying instantaneous control pi pulses.
+              pulse_times: Sequence[float] | None = None) -> list[np.ndarray]:
+    """Evolve rho0 under exp(L t), applying instantaneous control X pi pulses.
 
     Returns the density matrix at each requested time. Time stepping uses
     an exact matrix exponential per segment, taken block by block over the
@@ -380,7 +371,7 @@ def propagate(bundle: LiouvillianBundle, rho0: np.ndarray,
     if pulses and (pulses[0] <= 0 or pulses[-1] >= t_end):
         raise ValueError("pulse times must lie strictly inside (0, T)")
     if pulses:
-        perm, sign = _pulse_permutation(n_qubits, pulse_axis)
+        perm, sign = _pulse_permutation(n_qubits)
 
     # Merge grid times and pulse times into one ordered event list.
     events = sorted(

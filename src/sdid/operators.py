@@ -96,24 +96,6 @@ def right_mult(b: np.ndarray) -> np.ndarray:
     return kron(np.asarray(b, dtype=complex).T, np.eye(d, dtype=complex))
 
 
-def add_left_right_mult(superop: np.ndarray, a: np.ndarray,
-                        b: np.ndarray) -> None:
-    """In place: ``superop += left_mult(a) + right_mult(b)``.
-
-    Viewed as ``s[i, j, k, l]`` (row i*d + j, column k*d + l), left_mult(a)
-    is ``a[j, l]`` where i == k and right_mult(b) is ``b[k, i]`` where
-    j == l, so only those d^3 entries are written, without forming the
-    d^2 x d^2 Kronecker products.
-    """
-    if not superop.flags.c_contiguous:
-        raise ValueError("add_left_right_mult needs a C-contiguous superop")
-    d = a.shape[0]
-    k = np.arange(d)
-    s4 = superop.reshape(d, d, d, d)
-    s4[k, :, k, :] += a
-    s4[:, k, :, k] += np.asarray(b).T
-
-
 def trace_row(d: int) -> np.ndarray:
     """Row functional r such that ``r @ vec(rho) == trace(rho)``."""
     return vectorize(np.eye(d, dtype=complex))
@@ -138,7 +120,3 @@ def hermiticity_defect(m: np.ndarray) -> float:
     """max |M - M^dagger|, zero for Hermitian matrices."""
     m = np.asarray(m)
     return float(np.max(np.abs(m - m.conj().T)))
-
-
-def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:
-    return hermiticity_defect(m) <= tol

@@ -18,7 +18,9 @@ respect to that frame, so the engine reports the complex conjugate of the
 toggling-frame mean: the lab-frame coherence that the Lindblad engine gives
 when it applies each pulse to the state (`model.propagate(...,
 pulse_times=...)`).  Magnitudes and standard errors are the same in both
-frames.
+frames.  That lab-frame value, static phases included, is the only one the
+engine reports, as the analytic and Lindblad engines do; the experimental
+(all-ground) calibration frame is defined once, in `rb.simulate_rb`.
 
 Kernel design: one point builds the phase of all its shots in the imaginary
 part of the complex shot buffer, one decaying spectator at a time, in
@@ -74,29 +76,6 @@ class EnsembleSpec:
     def rng(self, stream: int = 0) -> np.random.Generator:
         return np.random.Generator(
             np.random.Philox(key=self.seed, counter=[0, 0, 0, stream]))
-
-
-def _decaying(device: DeviceModel, s: SpectatorInit) -> list[tuple[int, float]]:
-    """(spectator index, mean decay time 1/gamma) of each spectator that can
-    decay: excited, with gamma > 0.  In spectator order, which is the order
-    of the draws."""
-    return [(j, 1.0 / q.gamma)
-            for j, (bit, (q, _)) in enumerate(zip(s, device.spectators))
-            if bit and q.gamma > 0]
-
-
-def sample_decays(device: DeviceModel, s: SpectatorInit,
-                  rng: np.random.Generator, n: int) -> np.ndarray:
-    """(n, N) decay times: Exp(gamma_j) if spectator j is excited, else inf.
-
-    Column order matches the spectator list.  The numbers are the ones the
-    ensemble engine draws for a point from the same stream.
-    """
-    s = parse_spectator_init(s, device.n_spectators)
-    out = np.full((n, device.n_spectators), np.inf)
-    for j, scale in _decaying(device, s):
-        out[:, j] = rng.standard_exponential(n) * scale
-    return out
 
 
 class _Workspace:
@@ -174,38 +153,41 @@ class _Parity:
         return p
 
 
-def _terms(device: DeviceModel, s: SpectatorInit, scales: dict) -> list:
-    """(excited, 2 nu, scale) per spectator, in spectator order.
+def _terms(device: DeviceModel, s: SpectatorInit, n_traj: int) -> list:
+    """(excited, 2 nu, mean decay time 1/gamma) per spectator, in spectator
+    order, for ensembles of n_traj shots.
 
-    `scales` maps each spectator that decays during the sequence to the
-    factor that turns its drawn times into decay times; any other
-    spectator has scale None and keeps its state.
+    The mean decay time is None for a spectator that keeps its state during
+    the sequence: one in |0>, or an excited one with gamma = 0.
     """
-    return [(bit, 2.0 * nu, scales.get(j))
-            for j, (bit, nu) in enumerate(zip(s, device.nus))]
+    if n_traj <= 0:
+        raise ValueError("n_traj must be positive")
+    return [(bit, 2.0 * nu, 1.0 / q.gamma if bit and q.gamma > 0 else None)
+            for bit, (q, _), nu in zip(s, device.spectators, device.nus)]
 
 
-def _phase(parity: _Parity, terms: list, draw, ws: _Workspace) -> np.ndarray:
+def _phase(parity: _Parity, terms: list, rng: np.random.Generator,
+           ws: _Workspace) -> np.ndarray:
     """Total control phase of every shot, built in ws.shots.imag (returned).
 
     Each spectator adds 2 nu (P(T) - 2 P(t_d)) with t_d = min(decay, T):
     its sign is -1 until the decay and +1 after.  A spectator in |0> adds
-    2 nu P(T).  `draw(j, out)` fills `out` with spectator j's next unscaled
-    times.  The terms are added in spectator order, each a block of shots
-    at a time.
+    2 nu P(T).  The terms are added in spectator order, each a block of
+    shots at a time, and each decaying spectator's times are drawn from
+    `rng` block by block.
     """
     phi = ws.shots.imag
     phi.fill(0.0)
     T, p_total = parity.seq.total_time, parity.seq.p_total
     n, block = phi.size, ws.block
-    for j, (excited, two_nu, scale) in enumerate(terms):
+    for excited, two_nu, scale in terms:
         if scale is None:
             phi += two_nu * (p_total - 2.0 * p_total if excited else p_total)
             continue
         for a in range(0, n, block):
             m = min(block, n - a)
             t = ws.t[:m]
-            draw(j, t)
+            rng.standard_exponential(out=t)
             t *= scale
             np.minimum(t, T, out=t)
             p = parity(t, ws, m)
@@ -216,23 +198,11 @@ def _phase(parity: _Parity, terms: list, draw, ws: _Workspace) -> np.ndarray:
     return phi
 
 
-def accumulated_phase(seq: PulseSequence, decays, device: DeviceModel,
-                      s: SpectatorInit) -> float:
-    """Total control phase for one shot, given the spectator decay times."""
-    s = parse_spectator_init(s, device.n_spectators)
-    decays = np.asarray(decays, dtype=float)
-    terms = _terms(device, s, {j: 1.0 for j, bit in enumerate(s) if bit})
-    phi = _phase(_Parity(seq), terms, lambda j, out: out.fill(decays[j]),
-                 _Workspace(1, 1))
-    return float(phi[0])
-
-
 def _coherence(device: DeviceModel, seq: PulseSequence, terms: list,
-               rng: np.random.Generator, ws: _Workspace,
-               frame: str) -> tuple[complex, float]:
+               rng: np.random.Generator,
+               ws: _Workspace) -> tuple[complex, float]:
     """One point of `ensemble_coherence`, computed in the workspace."""
-    phi = _phase(_Parity(seq), terms,
-                 lambda j, out: rng.standard_exponential(out=out), ws)
+    phi = _phase(_Parity(seq), terms, rng, ws)
     shots = ws.shots
     n = shots.size
     for a in range(0, n, ws.block):
@@ -243,34 +213,13 @@ def _coherence(device: DeviceModel, seq: PulseSequence, terms: list,
         np.exp(shots[a:b], out=shots[a:b])
     envelope = np.exp(-device.control.gamma_tilde * seq.total_time)
     mean = envelope * complex(shots.mean())
-    odd = len(seq.pulse_times) % 2
-    if odd:
+    if len(seq.pulse_times) % 2:
         mean = mean.conjugate()
     if n > 1:
         var = (shots.real.var(ddof=1) + shots.imag.var(ddof=1)) / n
     else:
         var = 0.0
-    stderr = envelope * float(np.sqrt(var))
-    if frame == "experimental":
-        # Divide out the all-ground phase e^{-2i sum(nu) P(T)} of the same
-        # train, conjugated like the mean after an odd number of pulses.
-        static = np.exp(2j * device.nus.sum() * seq.p_total)
-        mean *= static.conjugate() if odd else static
-    elif frame != "bare":
-        raise ValueError(f"unknown frame {frame!r}")
-    return mean, stderr
-
-
-def _ensemble_terms(device: DeviceModel, s: SpectatorInit,
-                    n_traj: int) -> list:
-    """Spectator terms of ensembles of n_traj shots drawn from a stream."""
-    if n_traj <= 0:
-        raise ValueError("n_traj must be positive")
-    return _terms(device, s, dict(_decaying(device, s)))
-
-
-def _workspace(n_traj: int) -> _Workspace:
-    return _Workspace(n_traj, min(n_traj, _BLOCK))
+    return mean, envelope * float(np.sqrt(var))
 
 
 def _cpus() -> int:
@@ -282,7 +231,7 @@ def _cpus() -> int:
 
 
 def _compute_points(device: DeviceModel, terms: list, points: list,
-                    n_traj: int, frame: str, values: np.ndarray,
+                    n_traj: int, values: np.ndarray,
                     errs: np.ndarray) -> None:
     """values[k], errs[k] of each point (k, seq, rng), on W threads.
 
@@ -293,14 +242,15 @@ def _compute_points(device: DeviceModel, terms: list, points: list,
     if not points:
         return
     n_workers = min(_cpus(), len(points))
-    spaces = [_workspace(n_traj) for _ in range(n_workers)]
+    spaces = [_Workspace(n_traj, min(n_traj, _BLOCK))
+              for _ in range(n_workers)]
     failures = []
 
     def work(w):
         try:
             for k, seq, rng in points[w::n_workers]:
                 values[k], errs[k] = _coherence(device, seq, terms, rng,
-                                                spaces[w], frame)
+                                                spaces[w])
         except Exception as exc:
             failures.append(exc)
 
@@ -319,27 +269,26 @@ def _compute_points(device: DeviceModel, terms: list, points: list,
 
 def ensemble_coherence(device: DeviceModel, s: SpectatorInit,
                        seq: PulseSequence, ens: EnsembleSpec,
-                       frame: str = "bare",
                        stream: int = 0) -> tuple[complex, float]:
     """Ensemble-averaged coherence at t = seq.total_time, with standard error.
 
     Returns e^{-gamma_tilde T} <e^{-i phi}> and the standard error of the
     complex mean (sqrt of summed quadrature variances over n_traj).  After
     an odd number of pulses the mean is conjugated into the lab frame (see
-    the module docstring).  The 'experimental' frame divides out the static
-    phase that all-ground spectators give under the same pulse train,
-    e^{-2i sum(nu) P(T)} (conjugated after an odd number of pulses), where
-    P(T) is the toggling-frame time: T for Ramsey, 0 for CPMG.
+    the module docstring), so the value is `analytic.coherence` of the same
+    train up to sampling noise: all-ground spectators give the static
+    phase e^{-2i sum(nu) P(T)}, conjugated after an odd number of pulses.
+    Drawn from stream `stream` of `ens`.
     """
     s = parse_spectator_init(s, device.n_spectators)
-    terms = _ensemble_terms(device, s, ens.n_traj)
+    terms = _terms(device, s, ens.n_traj)
     return _coherence(device, seq, terms, ens.rng(stream),
-                      _workspace(ens.n_traj), frame)
+                      _Workspace(ens.n_traj, min(ens.n_traj, _BLOCK)))
 
 
 def ensemble_trace(device: DeviceModel, s: SpectatorInit, times,
-                   ens: EnsembleSpec, cpmg_order: int | None = None,
-                   frame: str = "bare") -> CoherenceTrace:
+                   ens: EnsembleSpec,
+                   cpmg_order: int | None = None) -> CoherenceTrace:
     """Trajectory-engine trace over a grid of total times.
 
     Each grid point is an independent experiment of ens.n_traj shots with its
@@ -349,7 +298,7 @@ def ensemble_trace(device: DeviceModel, s: SpectatorInit, times,
     output is the same for any number of workers.
     """
     s = parse_spectator_init(s, device.n_spectators)
-    terms = _ensemble_terms(device, s, ens.n_traj)
+    terms = _terms(device, s, ens.n_traj)
     times = np.asarray(times, dtype=float)
     values = np.ones(times.size, dtype=complex)
     errs = np.zeros(times.size)
@@ -358,5 +307,5 @@ def ensemble_trace(device: DeviceModel, s: SpectatorInit, times,
     points = [(k, PulseSequence.ramsey(T) if cpmg_order is None
                else build_cpmg(T, cpmg_order), ens.rng(k))
               for k, T in enumerate(times) if T > 0]
-    _compute_points(device, terms, points, ens.n_traj, frame, values, errs)
+    _compute_points(device, terms, points, ens.n_traj, values, errs)
     return CoherenceTrace(times=times, values=values, stderr=errs)

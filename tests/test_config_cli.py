@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,71 @@ def test_seed_must_be_a_non_negative_integer(tmp_path):
         assert not out.exists()
 
 
+def test_list_and_count_fields_name_the_field():
+    bad = [({"orders": ["x"]}, "'orders[0]'"),
+           ({"orders": 3}, "'orders'"),
+           ({"orders": [0, 1.5]}, "'orders[1]'"),
+           ({"orders": [-1]}, "'orders[0]'"),
+           ({"lengths": "1,2,3"}, "'lengths'"),
+           ({"lengths": [1, 0]}, "'lengths[1]'"),
+           ({"nu_tauc": [0]}, "'nu_tauc[0]'"),
+           ({"nu_tauc": [1.0, "x"]}, "'nu_tauc[1]'"),
+           ({"nu_tauc": [float("nan")]}, "'nu_tauc[0]'"),
+           ({"nu_tauc": 1.0}, "'nu_tauc'"),
+           ({"engines": "analytic"}, "'engines'"),
+           ({"points": 2.5}, "'points'"),
+           ({"points": True}, "'points'"),
+           ({"n_seq": 0}, "'n_seq'"),
+           ({"n_seq": 2.5}, "'n_seq'"),
+           ({"n_traj": "100"}, "'n_traj'"),
+           ({"experiment": "cpmg", "points": 3}, "'points'"),
+           ({"experiment": "rb", "lengths": [1, 5, 5, 1]}, "'lengths'")]
+    for extra, field in bad:
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            config_from_dict({"device": DEVICE_B, **extra})
+    # Integral floats count as integers, as for the seed.
+    cfg = config_from_dict({"device": DEVICE_B, "experiment": "rb",
+                            "orders": [0, 4.0], "lengths": [1, 2.0, 3],
+                            "points": 4.0, "n_seq": 2.0, "n_traj": 10.0,
+                            "nu_tauc": [1, 0.5]})
+    assert cfg.orders == (0, 4) and cfg.lengths == (1, 2, 3)
+    assert (cfg.points, cfg.n_seq, cfg.n_traj) == (4, 2, 10)
+    assert all(type(n) is int
+               for n in cfg.orders + cfg.lengths
+               + (cfg.points, cfg.n_seq, cfg.n_traj))
+    assert cfg.nu_tauc == (1.0, 0.5)
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("cpmg", "--orders", "1,x"), ("rb", "--lengths", "1,20,x"),
+    ("derive", "--nu-tauc", "0.1,x")])
+def test_cli_rejects_bad_list_entries_in_one_line(tmp_path, command, option,
+                                                  value):
+    cfg = _write_config(tmp_path / "b.json", DEVICE_B)
+    out = tmp_path / "x.csv"
+    result = CliRunner().invoke(main, [command, option, value, "--config",
+                                       cfg, "--out", str(out)])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines()
+              if line.startswith("Error")]
+    assert len(errors) == 1 and f"'{option}'" in errors[0], result.output
+    assert not out.exists()
+
+
+def test_cli_reports_too_few_points_or_lengths_in_one_line(tmp_path):
+    cfg = _write_config(tmp_path / "b.json", DEVICE_B)
+    out = tmp_path / "x.csv"
+    for args, field in ((["cpmg", "--points", "3"], "'points'"),
+                        (["rb", "--lengths", "1,20,1"], "'lengths'")):
+        result = CliRunner().invoke(main, args + ["--config", cfg,
+                                                  "--out", str(out)])
+        assert result.exit_code != 0
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"Error: field {field}")
+        assert not out.exists()
+
+
 def test_device_round_trips_through_config_units():
     device = device_from_dict(DEVICE_B)
     again = device_from_dict(device_to_dict(device))
@@ -158,6 +224,29 @@ def test_cli_ramsey_cross_checks_engines(tmp_path):
     first = [r for r in rows if r["engine"] == "analytic"][0]
     assert float(first["time_us"]) == 0.0
     assert np.isclose(float(first["coh_abs"]), 1.0)
+
+
+def test_cli_ramsey_compares_trajectories_as_complex_numbers(tmp_path):
+    # The sidecar's analytic-vs-trajectory gap is the complex max |delta|,
+    # recomputed here from the CSV, and every point is within 4 SE.
+    cfg = _write_config(tmp_path / "b.json", DEVICE_B, seed=5)
+    out = tmp_path / "ramsey.csv"
+    result = CliRunner().invoke(main, [
+        "ramsey", "--config", cfg, "--spectators", "111",
+        "--engines", "analytic,trajectory", "--ntraj", "20000",
+        "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    rows = _read_rows(out)
+    coh = {engine: np.array([complex(float(r["coh_re"]), float(r["coh_im"]))
+                             for r in rows if r["engine"] == engine])
+           for engine in ("analytic", "trajectory")}
+    se = np.array([float(r["stderr_abs"]) for r in rows
+                   if r["engine"] == "trajectory"])
+    delta = np.abs(coh["analytic"] - coh["trajectory"])
+    meta = json.loads((tmp_path / "ramsey.csv.meta.json").read_text())
+    assert (meta["cross_checks"]["analytic_vs_trajectory_max_abs_diff"]
+            == delta.max())
+    assert np.all(delta <= 4.0 * se + 1e-12), (delta / se).max()
 
 
 def test_cli_runs_are_byte_identical(tmp_path):
