@@ -26,9 +26,9 @@ from .model import (DeviceModel, LiouvillianBundle, PhysicalityError,
                     control_coherence, parse_spectator_init,
                     propagate, ramsey_initial_state)
 from .rb import (CliffordGroup, ConditionalChannel, ForbiddenTransitionError,
-                 RBCurve, clifford_group, conditional_channel,
-                 lambda_analytic, p_experimental, rb_decay_constant,
-                 simulate_rb, transition_probability)
+                 RBCurve, average_survival, clifford_group,
+                 conditional_channel, lambda_analytic, p_experimental,
+                 rb_decay_constant, simulate_rb, transition_probability)
 from .trajectory import EnsembleSpec, ensemble_coherence, ensemble_trace
 
 __all__ = [
@@ -46,8 +46,8 @@ __all__ = [
     "build_hamiltonian", "build_liouvillian", "control_coherence",
     "parse_spectator_init", "propagate", "ramsey_initial_state",
     "CliffordGroup", "ConditionalChannel", "ForbiddenTransitionError",
-    "RBCurve", "clifford_group", "conditional_channel", "lambda_analytic",
-    "p_experimental", "rb_decay_constant", "simulate_rb",
+    "RBCurve", "average_survival", "clifford_group", "conditional_channel",
+    "lambda_analytic", "p_experimental", "rb_decay_constant", "simulate_rb",
     "transition_probability",
     "EnsembleSpec", "ensemble_coherence", "ensemble_trace",
 ]

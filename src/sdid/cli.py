@@ -2,9 +2,10 @@
 
 Subcommands mirror the experiments: `ramsey` (coherence traces from up to
 three engines), `cpmg` (exact coherence of CPMG trains, with a T2 fit per
-order), `rb` (Clifford-level randomized benchmarking), `derive`
-(coarse-graining-time sweep of the two-qubit master-equation coefficients),
-and `fit` (re-fit a CSV produced by the other subcommands).
+order), `rb` (Clifford-level randomized benchmarking, the exact sequence
+average), `derive` (coarse-graining-time sweep of the two-qubit
+master-equation coefficients), and `fit` (re-fit a CSV produced by the other
+subcommands).
 
 Every run writes a CSV plus a JSON sidecar (resolved config, fitted
 parameters, seed, version).  Identical config and seed give byte-identical
@@ -31,7 +32,9 @@ from .derivations import (BathSpectrum, bohr_spectrum, build_cetcg,
 from .fitting import fit_exponential, fit_rb
 from .model import (build_liouvillian, control_coherence,
                     parse_spectator_init, propagate, ramsey_initial_state)
-from .rb import simulate_rb
+# `simulate_rb` stays importable from here: the traced benchmark run
+# (perfbench/tracing.py) patches `sdid.cli.simulate_rb`.
+from .rb import average_survival, simulate_rb
 from .trajectory import EnsembleSpec
 
 
@@ -151,14 +154,15 @@ def run_cpmg(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def run_rb(cfg: ExperimentConfig, out: Path) -> dict:
-    curve = simulate_rb(cfg.device, cfg.spectator_init, cfg.lengths,
-                        n_seq=cfg.n_seq, t_gate=cfg.t_gate, frame=cfg.frame,
-                        seed=cfg.seed)
-    # The simulation has no state-preparation or measurement error, so the
+    # The exact sequence average samples nothing, so `n_seq` and `seed` are
+    # not read and the `stderr` column stays empty.
+    curve = average_survival(cfg.device, cfg.spectator_init, cfg.lengths,
+                             t_gate=cfg.t_gate, frame=cfg.frame)
+    # The model has no state-preparation or measurement error, so the
     # survival decays to 1/2.
     fit = fit_rb(curve.lengths, curve.survival, offset=0.5)
-    rows = [[int(m), surv, se] for m, surv, se in
-            zip(curve.lengths, curve.survival, curve.stderr)]
+    rows = [[int(m), surv, ""]
+            for m, surv in zip(curve.lengths, curve.survival)]
     _write_csv(out, ["length", "survival", "stderr"], rows)
     meta = {"resolved_config": config_to_dict(cfg),
             "sdid_version": __version__,
@@ -296,7 +300,9 @@ def cpmg(config_path, orders, spectator_init, tmax_us, points, out):
               type=click.Choice(["zero", "one", "plus"]),
               help="Spectator preparation.")
 @click.option("--lengths", callback=_comma_list, default=None)
-@click.option("--nseq", "n_seq", type=int, default=None)
+@click.option("--nseq", "n_seq", type=int, default=None,
+              help="Accepted and not read: the exact average samples "
+                   "no sequences.")
 @click.option("--tgate-ns", "tgate_ns", type=float, default=None)
 @click.option("--frame", type=click.Choice(["bare", "experimental"]),
               default=None)
@@ -357,8 +363,13 @@ def fit(in_path, kind, out):
             mags = np.array([float(r["coh_abs"]) for r in group])
             # Pinned as in `run_cpmg`, so the re-fit reproduces the run's
             # sidecar; Ramsey rows keep the free offset of `run_ramsey`.
-            result = fit_exponential(
-                times, mags, offset=None if order is None else 0.0)
+            try:
+                result = fit_exponential(
+                    times, mags, offset=None if order is None else 0.0)
+            except ValueError as exc:
+                name = f"engine {engine!r}" + (
+                    "" if order is None else f", cpmg_n {order}")
+                raise click.ClickException(f"{name}: {exc}") from None
             entry = {"engine": engine, "model": result.model,
                      "converged": result.converged,
                      "t2_us": result.params["t2"] * 1e6,
@@ -371,7 +382,10 @@ def fit(in_path, kind, out):
         lengths = np.array([int(r["length"]) for r in rows])
         survival = np.array([float(r["survival"]) for r in rows])
         # Pinned as in `run_rb`, so the re-fit reproduces the run's sidecar.
-        result = fit_rb(lengths, survival, offset=0.5)
+        try:
+            result = fit_rb(lengths, survival, offset=0.5)
+        except ValueError as exc:
+            raise click.ClickException(f"{in_path}: {exc}") from None
         payload = {"model": result.model, "converged": result.converged,
                    "params": result.params, "stderr": result.stderr}
     text = json.dumps(payload, indent=2, sort_keys=True, default=float)

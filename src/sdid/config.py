@@ -40,6 +40,8 @@ def _require_positive(value, name: str) -> float:
         raise ConfigError(f"field {name!r} must be a number")
     if not value > 0:       # NaN fails too
         raise ConfigError(f"field {name!r} must be positive, got {value}")
+    if not math.isfinite(value):
+        raise ConfigError(f"field {name!r} must be finite, got {value}")
     return float(value)
 
 

@@ -3,9 +3,24 @@
 Conditional control-qubit channels are obtained by projecting the two-qubit
 Lindblad propagator onto a spectator initial/final state pair; they are
 diagonal, diag(1, lambda, lambda*, 1), in the column-stacked basis.  The RB
-decay constant of a channel is p = (Tr - 1)/3.  A Clifford-level simulator
-tracks the spectator classically (one decay event at a random gate) and
-demonstrates that RB is insensitive to spectator-decay-induced dephasing.
+decay constant of a channel is p = (Tr - 1)/3.
+
+Two engines give the RB survival of one spectator preparation.  Each
+spectator is tracked classically: it survives each gate with probability
+q = e^{-gamma t_gate} (eigenvalue lambda_11), decays during one gate
+(lambda_10) or has decayed before it (lambda_00); the gate's error is the
+product over spectators.  `simulate_rb` samples finite sets of Clifford
+sequences and decay times.  `average_survival` gives the exact average over
+both.  With uniform random Cliffords C_k, the products D_k = C_k...C_1 are
+independent and uniform, and the Clifford group is a unitary 2-design, so
+each gate's error E_k is twirled to a depolarizing channel with
+p_k = (1 + 2 Re lambda_k)/3 (Magesan, Gambetta & Emerson, PRL 106, 180504
+(2011)).  The recovery gate's error is diagonal and leaves <0|rho|0>
+unchanged.  Given the spectator history, the survival after m gates is
+therefore 1/2 + 1/2 prod_{k<=m} p_k, and its average over histories is
+1/2 + 1/2 sum_branches w 1^T M^m e_branch, with M the transition matrix of
+the 2^N excited-spectator configurations weighted by each step's p.  Both
+engines show that RB is insensitive to spectator-decay-induced dephasing.
 """
 
 from __future__ import annotations
@@ -180,12 +195,16 @@ def clifford_group() -> CliffordGroup:
 
 @dataclass
 class RBCurve:
-    """Sequence lengths and averaged survival probabilities."""
+    """Sequence lengths and averaged survival probabilities.
+
+    `stderr` and `n_seq` are None for the exact average, which samples no
+    sequences.
+    """
 
     lengths: np.ndarray
     survival: np.ndarray
-    stderr: np.ndarray
-    n_seq: int
+    stderr: np.ndarray | None
+    n_seq: int | None
 
 
 def _branch_weights(init: str, n_spec: int) -> list[tuple[tuple[int, ...], float]]:
@@ -201,6 +220,76 @@ def _branch_weights(init: str, n_spec: int) -> list[tuple[tuple[int, ...], float
         weight = 0.5 ** n_spec
         return [(bits, weight) for bits in product((0, 1), repeat=n_spec)]
     raise ValueError(f"unknown spectator preparation {init!r}")
+
+
+def _rb_lengths(lengths) -> np.ndarray:
+    lengths = np.asarray(lengths, dtype=int)
+    if np.any(lengths < 1):
+        raise ValueError("RB sequence lengths must be >= 1")
+    return lengths
+
+
+def _gate_eigenvalues(device: DeviceModel, t_gate: float, frame: str):
+    """Per-spectator gate eigenvalues (lambda_00, lambda_11, lambda_10).
+
+    The 'experimental' frame divides out the ground-state ZZ phase of each
+    gate.  A spectator with gamma = 0 never decays; its lambda_10 repeats
+    lambda_11 so that the table stays finite.
+    """
+    if frame not in ("bare", "experimental"):
+        raise ValueError(f"unknown frame {frame!r}")
+    nus = device.nus
+    gammas = device.spectator_gammas
+    frame_phase = np.exp(-2j * nus * t_gate) if frame == "experimental" \
+        else np.ones(device.n_spectators, dtype=complex)
+    lam00 = np.array([lambda_analytic(0, 0, nu, g, t_gate)
+                      for nu, g in zip(nus, gammas)]) * frame_phase
+    lam11 = np.array([lambda_analytic(1, 1, nu, g, t_gate)
+                      for nu, g in zip(nus, gammas)]) * frame_phase
+    lam10 = np.array([lambda_analytic(1, 0, nu, g, t_gate) if g > 0
+                      else lam11[k] for k, (nu, g) in
+                      enumerate(zip(nus, gammas))]) * frame_phase
+    return lam00, lam11, lam10
+
+
+def average_survival(device: DeviceModel, init: str, lengths, t_gate: float,
+                     frame: str = "experimental") -> RBCurve:
+    """Exact sequence-averaged RB survival of the process `simulate_rb` samples.
+
+    The excited spectators form a Markov chain over 2^N configurations c.
+    One gate takes c to c' with probability P(c -> c') and, twirled by the
+    Clifford average, multiplies the survival's decaying part by
+    (1 + 2 Re prod_j lambda_j(c_j -> c'_j)) / 3 (module docstring).  So
+    S(m) = 1/2 + 1/2 1^T M^m v0, where M holds both factors and v0 holds the
+    preparation's branch weights; one vector is carried across the sorted
+    lengths.
+    """
+    lam00, lam11, lam10 = _gate_eigenvalues(device, t_gate, frame)
+    lengths = _rb_lengths(lengths)
+    n_spec = device.n_spectators
+    survive = np.exp(-device.spectator_gammas * t_gate)
+
+    configs = list(product((0, 1), repeat=n_spec))
+    excited = np.array(configs, dtype=bool).reshape(len(configs), n_spec)
+    # step[c', c]: c is the configuration before a gate, c' the one after.
+    to, frm = excited[:, None, :], excited[None, :, :]
+    stays, decays = to & frm, frm & ~to
+    prob = np.where(stays, survive, np.where(decays, 1.0 - survive, 1.0))
+    prob = prob.prod(axis=-1) * ~(to & ~frm).any(axis=-1)
+    lam = np.where(stays, lam11, np.where(decays, lam10, lam00)).prod(axis=-1)
+    step = prob * (1.0 + 2.0 * lam.real) / 3.0
+
+    vec = np.zeros(len(configs))
+    for bits, weight in _branch_weights(init, n_spec):
+        vec[configs.index(bits)] += weight
+    survival = np.empty(lengths.size)
+    done = 0
+    for li in np.argsort(lengths, kind="stable"):
+        vec = np.linalg.matrix_power(step, int(lengths[li]) - done) @ vec
+        done = int(lengths[li])
+        survival[li] = 0.5 + 0.5 * vec.sum()
+    return RBCurve(lengths=lengths, survival=survival, stderr=None,
+                   n_seq=None)
 
 
 def _apply_diag_channel(rho: np.ndarray, lam: np.ndarray) -> None:
@@ -219,34 +308,21 @@ def simulate_rb(device: DeviceModel, init: str, lengths, n_seq: int,
     the decay gate, lambda_10 during it, and lambda_00 afterwards.  The error
     channel (including on the recovery gate) is the product of per-spectator
     diagonal channels.  The 'experimental' frame divides out the ground-state
-    ZZ phase per gate.
+    ZZ phase per gate.  `average_survival` is the exact mean of this process.
 
     Random numbers are drawn per sequence, in order: the m gate indices, then
     one decay time per excited (branch, spectator) pair.  All sequences of
     one length are then propagated together as a (sequence, branch) batch,
     one gate position at a time.
     """
-    if frame not in ("bare", "experimental"):
-        raise ValueError(f"unknown frame {frame!r}")
-    lengths = np.asarray(lengths, dtype=int)
-    if np.any(lengths < 1):
-        raise ValueError("RB sequence lengths must be >= 1")
+    lam00, lam11, lam10 = _gate_eigenvalues(device, t_gate, frame)
+    lengths = _rb_lengths(lengths)
     group = clifford_group()
     unitaries = np.stack(group.unitaries)
     rng = np.random.Generator(np.random.Philox(key=seed))
 
     n_spec = device.n_spectators
-    nus = device.nus
     gammas = device.spectator_gammas
-    frame_phase = np.exp(-2j * nus * t_gate) if frame == "experimental" \
-        else np.ones(n_spec, dtype=complex)
-    lam00 = np.array([lambda_analytic(0, 0, nu, g, t_gate)
-                      for nu, g in zip(nus, gammas)]) * frame_phase
-    lam11 = np.array([lambda_analytic(1, 1, nu, g, t_gate)
-                      for nu, g in zip(nus, gammas)]) * frame_phase
-    lam10 = np.array([lambda_analytic(1, 0, nu, g, t_gate) if g > 0
-                      else lam11[k] for k, (nu, g) in
-                      enumerate(zip(nus, gammas))]) * frame_phase
 
     branches = _branch_weights(init, n_spec)
     n_branch = len(branches)

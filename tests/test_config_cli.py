@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from sdid import (ConfigError, config_from_dict, device_from_dict,
-                  device_to_dict, fit_exponential, nu_from_4nu_khz)
+from sdid import (ConfigError, average_survival, config_from_dict,
+                  device_from_dict, device_to_dict, fit_exponential,
+                  load_config, nu_from_4nu_khz)
 from sdid.cli import main
 
 DEVICE_A = {
@@ -115,6 +116,27 @@ def test_seed_must_be_a_non_negative_integer(tmp_path):
         assert result.output.strip().splitlines() == [
             "Error: field 'seed' must be an integer in [0, 2**128), got -1"]
         assert not out.exists()
+
+
+def test_infinite_values_are_rejected(tmp_path):
+    # Python's json reads Infinity; a non-finite time would fill the CSV
+    # with nan and inf.
+    device = json.dumps(DEVICE_A)
+    for text, field in (
+            (f'{{"device": {device}, "tmax_us": Infinity}}', "'tmax_us'"),
+            ('{"device": {"control": {"t2_us": 100.0}, "spectators": '
+             '[{"t1_us": Infinity, "zz_4nu_khz": 45.0}]}}',
+             "'device.spectators[0].t1_us'")):
+        path = tmp_path / "inf.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(field) + " must be "
+                           "finite, got inf"):
+            load_config(path)
+        result = CliRunner().invoke(main, [
+            "ramsey", "--config", str(path), "--out", str(tmp_path / "r.csv")])
+        assert result.exit_code != 0
+        assert result.output.startswith(f"Error: field {field}")
+        assert not (tmp_path / "r.csv").exists()
 
 
 def test_list_and_count_fields_name_the_field():
@@ -368,6 +390,41 @@ def test_cli_rb_fit_pins_the_offset(tmp_path):
     assert refit["converged"] is True
     assert refit["params"]["offset"] == 0.5
     assert abs(refit["params"]["epc"] - fit["epc"]) <= 1e-12
+
+
+def test_cli_rb_writes_the_exact_average(tmp_path):
+    cfg = _write_config(tmp_path / "b.json", DEVICE_B, seed=3)
+    out = tmp_path / "rb.csv"
+    result = CliRunner().invoke(main, [
+        "rb", "--config", cfg, "--init", "plus", "--lengths", "1,20,60,120",
+        "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    parsed = load_config(cfg)
+    curve = average_survival(parsed.device, "plus", [1, 20, 60, 120],
+                             t_gate=parsed.t_gate)
+    # The exact average has no sampling error, so `stderr` stays empty.
+    want = "length,survival,stderr\n" + "".join(
+        f"{m},{float(s)!r},\n" for m, s in zip(curve.lengths, curve.survival))
+    assert out.read_text() == want
+
+
+def test_cli_fit_reports_short_inputs_in_one_line(tmp_path):
+    cfg = _write_config(tmp_path / "a.json", DEVICE_A)
+    ramsey = tmp_path / "ramsey.csv"
+    result = CliRunner().invoke(main, [
+        "ramsey", "--config", cfg, "--points", "2", "--out", str(ramsey)])
+    assert result.exit_code == 0, result.output
+    rb = tmp_path / "rb.csv"
+    rb.write_text("length,survival,stderr\n1,0.99,\n20,0.9,\n1,0.98,\n")
+    for args, message in (
+            (["--in", str(ramsey)],
+             "Error: engine 'analytic': fit_exponential needs at least 4 "
+             "points"),
+            (["--in", str(rb), "--kind", "rb"],
+             f"Error: {rb}: fit_rb needs at least 3 distinct lengths")):
+        result = CliRunner().invoke(main, ["fit"] + args)
+        assert result.exit_code != 0
+        assert result.output.strip().splitlines() == [message]
 
 
 def test_cli_derive_table_matches_closed_forms(tmp_path):

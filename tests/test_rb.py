@@ -1,11 +1,13 @@
-"""Conditional channels, Clifford group, and RB simulation."""
+"""Conditional channels, Clifford group, and the two RB engines."""
+
+from functools import partial
 
 import numpy as np
 import pytest
 
 from sdid import (DeviceModel, ForbiddenTransitionError, QubitParams,
-                  clifford_group, conditional_channel, fit_rb,
-                  lambda_analytic, p_experimental, rb_decay_constant,
+                  average_survival, clifford_group, conditional_channel,
+                  fit_rb, lambda_analytic, p_experimental, rb_decay_constant,
                   simulate_rb, transition_probability)
 from sdid import operators as ops
 
@@ -158,13 +160,67 @@ def test_relaxation_barely_shifts_decay_constant():
 
 
 def test_rb_input_validation(device_b):
-    with pytest.raises(ValueError):
-        simulate_rb(device_b, "111", [0, 5], n_seq=2, t_gate=50e-9)
-    with pytest.raises(ValueError):
-        simulate_rb(device_b, "111", [1, 5], n_seq=2, t_gate=50e-9,
-                    frame="lab")
-    with pytest.raises(ValueError):
-        simulate_rb(device_b, "2", [1, 5], n_seq=2, t_gate=50e-9)
+    for engine in (partial(simulate_rb, n_seq=2), average_survival):
+        with pytest.raises(ValueError):
+            engine(device_b, "111", [0, 5], t_gate=50e-9)
+        with pytest.raises(ValueError):
+            engine(device_b, "111", [1, 5], t_gate=50e-9, frame="lab")
+        with pytest.raises(ValueError):
+            engine(device_b, "2", [1, 5], t_gate=50e-9)
+
+
+def test_exact_average_zero_preparation_survives(device_b):
+    # All-ground spectators: the experimental frame removes the only error.
+    curve = average_survival(device_b, "zero", [1, 50, 400, 1600],
+                             t_gate=20e-9)
+    assert np.max(np.abs(curve.survival - 1.0)) <= 1e-12
+    assert curve.stderr is None and curve.n_seq is None
+
+
+def test_exact_average_of_frozen_excited_spectator():
+    # The closed form of `test_frozen_excited_spectator_bare_frame_decay`:
+    # every gate twirls lambda_11 = e^{-2 i nu t} to p = (1 + 2 cos(2 nu t))/3.
+    nu, t_gate = 2 * np.pi * 275000.0, 50e-9
+    lengths = [400, 1, 25, 10, 25]
+    curve = average_survival(_rb_device(nu=nu, gamma=0.0), "1", lengths,
+                             t_gate=t_gate, frame="bare")
+    p = (1.0 + 2.0 * np.cos(2.0 * nu * t_gate)) / 3.0
+    expected = 0.5 + 0.5 * p ** np.array(lengths)
+    assert np.allclose(curve.survival, expected, rtol=0.0, atol=1e-12)
+    assert list(curve.lengths) == lengths
+
+
+def test_exact_average_sums_the_spectator_histories():
+    # One spectator in |1>, two gates: it survives both (p11 p11), decays
+    # in the second (p11 p10) or decays in the first (p10 p00).
+    nu, gamma, t_gate = 2 * np.pi * 40000.0, 1.0 / 20e-6, 3e-6
+    device = _rb_device(nu=nu, gamma=gamma)
+    q = np.exp(-gamma * t_gate)
+    frame = np.exp(-2j * nu * t_gate)
+    p = {key: (1.0 + 2.0 * (lambda_analytic(*key, nu, gamma, t_gate)
+                            * frame).real) / 3.0
+         for key in ((0, 0), (1, 1), (1, 0))}
+    decaying = {1: q * p[1, 1] + (1 - q) * p[1, 0],
+                2: (q * q * p[1, 1] ** 2 + q * (1 - q) * p[1, 1] * p[1, 0]
+                    + (1 - q) * p[1, 0] * p[0, 0])}
+    curve = average_survival(device, "one", [2, 1], t_gate=t_gate)
+    assert np.allclose(curve.survival, [0.5 + 0.5 * decaying[2],
+                                        0.5 + 0.5 * decaying[1]],
+                       rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("frame", ["experimental", "bare"])
+@pytest.mark.parametrize("init", ["one", "plus"])
+def test_simulation_matches_exact_average_when_decays_matter(device_b, init,
+                                                             frame):
+    # At 2 us per gate a spectator often decays within a sequence, so every
+    # transition of the exact chain carries weight.
+    lengths = [1, 5, 20, 60]
+    exact = average_survival(device_b, init, lengths, t_gate=2e-6,
+                             frame=frame)
+    sim = simulate_rb(device_b, init, lengths, n_seq=2000, t_gate=2e-6,
+                      frame=frame, seed=9)
+    assert np.all(np.abs(sim.survival - exact.survival) <= 4.0 * sim.stderr)
 
 
 def test_rb_reproducible_per_seed(device_b):
