@@ -9,9 +9,8 @@ builders (`derivations`), curve fitting (`fitting`), and a CLI (`cli`).
 
 __version__ = "0.1.0"
 
-from .analytic import (CoherenceTrace, PulseSequence, build_cpmg, coherence,
-                       cpmg_effective, heuristic_rate, phase_bounds,
-                       ramsey_trace)
+from .analytic import (coherence, cpmg_effective, heuristic_rate,
+                       phase_bounds, ramsey_trace)
 from .config import (ConfigError, ExperimentConfig, config_from_dict,
                      config_to_dict, device_from_dict, device_to_dict,
                      load_config, nu_from_4nu_khz)
@@ -21,9 +20,10 @@ from .derivations import (BathSpectrum, BohrTerm, Cluster, RateMatrix,
                           two_qubit_cetcg_reference, two_qubit_coupling,
                           two_qubit_hamiltonian)
 from .fitting import FitResult, fit_exponential, fit_rb
-from .model import (DeviceModel, LiouvillianBundle, PhysicalityError,
-                    QubitParams, build_hamiltonian, build_liouvillian,
-                    control_coherence, parse_spectator_init,
+from .model import (CoherenceTrace, DeviceModel, LiouvillianBundle,
+                    PhysicalityError, PulseSequence, QubitParams,
+                    build_cpmg, build_hamiltonian, build_liouvillian,
+                    control_coherence, lindblad_trace, parse_spectator_init,
                     propagate, ramsey_initial_state)
 from .rb import (CliffordGroup, ConditionalChannel, ForbiddenTransitionError,
                  RBCurve, average_survival, clifford_group,
@@ -33,8 +33,8 @@ from .trajectory import EnsembleSpec, ensemble_coherence, ensemble_trace
 
 __all__ = [
     "__version__",
-    "CoherenceTrace", "PulseSequence", "build_cpmg", "coherence",
-    "cpmg_effective", "heuristic_rate", "phase_bounds", "ramsey_trace",
+    "coherence", "cpmg_effective", "heuristic_rate", "phase_bounds",
+    "ramsey_trace",
     "ConfigError", "ExperimentConfig", "config_from_dict", "config_to_dict",
     "device_from_dict", "device_to_dict", "load_config", "nu_from_4nu_khz",
     "BathSpectrum", "BohrTerm", "Cluster", "RateMatrix", "bohr_spectrum",
@@ -42,8 +42,9 @@ __all__ = [
     "cluster_bohr", "two_qubit_cetcg_reference", "two_qubit_coupling",
     "two_qubit_hamiltonian",
     "FitResult", "fit_exponential", "fit_rb",
-    "DeviceModel", "LiouvillianBundle", "PhysicalityError", "QubitParams",
-    "build_hamiltonian", "build_liouvillian", "control_coherence",
+    "CoherenceTrace", "DeviceModel", "LiouvillianBundle", "PhysicalityError",
+    "PulseSequence", "QubitParams", "build_cpmg", "build_hamiltonian",
+    "build_liouvillian", "control_coherence", "lindblad_trace",
     "parse_spectator_init", "propagate", "ramsey_initial_state",
     "CliffordGroup", "ConditionalChannel", "ForbiddenTransitionError",
     "RBCurve", "average_survival", "clifford_group", "conditional_channel",

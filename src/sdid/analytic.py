@@ -1,12 +1,13 @@
 """Closed-form coherence of a control qubit dephased by decaying spectators.
 
-A pi-pulse train enters through its parity integral P(t) (`PulseSequence`):
-slope s_k = +-1 and P(a_k) = p_k on segment k = [a_k, b_k]; Ramsey has no
-pulses, P(t) = t.  The coherence factorizes over spectators.  One that keeps
-its state adds a static phase: e^{-2i nu P(T)} in |0>, e^{+2i nu P(T)} in |1>
-with gamma = 0.  One that decays at t_d ~ Exp(gamma) adds the phase
-2 nu (P(T) - 2 P(min(t_d, T))), whose average is exact because P is
-piecewise linear: with c_k = -gamma + 4i nu s_k,
+A pi-pulse train enters through its parity integral P(t)
+(`model.PulseSequence`): slope s_k = +-1 and P(a_k) = p_k on segment
+k = [a_k, b_k]; Ramsey has no pulses, P(t) = t.  The coherence factorizes
+over spectators.  One that keeps its state adds a static phase:
+e^{-2i nu P(T)} in |0>, e^{+2i nu P(T)} in |1> with gamma = 0.  One that
+decays at t_d ~ Exp(gamma) adds the phase 2 nu (P(T) - 2 P(min(t_d, T))),
+whose average is exact because P is piecewise linear: with
+c_k = -gamma + 4i nu s_k,
 
     E[e^{-i phi}] = e^{-2i nu P(T)} [sum_k gamma e^{4i nu (p_k - s_k a_k)}
         (e^{c_k b_k} - e^{c_k a_k}) / c_k + e^{-gamma T + 4i nu P(T)}],
@@ -20,73 +21,10 @@ Cywinski et al., PRB 77, 174509 (2008), exact for one decay per spectator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .model import DeviceModel, SpectatorInit, parse_spectator_init
-
-
-@dataclass(frozen=True)
-class CoherenceTrace:
-    """Time grid plus complex coherence values normalized to start at 1.
-
-    `stderr` is the per-point standard error for Monte-Carlo traces, None for
-    deterministic engines.
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-    stderr: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class PulseSequence:
-    """Instantaneous pi-pulse times inside a window of length total_time.
-
-    The train's geometry is its parity integral
-    P(t) = integral from 0 to t of (-1)^(#pulses before t'), 0 <= t <= T.
-    Segment k starts at `starts[k]` (0, then the pulses), P is linear with
-    slope `signs[k]` inside it, `p_starts[k]` is P at its start, and
-    `p_total` is P(T): T for Ramsey, 0 for CPMG.
-    """
-
-    total_time: float
-    pulse_times: tuple[float, ...] = ()
-    starts: np.ndarray = field(init=False, repr=False, compare=False)
-    signs: np.ndarray = field(init=False, repr=False, compare=False)
-    p_starts: np.ndarray = field(init=False, repr=False, compare=False)
-    p_total: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # Negated comparisons, so that NaN fails them.
-        if not 0 < self.total_time < np.inf:
-            raise ValueError("total_time must be positive and finite")
-        pt = tuple(float(t) for t in self.pulse_times)
-        starts = np.array((0.0,) + pt)
-        if not np.all(np.diff(np.append(starts, self.total_time)) > 0):
-            raise ValueError("pulse times must increase strictly in (0, T)")
-        signs = (-1.0) ** np.arange(starts.size)
-        p_starts = np.concatenate(
-            ([0.0], np.cumsum(signs[:-1] * np.diff(starts))))
-        p_total = p_starts[-1] + signs[-1] * (self.total_time - starts[-1])
-        for name, value in (("pulse_times", pt), ("starts", starts),
-                            ("signs", signs), ("p_starts", p_starts),
-                            ("p_total", p_total)):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def ramsey(cls, total_time: float) -> "PulseSequence":
-        return cls(total_time=total_time)
-
-
-def build_cpmg(total_time: float, n: int) -> PulseSequence:
-    """CPMG_n: n+1 equidistant pulses at (k + 1/2) T / (n+1)."""
-    if n < 0:
-        raise ValueError("CPMG order must be >= 0")
-    tau = total_time / (n + 1)
-    pulses = tuple((k + 0.5) * tau for k in range(n + 1))
-    return PulseSequence(total_time=total_time, pulse_times=pulses)
+from .model import (CoherenceTrace, DeviceModel, PulseSequence, SpectatorInit,
+                    build_cpmg, parse_spectator_init)
 
 
 def _coherence(device: DeviceModel, s: SpectatorInit, seq: PulseSequence,

@@ -8,9 +8,11 @@ master-equation coefficients), and `fit` (re-fit a CSV produced by the other
 subcommands).
 
 Every run writes a CSV plus a JSON sidecar (resolved config, fitted
-parameters, seed, version).  Identical config and seed give byte-identical
-CSV output.  A configuration error ends the command with a one-line message
-that names the field.
+parameters, seed, version).  Each experiment's runner only computes: it
+returns the CSV header and rows and the sidecar fields of its own, and
+`run` adds the resolved config and version and writes both files.
+Identical config and seed give byte-identical CSV output.  A configuration
+error ends the command with a one-line message that names the field.
 """
 
 from __future__ import annotations
@@ -24,18 +26,24 @@ import numpy as np
 
 from . import __version__
 from . import analytic, trajectory
+# The traced benchmark run (perfbench/tracing.py) points build_liouvillian,
+# control_coherence, parse_spectator_init, propagate, ramsey_initial_state,
+# fit_exponential, fit_rb, simulate_rb and load_config here at their traced
+# originals, and fails unless each name is still the object imported below.
+# So they stay, even those this module does not call.
 from .config import (ConfigError, ExperimentConfig, config_from_dict,
                      config_to_dict, load_config)
 from .derivations import (BathSpectrum, bohr_spectrum, build_cetcg,
                           cluster_bohr, sinc, two_qubit_cetcg_reference,
                           two_qubit_coupling, two_qubit_hamiltonian)
 from .fitting import fit_exponential, fit_rb
-from .model import (build_liouvillian, control_coherence,
+from .model import (build_liouvillian, control_coherence, lindblad_trace,
                     parse_spectator_init, propagate, ramsey_initial_state)
-# `simulate_rb` stays importable from here: the traced benchmark run
-# (perfbench/tracing.py) patches `sdid.cli.simulate_rb`.
 from .rb import average_survival, simulate_rb
 from .trajectory import EnsembleSpec
+
+# What a runner returns: CSV header, CSV rows, and its own sidecar fields.
+Table = tuple[list[str], list[list], dict]
 
 
 def _fmt(x) -> str:
@@ -44,79 +52,49 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+def _json(payload: dict) -> str:
+    """The JSON text of a sidecar or of a `fit` result."""
+    return json.dumps(payload, indent=2, sort_keys=True, default=float)
 
 
-def _write_sidecar(path: Path, payload: dict) -> None:
-    sidecar = path.with_suffix(path.suffix + ".meta.json")
-    sidecar.write_text(json.dumps(payload, indent=2, sort_keys=True,
-                                  default=float) + "\n")
-
-
-def _lindblad_trace(device, s, times) -> np.ndarray:
-    bundle = build_liouvillian(device)
-    rho0 = ramsey_initial_state(device, s)
-    states = propagate(bundle, rho0, times)
-    # Normalized so the trace starts at 1 (raw initial coherence is 1/2).
-    return 2.0 * np.array([control_coherence(r) for r in states])
-
-
-def run_ramsey(cfg: ExperimentConfig, out: Path) -> dict:
+def run_ramsey(cfg: ExperimentConfig) -> Table:
     device = cfg.device
     s = parse_spectator_init(cfg.spectator_init, device.n_spectators)
     tmax = (cfg.tmax_us or 500.0) * 1e-6
     times = np.linspace(0.0, tmax, cfg.points)
+    ens = EnsembleSpec(n_traj=cfg.n_traj, seed=cfg.seed)
+    # One trace call per engine, all of one shape.  The engine functions are
+    # looked up at call time, so a patched one is the one called.
+    traces = {"analytic": lambda: analytic.ramsey_trace(device, s, times),
+              "lindblad": lambda: lindblad_trace(device, s, times),
+              "trajectory": lambda: trajectory.ensemble_trace(
+                  device, s, times, ens)}
+    results = [(engine, traces[engine]()) for engine in cfg.engines]
+    rows = [[t * 1e6, v.real, v.imag, abs(v), engine,
+             "" if tr.stderr is None else tr.stderr[k]]
+            for engine, tr in results
+            for k, (t, v) in enumerate(zip(times, tr.values))]
+    header = ["time_us", "coh_re", "coh_im", "coh_abs", "engine",
+              "stderr_abs"]
 
-    def compute(engine):
-        if engine == "analytic":
-            values = analytic.ramsey_trace(device, s, times).values
-            return engine, values, None
-        if engine == "lindblad":
-            return engine, _lindblad_trace(device, s, times), None
-        if engine == "trajectory":
-            tr = trajectory.ensemble_trace(
-                device, s, times, EnsembleSpec(n_traj=cfg.n_traj,
-                                               seed=cfg.seed))
-            return engine, tr.values, tr.stderr
-        raise ConfigError(f"unknown engine {engine!r}")
-
-    results = [compute(engine) for engine in cfg.engines]
-
-    rows = []
-    for engine, values, stderr in results:
-        for k, t in enumerate(times):
-            rows.append([t * 1e6, values[k].real, values[k].imag,
-                         abs(values[k]), engine,
-                         "" if stderr is None else stderr[k]])
-    _write_csv(out, ["time_us", "coh_re", "coh_im", "coh_abs", "engine",
-                     "stderr_abs"], rows)
-
-    meta: dict = {"resolved_config": config_to_dict(cfg),
-                  "sdid_version": __version__, "fits": {}, "cross_checks": {}}
-    by_engine = {engine: values for engine, values, _ in results}
+    fields: dict = {"fits": {}, "cross_checks": {}}
+    by_engine = {engine: trace.values for engine, trace in results}
     for engine, values in by_engine.items():
         mags = np.abs(values)
         if np.all(mags > 0) and times.size >= 4:
             fit = fit_exponential(times, mags)
-            meta["fits"][engine] = {"t2_us": fit.params["t2"] * 1e6,
-                                    "rate_per_s": fit.params["rate"],
-                                    "converged": fit.converged}
-    if "analytic" in by_engine and "lindblad" in by_engine:
-        meta["cross_checks"]["analytic_vs_lindblad_max_abs_diff"] = float(
-            np.max(np.abs(by_engine["analytic"] - by_engine["lindblad"])))
-    if "analytic" in by_engine and "trajectory" in by_engine:
-        meta["cross_checks"]["analytic_vs_trajectory_max_abs_diff"] = float(
-            np.max(np.abs(by_engine["analytic"] - by_engine["trajectory"])))
-    _write_sidecar(out, meta)
-    return meta
+            fields["fits"][engine] = {"t2_us": fit.params["t2"] * 1e6,
+                                      "rate_per_s": fit.params["rate"],
+                                      "converged": fit.converged}
+    for other in ("lindblad", "trajectory"):
+        if "analytic" in by_engine and other in by_engine:
+            diff = by_engine["analytic"] - by_engine[other]
+            fields["cross_checks"][f"analytic_vs_{other}_max_abs_diff"] = (
+                float(np.max(np.abs(diff))))
+    return header, rows, fields
 
 
-def run_cpmg(cfg: ExperimentConfig, out: Path) -> dict:
+def run_cpmg(cfg: ExperimentConfig) -> Table:
     device = cfg.device
     s = parse_spectator_init(cfg.spectator_init, device.n_spectators)
     tmax = (cfg.tmax_us * 1e-6 if cfg.tmax_us
@@ -131,29 +109,22 @@ def run_cpmg(cfg: ExperimentConfig, out: Path) -> dict:
         return n, values, fit
 
     results = [compute(n) for n in cfg.orders]
-    rows = []
-    for n, values, _ in results:
-        for k, t in enumerate(times):
-            rows.append([n, t * 1e6, values[k].real, values[k].imag,
-                         abs(values[k]), "analytic", ""])
-    _write_csv(out, ["cpmg_n", "time_us", "coh_re", "coh_im", "coh_abs",
-                     "engine", "stderr_abs"], rows)
-    meta = {"resolved_config": config_to_dict(cfg),
-            "sdid_version": __version__,
-            "fitted_t2_us": {str(n): fit.params["t2"] * 1e6
-                             for n, _, fit in results},
-            "fit_converged": {str(n): fit.converged
-                              for n, _, fit in results},
-            # T2 is not monotone in the order: report window and residuals.
-            "fit_residual": {str(n): fit.residual_norm
-                             for n, _, fit in results},
-            "tmax_us": tmax * 1e6,
-            "tmax_scaling": "5x heuristic decay time unless tmax_us given"}
-    _write_sidecar(out, meta)
-    return meta
+    rows = [[n, t * 1e6, v.real, v.imag, abs(v), "analytic", ""]
+            for n, values, _ in results for t, v in zip(times, values)]
+    header = ["cpmg_n", "time_us", "coh_re", "coh_im", "coh_abs", "engine",
+              "stderr_abs"]
+    fits = {str(n): fit for n, _, fit in results}
+    fields = {"fitted_t2_us": {n: f.params["t2"] * 1e6
+                               for n, f in fits.items()},
+              "fit_converged": {n: f.converged for n, f in fits.items()},
+              # T2 is not monotone in the order: report window and residuals.
+              "fit_residual": {n: f.residual_norm for n, f in fits.items()},
+              "tmax_us": tmax * 1e6,
+              "tmax_scaling": "5x heuristic decay time unless tmax_us given"}
+    return header, rows, fields
 
 
-def run_rb(cfg: ExperimentConfig, out: Path) -> dict:
+def run_rb(cfg: ExperimentConfig) -> Table:
     # The exact sequence average samples nothing, so `n_seq` and `seed` are
     # not read and the `stderr` column stays empty.
     curve = average_survival(cfg.device, cfg.spectator_init, cfg.lengths,
@@ -163,18 +134,14 @@ def run_rb(cfg: ExperimentConfig, out: Path) -> dict:
     fit = fit_rb(curve.lengths, curve.survival, offset=0.5)
     rows = [[int(m), surv, ""]
             for m, surv in zip(curve.lengths, curve.survival)]
-    _write_csv(out, ["length", "survival", "stderr"], rows)
-    meta = {"resolved_config": config_to_dict(cfg),
-            "sdid_version": __version__,
-            "fit": {"p": fit.params["p"], "epc": fit.params["epc"],
-                    "amplitude": fit.params["amplitude"],
-                    "offset": fit.params["offset"],
-                    "p_stderr": fit.stderr["p"], "converged": fit.converged}}
-    _write_sidecar(out, meta)
-    return meta
+    fields = {"fit": {"p": fit.params["p"], "epc": fit.params["epc"],
+                      "amplitude": fit.params["amplitude"],
+                      "offset": fit.params["offset"],
+                      "p_stderr": fit.stderr["p"], "converged": fit.converged}}
+    return ["length", "survival", "stderr"], rows, fields
 
 
-def run_derive(cfg: ExperimentConfig, out: Path) -> dict:
+def run_derive(cfg: ExperimentConfig) -> Table:
     # Dimensionless sweep: nu = 1, gamma = 1, tau_c = nu_tauc / nu.
     nu, gamma = 1.0, 1.0
     omega0, omega1 = 500.0, 700.0
@@ -194,14 +161,11 @@ def run_derive(cfg: ExperimentConfig, out: Path) -> dict:
         coef_cross = 0.5 * gamma * float(
             np.sin(2.0 * nu * tau_c) * sinc(2.0 * nu * tau_c))
         rows.append([x, coef_plus, coef_minus, coef_cross, diff])
-    _write_csv(out, ["nu_tauc", "coef_uncorrelated", "coef_correlated",
-                     "coef_cross", "builder_vs_reference_max_abs_diff"], rows)
-    meta = {"resolved_config": config_to_dict(cfg),
-            "sdid_version": __version__,
-            "note": "coefficients of D[I(x)sm], D[Zs(x)sm], and the cross "
-                    "sandwich term versus nu*tau_c"}
-    _write_sidecar(out, meta)
-    return meta
+    header = ["nu_tauc", "coef_uncorrelated", "coef_correlated",
+              "coef_cross", "builder_vs_reference_max_abs_diff"]
+    fields = {"note": "coefficients of D[I(x)sm], D[Zs(x)sm], and the cross "
+                      "sandwich term versus nu*tau_c"}
+    return header, rows, fields
 
 
 _RUNNERS = {"ramsey": run_ramsey, "cpmg": run_cpmg, "rb": run_rb,
@@ -209,9 +173,18 @@ _RUNNERS = {"ramsey": run_ramsey, "cpmg": run_cpmg, "rb": run_rb,
 
 
 def run(cfg: ExperimentConfig) -> dict:
+    """Run the experiment, write its CSV and sidecar; returns the sidecar."""
     if cfg.out is None:
         raise ConfigError("field 'out' is required to run an experiment")
-    return _RUNNERS[cfg.experiment](cfg, Path(cfg.out))
+    out = Path(cfg.out)
+    header, rows, fields = _RUNNERS[cfg.experiment](cfg)
+    meta = {"resolved_config": config_to_dict(cfg),
+            "sdid_version": __version__, **fields}
+    with open(out, "w", newline="\n") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            [header] + [[_fmt(x) for x in row] for row in rows])
+    out.with_suffix(out.suffix + ".meta.json").write_text(_json(meta) + "\n")
+    return meta
 
 
 def _base_config(config_path, **overrides) -> ExperimentConfig:
@@ -353,19 +326,34 @@ def fit(in_path, kind, out):
     with open(in_path) as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)
+    header = reader.fieldnames or []
+
+    def column(name, convert):
+        if name not in header:
+            raise click.ClickException(f"{in_path}: no column {name!r}")
+        try:
+            return [convert(r[name]) for r in rows]
+        except (TypeError, ValueError):
+            raise click.ClickException(
+                f"{in_path}: column {name!r} has an entry that is not "
+                f"{convert.__name__}") from None
+
     if kind == "exponential":
+        orders = (column("cpmg_n", int) if "cpmg_n" in header
+                  else [None] * len(rows))
         groups: dict = {}
-        for r in rows:
-            groups.setdefault((r["engine"], r.get("cpmg_n")), []).append(r)
+        for key, t_us, mag in zip(zip(column("engine", str), orders),
+                                  column("time_us", float),
+                                  column("coh_abs", float)):
+            groups.setdefault(key, []).append((t_us, mag))
         fits = []
         for (engine, order), group in groups.items():
-            times = np.array([float(r["time_us"]) for r in group]) * 1e-6
-            mags = np.array([float(r["coh_abs"]) for r in group])
+            t_us, mags = np.array(group).T
             # Pinned as in `run_cpmg`, so the re-fit reproduces the run's
             # sidecar; Ramsey rows keep the free offset of `run_ramsey`.
             try:
                 result = fit_exponential(
-                    times, mags, offset=None if order is None else 0.0)
+                    t_us * 1e-6, mags, offset=None if order is None else 0.0)
             except ValueError as exc:
                 name = f"engine {engine!r}" + (
                     "" if order is None else f", cpmg_n {order}")
@@ -375,12 +363,12 @@ def fit(in_path, kind, out):
                      "t2_us": result.params["t2"] * 1e6,
                      "params": result.params, "stderr": result.stderr}
             if order is not None:
-                entry["cpmg_n"] = int(order)
+                entry["cpmg_n"] = order
             fits.append(entry)
         payload = {"fits": fits}
     else:
-        lengths = np.array([int(r["length"]) for r in rows])
-        survival = np.array([float(r["survival"]) for r in rows])
+        lengths = np.array(column("length", int))
+        survival = np.array(column("survival", float))
         # Pinned as in `run_rb`, so the re-fit reproduces the run's sidecar.
         try:
             result = fit_rb(lengths, survival, offset=0.5)
@@ -388,7 +376,7 @@ def fit(in_path, kind, out):
             raise click.ClickException(f"{in_path}: {exc}") from None
         payload = {"model": result.model, "converged": result.converged,
                    "params": result.params, "stderr": result.stderr}
-    text = json.dumps(payload, indent=2, sort_keys=True, default=float)
+    text = _json(payload)
     if out:
         Path(out).write_text(text + "\n")
         click.echo(f"wrote {out}")

@@ -300,30 +300,6 @@ def two_qubit_cetcg_reference(nu: float, tau_c: float,
     return LiouvillianBundle(hamiltonian=h, jump_terms=jumps, sectors=whole)
 
 
-def cetcg_rate_quadrature(omega: float, omega_p: float, tau_c: float,
-                          tau_b: float | None = None,
-                          gamma_bar: float = 1.0,
-                          n_points: int = 800) -> complex:
-    """Diagnostic: evaluate the coarse-grained rate by direct double quadrature.
-
-    Uses an exponentially decaying bath correlation with timescale tau_b
-    (default tau_c / 100) normalized so that the flat-spectrum rate is
-    gamma_bar; agreement with :func:`cetcg_rate` is up to O(tau_b / tau_c)
-    corrections and the Lamb-shift term neglected in the closed form.
-    """
-    tau_b = tau_b if tau_b is not None else tau_c / 100.0
-    # C(u) = gamma_bar / (2 tau_b) exp(-|u| / tau_b): integral over u gives
-    # gamma_bar, so Gamma(Omega) ~ gamma_bar for |Omega| tau_b << 1.
-    nodes, weights = np.polynomial.legendre.leggauss(n_points)
-    s = 0.5 * tau_c * (nodes + 1.0)
-    w = 0.5 * tau_c * weights
-    corr = (gamma_bar / (2.0 * tau_b)
-            * np.exp(-np.abs(s[:, None] - s[None, :]) / tau_b))
-    phase = np.exp(1j * (omega_p * s[:, None] - omega * s[None, :]))
-    integral = w @ (corr * phase) @ w
-    return complex(integral / tau_c)
-
-
 def choi_matrix(superop: np.ndarray) -> np.ndarray:
     """Choi matrix sum_ij |i><j| (x) E(|i><j|) of a channel superoperator."""
     d = int(round(np.sqrt(superop.shape[0])))

@@ -6,6 +6,10 @@ interactions, each qubit with its own relaxation and pure dephasing rate.
 This module builds the Hamiltonian ``H = sum_j nu_j Z_0 Z_j`` (rotating
 frame, no self-energies) and the Liouvillian, and propagates density
 matrices exactly with optional instantaneous X pi pulses on the control.
+It also holds the types the three engines share: the pi-pulse train
+(`PulseSequence`, `build_cpmg`) and the coherence trace (`CoherenceTrace`).
+`lindblad_trace` is this engine's counterpart of `analytic.ramsey_trace` and
+`trajectory.ensemble_trace`.
 
 The Liouvillian is never built as a dense 4^(N+1) matrix.  Its sectors
 (sets of vec(rho) indices that no term of H or of the jumps connects to the
@@ -22,7 +26,7 @@ Internal units: rates in 1/s, couplings nu in rad/s, times in s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -128,6 +132,68 @@ def parse_spectator_init(s, n_spectators: int) -> SpectatorInit:
     if any(b not in (0, 1) for b in bits):
         raise ValueError("spectator_init bits must be 0 or 1")
     return bits
+
+
+@dataclass(frozen=True)
+class PulseSequence:
+    """Instantaneous pi-pulse times inside a window of length total_time.
+
+    The train's geometry is its parity integral
+    P(t) = integral from 0 to t of (-1)^(#pulses before t'), 0 <= t <= T.
+    Segment k starts at `starts[k]` (0, then the pulses), P is linear with
+    slope `signs[k]` inside it, `p_starts[k]` is P at its start, and
+    `p_total` is P(T): T for Ramsey, 0 for CPMG.
+    """
+
+    total_time: float
+    pulse_times: tuple[float, ...] = ()
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
+    signs: np.ndarray = field(init=False, repr=False, compare=False)
+    p_starts: np.ndarray = field(init=False, repr=False, compare=False)
+    p_total: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Negated comparisons, so that NaN fails them.
+        if not 0 < self.total_time < np.inf:
+            raise ValueError("total_time must be positive and finite")
+        pt = tuple(float(t) for t in self.pulse_times)
+        starts = np.array((0.0,) + pt)
+        if not np.all(np.diff(np.append(starts, self.total_time)) > 0):
+            raise ValueError("pulse times must increase strictly in (0, T)")
+        signs = (-1.0) ** np.arange(starts.size)
+        p_starts = np.concatenate(
+            ([0.0], np.cumsum(signs[:-1] * np.diff(starts))))
+        p_total = p_starts[-1] + signs[-1] * (self.total_time - starts[-1])
+        for name, value in (("pulse_times", pt), ("starts", starts),
+                            ("signs", signs), ("p_starts", p_starts),
+                            ("p_total", p_total)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def ramsey(cls, total_time: float) -> "PulseSequence":
+        return cls(total_time=total_time)
+
+
+def build_cpmg(total_time: float, n: int) -> PulseSequence:
+    """CPMG_n: n+1 equidistant pulses at (k + 1/2) T / (n+1)."""
+    if n < 0:
+        raise ValueError("CPMG order must be >= 0")
+    tau = total_time / (n + 1)
+    pulses = tuple((k + 0.5) * tau for k in range(n + 1))
+    return PulseSequence(total_time=total_time, pulse_times=pulses)
+
+
+@dataclass(frozen=True)
+class CoherenceTrace:
+    """Time grid plus complex coherence values normalized to start at 1.
+
+    `stderr` is the per-point standard error for Monte-Carlo traces, None for
+    deterministic engines.
+    """
+
+    times: np.ndarray
+    values: np.ndarray
+    stderr: np.ndarray | None = None
 
 
 # A block-diagonal operator on vec(rho), as one (indices, blocks) pair per
@@ -364,7 +430,7 @@ def propagate(bundle: LiouvillianBundle, rho0: np.ndarray,
     validate_density_matrix(rho0)
 
     n_qubits = int(round(np.log2(bundle.dim)))
-    pulses = list(pulse_times) if pulse_times else []
+    pulses = [] if pulse_times is None else list(pulse_times)
     if any(t2 <= t1 for t1, t2 in zip(pulses, pulses[1:])):
         raise ValueError("pulse times must be strictly increasing")
     t_end = times[-1]
@@ -419,3 +485,28 @@ def ramsey_initial_state(device: DeviceModel, s: SpectatorInit) -> np.ndarray:
         ket = ops.KET_1 if bit else ops.KET_0
         factors.append(np.outer(ket, ket.conj()))
     return ops.kron_all(factors)
+
+
+def lindblad_trace(device: DeviceModel, s: SpectatorInit, times,
+                   cpmg_order: int | None = None) -> CoherenceTrace:
+    """Lindblad-engine trace over a grid of total times, starting at 1.
+
+    The value is 2 Tr[rho_01] (the raw initial coherence is 1/2), so it is
+    1 at t = 0 up to rounding.  Ramsey propagates the sorted grid in one
+    call.  With `cpmg_order` set, every T > 0 is propagated on its own under
+    a CPMG_n train over [0, T], as in `analytic.ramsey_trace` and
+    `trajectory.ensemble_trace`.
+    """
+    times = np.asarray(times, dtype=float)
+    bundle = build_liouvillian(device)
+    rho0 = ramsey_initial_state(device, s)
+    if cpmg_order is None:
+        states = propagate(bundle, rho0, times)
+    else:
+        states = [rho0] * times.size
+        for k, T in enumerate(times):
+            if T != 0:
+                train = build_cpmg(T, cpmg_order).pulse_times
+                states[k] = propagate(bundle, rho0, [T], pulse_times=train)[0]
+    return CoherenceTrace(times=times, values=2.0 * np.array(
+        [control_coherence(rho) for rho in states]))

@@ -4,7 +4,7 @@ Each shot draws a relaxation time for every initially excited spectator,
 integrates the piecewise-constant Z-phase on the control (with sign flips at
 echo pulses), and contributes e^{-i phi}.  The ensemble average times the
 deterministic intrinsic envelope e^{-gamma_tilde T} reproduces the analytic
-coherence; with explicit pulse trains (`analytic.PulseSequence`) it is the
+coherence; with explicit pulse trains (`model.PulseSequence`) it is the
 independent cross-check of the closed-form pulse-train coherence.
 
 Sign convention: a spectator frozen in |0> yields the coherence factor
@@ -52,8 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import CoherenceTrace, PulseSequence, build_cpmg
-from .model import DeviceModel, SpectatorInit, parse_spectator_init
+from .model import (CoherenceTrace, DeviceModel, PulseSequence, SpectatorInit,
+                    build_cpmg, parse_spectator_init)
 
 # Shots per phase block.  The block's float temporaries (256 kB each) stay in
 # cache, and a block is long enough that the interpreter work per numpy call

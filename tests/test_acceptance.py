@@ -38,11 +38,11 @@ import sdid
 from sdid import (DeviceModel, EnsembleSpec, QubitParams, bohr_spectrum,
                   build_bmpsa, build_bmrwa, build_cetcg, build_liouvillian,
                   choi_matrix, cluster_bohr, conditional_channel,
-                  control_coherence, cpmg_effective, ensemble_trace,
-                  fit_exponential, fit_rb, heuristic_rate, lambda_analytic,
-                  propagate, ramsey_initial_state, ramsey_trace, simulate_rb,
-                  transition_probability, two_qubit_cetcg_reference,
-                  two_qubit_coupling, two_qubit_hamiltonian)
+                  cpmg_effective, ensemble_trace, fit_exponential, fit_rb,
+                  heuristic_rate, lambda_analytic, lindblad_trace,
+                  ramsey_trace, simulate_rb, transition_probability,
+                  two_qubit_cetcg_reference, two_qubit_coupling,
+                  two_qubit_hamiltonian)
 from sdid import operators as ops
 from sdid.derivations import BathSpectrum, RateMatrix
 from sdid.rb import ForbiddenTransitionError, rb_decay_constant
@@ -56,18 +56,11 @@ def _report(num: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def _lindblad_ramsey(device, s, times):
-    bundle = build_liouvillian(device)
-    rho0 = ramsey_initial_state(device, s)
-    states = propagate(bundle, rho0, times)
-    return 2.0 * np.array([control_coherence(r) for r in states])
-
-
 def test_criterion_01_engine_agreement(device_a):
     start = time.perf_counter()
     times = np.linspace(0.0, 500e-6, 101)
     analytic = ramsey_trace(device_a, "1", times).values
-    dense = _lindblad_ramsey(device_a, "1", times)
+    dense = lindblad_trace(device_a, "1", times).values
     diff = float(np.max(np.abs(analytic - dense)))
     elapsed = time.perf_counter() - start
     _report("1", diff <= 1e-8 and elapsed < 1.0,
@@ -95,7 +88,7 @@ def test_criterion_03_multi_spectator_additivity(device_b):
     t2s = []
     for s in ("000", "100", "110", "111"):
         analytic = ramsey_trace(device_b, s, times).values
-        dense = _lindblad_ramsey(device_b, s, times)
+        dense = lindblad_trace(device_b, s, times).values
         max_diff = max(max_diff, float(np.max(np.abs(analytic - dense))))
         fit = fit_exponential(times[1:], np.abs(analytic[1:]), offset=0.0)
         t2s.append(fit.params["t2"])
@@ -312,8 +305,8 @@ def test_criterion_09_physicality_suite(device_a, device_b):
     times = np.linspace(0.0, 300e-6, 13)
     invariance = 0.0
     for s in ("0", "1"):
-        a = _lindblad_ramsey(base, s, times)
-        b = _lindblad_ramsey(noisy, s, times)
+        a = lindblad_trace(base, s, times).values
+        b = lindblad_trace(noisy, s, times).values
         invariance = max(invariance, float(np.max(np.abs(a - b))))
 
     ok = (worst_trace <= 1e-12 and worst_eig >= -1e-9

@@ -7,7 +7,7 @@ import pytest
 from sdid import (DeviceModel, EnsembleSpec, PulseSequence, QubitParams,
                   build_cpmg, build_liouvillian, coherence, control_coherence,
                   cpmg_effective, ensemble_trace, fit_exponential,
-                  heuristic_rate, phase_bounds, propagate,
+                  heuristic_rate, lindblad_trace, phase_bounds, propagate,
                   ramsey_initial_state, ramsey_trace)
 
 
@@ -65,10 +65,7 @@ def test_single_and_multi_spectator_forms_agree(device_a, device_b):
 def test_matches_dense_propagation(device_a):
     times = np.linspace(0.0, 500e-6, 101)
     analytic = ramsey_trace(device_a, "1", times).values
-    bundle = build_liouvillian(device_a)
-    rho0 = ramsey_initial_state(device_a, "1")
-    dense = 2.0 * np.array([control_coherence(r)
-                            for r in propagate(bundle, rho0, times)])
+    dense = lindblad_trace(device_a, "1", times).values
     assert np.max(np.abs(analytic - dense)) <= 1e-8
 
 
@@ -163,6 +160,22 @@ def test_cpmg_trace_is_the_coherence_of_each_train(device_b):
             assert abs(value - coherence(device_b, "101", seq)) <= 1e-13
     with pytest.raises(ValueError):
         ramsey_trace(device_b, "101", times, cpmg_order=-1)
+
+
+def test_three_engines_agree_as_complex_numbers(device_b):
+    # Order 0 is a one-pulse train, so its lab-frame value is conjugated.
+    times = np.linspace(0.0, 240e-6, 9)
+    ens = EnsembleSpec(n_traj=20_000, seed=29)
+    for s in ("111", "010"):
+        for order in (None, 0, 1, 4):
+            exact = ramsey_trace(device_b, s, times, cpmg_order=order).values
+            dense = lindblad_trace(device_b, s, times, cpmg_order=order)
+            traj = ensemble_trace(device_b, s, times, ens, cpmg_order=order)
+            assert np.max(np.abs(dense.values - exact)) <= 1e-10, (s, order)
+            assert traj.values[0] == exact[0] == 1.0
+            assert traj.stderr[0] == 0.0
+            z = np.abs(traj.values[1:] - exact[1:]) / traj.stderr[1:]
+            assert np.all(z <= 4.0), (s, order, z.max())
 
 
 def test_exact_cpmg_matches_trajectories(device_b):

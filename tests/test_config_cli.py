@@ -416,12 +416,21 @@ def test_cli_fit_reports_short_inputs_in_one_line(tmp_path):
     assert result.exit_code == 0, result.output
     rb = tmp_path / "rb.csv"
     rb.write_text("length,survival,stderr\n1,0.99,\n20,0.9,\n1,0.98,\n")
+    text = tmp_path / "text.csv"
+    text.write_text("time_us,coh_abs,engine\n0.0,1.0,analytic\n"
+                    "1.0,high,analytic\n")
     for args, message in (
             (["--in", str(ramsey)],
              "Error: engine 'analytic': fit_exponential needs at least 4 "
              "points"),
             (["--in", str(rb), "--kind", "rb"],
-             f"Error: {rb}: fit_rb needs at least 3 distinct lengths")):
+             f"Error: {rb}: fit_rb needs at least 3 distinct lengths"),
+            (["--in", str(rb)], f"Error: {rb}: no column 'engine'"),
+            (["--in", str(ramsey), "--kind", "rb"],
+             f"Error: {ramsey}: no column 'length'"),
+            (["--in", str(text)],
+             f"Error: {text}: column 'coh_abs' has an entry that is not "
+             "float")):
         result = CliRunner().invoke(main, ["fit"] + args)
         assert result.exit_code != 0
         assert result.output.strip().splitlines() == [message]

@@ -9,9 +9,9 @@ from sdid import (BathSpectrum, DeviceModel, EnsembleSpec, PhysicalityError,
                   QubitParams, bohr_spectrum, build_bmpsa, build_bmrwa,
                   build_cetcg, build_cpmg, build_hamiltonian,
                   build_liouvillian, cluster_bohr, control_coherence,
-                  ensemble_coherence, parse_spectator_init, propagate,
-                  ramsey_initial_state, ramsey_trace, two_qubit_coupling,
-                  two_qubit_hamiltonian)
+                  ensemble_coherence, lindblad_trace, parse_spectator_init,
+                  propagate, ramsey_initial_state, ramsey_trace,
+                  two_qubit_coupling, two_qubit_hamiltonian)
 from sdid import model
 from sdid import operators as ops
 from sdid.model import validate_density_matrix
@@ -207,6 +207,16 @@ def test_propagate_validates_pulses_and_grid():
         propagate(bundle, rho0, [1e-6], pulse_times=[0.6e-6, 0.4e-6])
 
 
+def test_propagate_takes_pulse_times_as_an_array(device_b):
+    bundle = build_liouvillian(device_b)
+    rho0 = ramsey_initial_state(device_b, "101")
+    times = [20e-6, 70e-6, 90e-6]
+    pulses = build_cpmg(90e-6, 3).pulse_times
+    want = propagate(bundle, rho0, times, pulse_times=pulses)
+    got = propagate(bundle, rho0, times, pulse_times=np.array(pulses))
+    assert [r.tobytes() for r in got] == [r.tobytes() for r in want]
+
+
 def _count_step_propagators(monkeypatch):
     """Count step propagators built, and record each exponential's width."""
     calls, widths = [], []
@@ -251,10 +261,7 @@ def test_five_spectators_without_the_dense_superoperator(device_b5):
     times = np.linspace(0.0, 500e-6, 101)
     tracemalloc.start()
     try:
-        bundle = build_liouvillian(device_b5)
-        rho0 = ramsey_initial_state(device_b5, s)
-        states = propagate(bundle, rho0, times)
-        lindblad = 2.0 * np.array([control_coherence(r) for r in states])
+        lindblad = lindblad_trace(device_b5, s, times).values
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -265,10 +272,8 @@ def test_five_spectators_without_the_dense_superoperator(device_b5):
     # One pulsed point: CPMG_0 (a Hahn echo) against the trajectories, as
     # a complex number.
     T = 60e-6
-    seq = build_cpmg(T, 0)
-    rho = propagate(bundle, rho0, [T], pulse_times=seq.pulse_times)[0]
-    dense = 2.0 * control_coherence(rho)
-    val, err = ensemble_coherence(device_b5, s, seq,
+    dense = lindblad_trace(device_b5, s, [T], cpmg_order=0).values[0]
+    val, err = ensemble_coherence(device_b5, s, build_cpmg(T, 0),
                                   EnsembleSpec(n_traj=200_000, seed=3))
     assert abs(val - dense) <= 4.0 * err, (val, dense, err)
 
@@ -297,12 +302,9 @@ def test_spectator_pure_dephasing_does_not_move_control_coherence():
         spectators=((QubitParams(gamma=1.0 / 150e-6, gamma_phi=5e4), nu),))
     times = np.linspace(0.0, 200e-6, 9)
     for s in ("0", "1"):
-        rho0 = ramsey_initial_state(base, s)
-        a = propagate(build_liouvillian(base), rho0, times)
-        b = propagate(build_liouvillian(noisy), rho0, times)
-        diffs = [abs(control_coherence(x) - control_coherence(y))
-                 for x, y in zip(a, b)]
-        assert max(diffs) <= 1e-10
+        a = lindblad_trace(base, s, times).values
+        b = lindblad_trace(noisy, s, times).values
+        assert np.max(np.abs(a - b)) <= 1e-10
 
 
 def test_validate_density_matrix_rejects_unphysical_states():

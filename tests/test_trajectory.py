@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from sdid import (DeviceModel, EnsembleSpec, PulseSequence, QubitParams,
-                  build_cpmg, build_liouvillian, coherence, control_coherence,
-                  ensemble_coherence, ensemble_trace, phase_bounds, propagate,
-                  ramsey_initial_state, ramsey_trace, simulate_rb,
+                  build_cpmg, coherence, ensemble_coherence, ensemble_trace,
+                  lindblad_trace, phase_bounds, ramsey_trace, simulate_rb,
                   trajectory)
 
 
@@ -181,10 +180,7 @@ def test_explicit_pulses_match_pulsed_dense_propagation():
     seq = build_cpmg(T, n)
     val, err = ensemble_coherence(device, "1", seq,
                                   EnsembleSpec(n_traj=60_000, seed=7))
-    bundle = build_liouvillian(device)
-    rho0 = ramsey_initial_state(device, "1")
-    rho = propagate(bundle, rho0, [T], pulse_times=list(seq.pulse_times))[0]
-    dense = 2.0 * control_coherence(rho)
+    dense = lindblad_trace(device, "1", [T], cpmg_order=n).values[0]
     assert abs(abs(val) - abs(dense)) <= max(4.0 * err, 0.01)
 
 
@@ -356,15 +352,11 @@ def test_pulsed_coherence_matches_dense_engine_as_complex_number():
     # coherence, phase included, for even and odd pulse counts alike.
     device = _one_spec_device(control_t2=241e-6, gamma=1.0 / 150e-6)
     T = 60e-6
-    bundle = build_liouvillian(device)
-    rho0 = ramsey_initial_state(device, "1")
     for n in range(5):
         seq = build_cpmg(T, n)
         val, err = ensemble_coherence(device, "1", seq,
                                       EnsembleSpec(n_traj=200_000, seed=7))
-        rho = propagate(bundle, rho0, [T],
-                        pulse_times=list(seq.pulse_times))[0]
-        dense = 2.0 * control_coherence(rho)
+        dense = lindblad_trace(device, "1", [T], cpmg_order=n).values[0]
         assert abs(val - dense) <= 4.0 * err, (n, val, dense, err)
 
 
