@@ -62,6 +62,13 @@ def _require_list(value, name: str) -> list:
     return list(value)
 
 
+def _require_distinct(entries: tuple, name: str) -> tuple:
+    for k, e in enumerate(entries):
+        if e in entries[:k]:
+            raise ConfigError(f"field {name!r} repeats entry {e!r}")
+    return entries
+
+
 def _require_seed(value) -> int:
     """A Philox key: an integer in [0, 2**128); 3.0 counts as 3."""
     if isinstance(value, float) and value.is_integer():
@@ -213,9 +220,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(f"field 'points' must be >= 4 for 'cpmg' (the T2 "
                           f"fit needs 4 points), got {cfg.points}")
     if "orders" in data:
-        cfg.orders = tuple(
+        orders = tuple(
             _require_int(n, f"orders[{k}]", 0)
             for k, n in enumerate(_require_list(data["orders"], "orders")))
+        cfg.orders = _require_distinct(orders, "orders")
     if "lengths" in data:
         cfg.lengths = tuple(
             _require_int(m, f"lengths[{k}]", 1)
@@ -243,7 +251,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             if e not in VALID_ENGINES:
                 raise ConfigError(f"field 'engines' entry {e!r} not in "
                                   f"{VALID_ENGINES}")
-        cfg.engines = engines
+        cfg.engines = _require_distinct(engines, "engines")
     if "nu_tauc" in data:
         cfg.nu_tauc = tuple(
             _require_positive(x, f"nu_tauc[{k}]")

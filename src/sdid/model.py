@@ -479,8 +479,9 @@ def control_coherence(rho: np.ndarray) -> complex:
 def ramsey_initial_state(device: DeviceModel, s: SpectatorInit) -> np.ndarray:
     """|+><+| on the control, tensor computational states on the spectators."""
     s = parse_spectator_init(s, device.n_spectators)
-    plus = np.outer(ops.KET_PLUS, ops.KET_PLUS.conj())
-    factors = [plus]
+    # |+><+| written out: KET_PLUS entries square to 0.4999999999999999, and
+    # the trace must read exactly 1 at t = 0 as the other engines do.
+    factors = [np.full((2, 2), 0.5)]
     for bit in s:
         ket = ops.KET_1 if bit else ops.KET_0
         factors.append(np.outer(ket, ket.conj()))
@@ -492,7 +493,7 @@ def lindblad_trace(device: DeviceModel, s: SpectatorInit, times,
     """Lindblad-engine trace over a grid of total times, starting at 1.
 
     The value is 2 Tr[rho_01] (the raw initial coherence is 1/2), so it is
-    1 at t = 0 up to rounding.  Ramsey propagates the sorted grid in one
+    exactly 1 at t = 0.  Ramsey propagates the sorted grid in one
     call.  With `cpmg_order` set, every T > 0 is propagated on its own under
     a CPMG_n train over [0, T], as in `analytic.ramsey_trace` and
     `trajectory.ensemble_trace`.

@@ -4,7 +4,9 @@ exponential.
 
 The exponential takes any matrix, or a stack of equal-size matrices; the
 Lindblad engine in :mod:`sdid.model` exponentiates its sector blocks with
-it, and other callers pass small dense generators.
+it, and other callers pass small dense generators.  It is the package's
+only use of scipy, and ``scipy.linalg`` is imported on its first call, so
+commands that exponentiate nothing never pay for loading it.
 
 Conventions used throughout the package:
 
@@ -20,7 +22,6 @@ from __future__ import annotations
 from typing import Iterable
 
 import numpy as np
-import scipy.linalg
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -108,6 +109,8 @@ def expm(m: np.ndarray) -> np.ndarray:
     on its own. Raises ValueError on non-finite entries; delegates the
     numerics to ``scipy.linalg.expm``.
     """
+    import scipy.linalg     # about 0.1 s to load; most commands never need it
+
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expm expects square matrices, got shape {m.shape}")

@@ -172,7 +172,7 @@ def test_three_engines_agree_as_complex_numbers(device_b):
             dense = lindblad_trace(device_b, s, times, cpmg_order=order)
             traj = ensemble_trace(device_b, s, times, ens, cpmg_order=order)
             assert np.max(np.abs(dense.values - exact)) <= 1e-10, (s, order)
-            assert traj.values[0] == exact[0] == 1.0
+            assert dense.values[0] == traj.values[0] == exact[0] == 1.0
             assert traj.stderr[0] == 0.0
             z = np.abs(traj.values[1:] - exact[1:]) / traj.stderr[1:]
             assert np.all(z <= 4.0), (s, order, z.max())

@@ -3,12 +3,18 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import sdid
 from sdid import (ConfigError, average_survival, config_from_dict,
                   device_from_dict, device_to_dict, fit_exponential,
                   load_config, nu_from_4nu_khz)
@@ -151,6 +157,9 @@ def test_list_and_count_fields_name_the_field():
            ({"nu_tauc": [float("nan")]}, "'nu_tauc[0]'"),
            ({"nu_tauc": 1.0}, "'nu_tauc'"),
            ({"engines": "analytic"}, "'engines'"),
+           ({"engines": ["analytic", "lindblad", "analytic"]},
+            "'engines' repeats entry 'analytic'"),
+           ({"orders": [0, 4, 0]}, "'orders' repeats entry 0"),
            ({"points": 2.5}, "'points'"),
            ({"points": True}, "'points'"),
            ({"n_seq": 0}, "'n_seq'"),
@@ -195,7 +204,11 @@ def test_cli_reports_too_few_points_or_lengths_in_one_line(tmp_path):
     cfg = _write_config(tmp_path / "b.json", DEVICE_B)
     out = tmp_path / "x.csv"
     for args, field in ((["cpmg", "--points", "3"], "'points'"),
-                        (["rb", "--lengths", "1,20,1"], "'lengths'")):
+                        (["rb", "--lengths", "1,20,1"], "'lengths'"),
+                        (["ramsey", "--engines", "analytic,analytic"],
+                         "'engines' repeats entry 'analytic'"),
+                        (["cpmg", "--orders", "0,4,0"],
+                         "'orders' repeats entry 0")):
         result = CliRunner().invoke(main, args + ["--config", cfg,
                                                   "--out", str(out)])
         assert result.exit_code != 0
@@ -520,3 +533,41 @@ def test_cli_requires_output_path(tmp_path):
     cfg = _write_config(tmp_path / "a.json", DEVICE_A)
     result = CliRunner().invoke(main, ["ramsey", "--config", cfg])
     assert result.exit_code != 0
+
+
+def test_only_the_lindblad_engine_loads_scipy(tmp_path):
+    # A fresh interpreter: tests/test_operators.py imports scipy.linalg, so
+    # this process may have loaded it already.
+    script = textwrap.dedent("""
+        import sys
+        import sdid, sdid.cli
+        cfg, out = sys.argv[1:]
+        def run(*args):
+            sdid.cli.main(list(args), standalone_mode=False)
+        run("--help")
+        run("rb", "--config", cfg, "--lengths", "1,20,60", "--out",
+            f"{out}/rb.csv")
+        run("cpmg", "--config", cfg, "--orders", "0,4", "--points", "11",
+            "--out", f"{out}/cpmg.csv")
+        run("derive", "--nu-tauc", "0.1,1", "--out", f"{out}/derive.csv")
+        run("ramsey", "--config", cfg, "--points", "11", "--engines",
+            "analytic,trajectory", "--ntraj", "100", "--out",
+            f"{out}/ramsey.csv")
+        run("fit", "--in", f"{out}/ramsey.csv", "--out", f"{out}/fit.json")
+        print("scipy.linalg loaded:", "scipy.linalg" in sys.modules)
+        run("ramsey", "--config", cfg, "--points", "11", "--engines",
+            "lindblad", "--out", f"{out}/lindblad.csv")
+        print("scipy.linalg loaded:", "scipy.linalg" in sys.modules)
+    """)
+    cfg = _write_config(tmp_path / "b.json", DEVICE_B)
+    src = str(Path(sdid.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH")
+                 else [])))
+    proc = subprocess.run([sys.executable, "-c", script, cfg, str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = [line for line in proc.stdout.splitlines()
+              if line.startswith("scipy.linalg loaded:")]
+    assert loaded == ["scipy.linalg loaded: False",
+                      "scipy.linalg loaded: True"], proc.stdout
