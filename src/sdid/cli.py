@@ -57,6 +57,22 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, default=float)
 
 
+# The model has no state-preparation or measurement error, so RB survival
+# decays to 1/2; `run_rb` and `fit --kind rb` pin the fit's offset there.
+RB_ASYMPTOTE = 0.5
+
+
+def _fit_decay(times, mags, cpmg_n: int | None):
+    """Exponential fit of |coherence|; the offset is pinned to 0 under a
+    pulse train and free for Ramsey (`cpmg_n` None).
+
+    A pulse train's coherence decays to zero, and a free offset would let the
+    fit trade the rate against a floor that the model does not have.
+    """
+    return fit_exponential(times, mags,
+                           offset=None if cpmg_n is None else 0.0)
+
+
 def run_ramsey(cfg: ExperimentConfig) -> Table:
     device = cfg.device
     s = parse_spectator_init(cfg.spectator_init, device.n_spectators)
@@ -82,7 +98,7 @@ def run_ramsey(cfg: ExperimentConfig) -> Table:
     for engine, values in by_engine.items():
         mags = np.abs(values)
         if np.all(mags > 0) and times.size >= 4:
-            fit = fit_exponential(times, mags)
+            fit = _fit_decay(times, mags, None)
             fields["fits"][engine] = {"t2_us": fit.params["t2"] * 1e6,
                                       "rate_per_s": fit.params["rate"],
                                       "converged": fit.converged}
@@ -103,10 +119,7 @@ def run_cpmg(cfg: ExperimentConfig) -> Table:
 
     def compute(n):
         values = analytic.ramsey_trace(device, s, times, cpmg_order=n).values
-        # The coherence decays to zero; a free offset lets the fit trade
-        # the rate against a floor that the model does not have.
-        fit = fit_exponential(times, np.abs(values), offset=0.0)
-        return n, values, fit
+        return n, values, _fit_decay(times, np.abs(values), n)
 
     results = [compute(n) for n in cfg.orders]
     rows = [[n, t * 1e6, v.real, v.imag, abs(v), "analytic", ""]
@@ -129,9 +142,7 @@ def run_rb(cfg: ExperimentConfig) -> Table:
     # not read and the `stderr` column stays empty.
     curve = average_survival(cfg.device, cfg.spectator_init, cfg.lengths,
                              t_gate=cfg.t_gate, frame=cfg.frame)
-    # The model has no state-preparation or measurement error, so the
-    # survival decays to 1/2.
-    fit = fit_rb(curve.lengths, curve.survival, offset=0.5)
+    fit = fit_rb(curve.lengths, curve.survival, offset=RB_ASYMPTOTE)
     rows = [[int(m), surv, ""]
             for m, surv in zip(curve.lengths, curve.survival)]
     fields = {"fit": {"p": fit.params["p"], "epc": fit.params["epc"],
@@ -270,15 +281,13 @@ def cpmg(config_path, orders, spectator_init, tmax_us, points, out):
 @main.command()
 @click.option("--config", "config_path", type=click.Path(), required=True)
 @click.option("--init", "spectator_init", default=None,
-              type=click.Choice(["zero", "one", "plus"]),
-              help="Spectator preparation.")
+              help="Spectator preparation: zero/0, one/1, plus/+ or N bits.")
 @click.option("--lengths", callback=_comma_list, default=None)
 @click.option("--nseq", "n_seq", type=int, default=None,
               help="Accepted and not read: the exact average samples "
                    "no sequences.")
 @click.option("--tgate-ns", "tgate_ns", type=float, default=None)
-@click.option("--frame", type=click.Choice(["bare", "experimental"]),
-              default=None)
+@click.option("--frame", default=None, help="bare or experimental.")
 @click.option("--seed", type=int, default=None)
 @click.option("--out", required=True, type=click.Path())
 def rb(config_path, spectator_init, lengths, n_seq, tgate_ns, frame, seed,
@@ -314,8 +323,7 @@ def derive(config_path, nu_tauc, out):
 @main.command()
 @click.option("--in", "in_path", required=True,
               type=click.Path(exists=True))
-@click.option("--kind", type=click.Choice(["exponential", "rb"]),
-              default="exponential")
+@click.option("--kind", default="exponential", help="exponential or rb.")
 @click.option("--out", type=click.Path(), default=None)
 def fit(in_path, kind, out):
     """Fit a CSV written by ramsey/cpmg (exponential) or rb.
@@ -323,6 +331,9 @@ def fit(in_path, kind, out):
     An exponential fit is made per engine and CPMG order and listed under
     "fits"; a CPMG order's fit pins the offset to 0, as `sdid cpmg` does.
     """
+    if kind not in ("exponential", "rb"):
+        raise click.BadParameter(f"{kind!r} is not one of 'exponential', "
+                                 f"'rb'.", param_hint="'--kind'")
     with open(in_path) as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)
@@ -349,11 +360,10 @@ def fit(in_path, kind, out):
         fits = []
         for (engine, order), group in groups.items():
             t_us, mags = np.array(group).T
-            # Pinned as in `run_cpmg`, so the re-fit reproduces the run's
-            # sidecar; Ramsey rows keep the free offset of `run_ramsey`.
+            # The offset rule of `run_ramsey` and `run_cpmg`, so the re-fit
+            # reproduces the run's sidecar.
             try:
-                result = fit_exponential(
-                    t_us * 1e-6, mags, offset=None if order is None else 0.0)
+                result = _fit_decay(t_us * 1e-6, mags, order)
             except ValueError as exc:
                 name = f"engine {engine!r}" + (
                     "" if order is None else f", cpmg_n {order}")
@@ -371,7 +381,7 @@ def fit(in_path, kind, out):
         survival = np.array(column("survival", float))
         # Pinned as in `run_rb`, so the re-fit reproduces the run's sidecar.
         try:
-            result = fit_rb(lengths, survival, offset=0.5)
+            result = fit_rb(lengths, survival, offset=RB_ASYMPTOTE)
         except ValueError as exc:
             raise click.ClickException(f"{in_path}: {exc}") from None
         payload = {"model": result.model, "converged": result.converged,

@@ -14,16 +14,14 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .model import DeviceModel, QubitParams, parse_spectator_init
+from .model import (DeviceModel, PhysicalityError, QubitParams,
+                    parse_spectator_init)
+from .rb import FRAMES, branch_weights
 
 SCHEMA_VERSION = "v1"
 
 VALID_EXPERIMENTS = ("ramsey", "cpmg", "rb", "derive")
-VALID_FRAMES = ("bare", "experimental")
 VALID_ENGINES = ("analytic", "lindblad", "trajectory")
-# Spectator preparations that RB accepts besides N-bit strings ("0", "1" and
-# "+" are short forms of the names).
-_RB_PREPARATIONS = ("zero", "one", "plus", "0", "1", "+")
 
 
 class ConfigError(ValueError):
@@ -92,11 +90,11 @@ def _qubit_from_dict(d: dict, name: str) -> QubitParams:
         if t1_us is not None else None
     t2 = _require_positive(t2_us, f"{name}.t2_us") * 1e-6 \
         if t2_us is not None else None
-    if t1 is not None and t2 is not None and t2 > 2 * t1 * (1 + 1e-12):
-        raise ConfigError(f"field {name!r}: T2 exceeds 2*T1 "
-                          f"(t1_us={t1_us}, t2_us={t2_us})")
-    return QubitParams.from_times(t1=t1, t2=t2,
-                                  label=d.get("label", name))
+    try:
+        return QubitParams.from_times(t1=t1, t2=t2,
+                                      label=d.get("label", name))
+    except PhysicalityError as exc:
+        raise ConfigError(f"field {name!r}: {exc}") from None
 
 
 def device_from_dict(d: dict) -> DeviceModel:
@@ -200,10 +198,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
     cfg.spectator_init = str(data.get("spectator_init",
                                       "1" * device.n_spectators))
-    if experiment != "derive" and not (
-            experiment == "rb" and cfg.spectator_init in _RB_PREPARATIONS):
+    # RB takes its own preparations; the other experiments take N bits.
+    check = branch_weights if experiment == "rb" else parse_spectator_init
+    if experiment != "derive":
         try:
-            parse_spectator_init(cfg.spectator_init, device.n_spectators)
+            check(cfg.spectator_init, device.n_spectators)
         except ValueError:
             allowed = f"a {device.n_spectators}-bit 0/1 string"
             if experiment == "rb":
@@ -241,8 +240,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if "tgate_ns" in data:
         cfg.tgate_ns = _require_positive(data["tgate_ns"], "tgate_ns")
     frame = data.get("frame", cfg.frame)
-    if frame not in VALID_FRAMES:
-        raise ConfigError(f"field 'frame' must be one of {VALID_FRAMES}, "
+    if frame not in FRAMES:
+        raise ConfigError(f"field 'frame' must be one of {FRAMES}, "
                           f"got {frame!r}")
     cfg.frame = frame
     if "engines" in data:

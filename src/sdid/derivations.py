@@ -90,11 +90,11 @@ class RateMatrix:
         return float(np.linalg.eigvalsh(self.matrix).min())
 
 
-def bohr_spectrum(h_s: np.ndarray, x: np.ndarray,
-                  tol: float | None = None) -> list[BohrTerm]:
+def bohr_spectrum(h_s: np.ndarray, x: np.ndarray) -> list[BohrTerm]:
     """Split a coupling operator into Bohr-frequency components of H_S.
 
-    For each frequency Omega = lambda_j - lambda_k (grouped within `tol`),
+    For each frequency Omega = lambda_j - lambda_k (frequencies within
+    1e-9 * max(1, max |lambda|) of each other are one group),
     L_Omega sums <lambda_k|X|lambda_j> |lambda_k><lambda_j| over connected
     eigenpairs; components with negligible matrix elements are dropped.
     The components are complete: sum of all L_Omega reconstructs X.
@@ -103,7 +103,7 @@ def bohr_spectrum(h_s: np.ndarray, x: np.ndarray,
     if ops.hermiticity_defect(h_s) > 1e-9 * max(1.0, np.abs(h_s).max()):
         raise ValueError("H_S must be Hermitian")
     evals, evecs = np.linalg.eigh(h_s)
-    tol = tol if tol is not None else 1e-9 * max(1.0, np.abs(evals).max())
+    tol = 1e-9 * max(1.0, np.abs(evals).max())
     x_eig = evecs.conj().T @ np.asarray(x, dtype=complex) @ evecs
     elem_tol = 1e-12 * max(1.0, np.abs(x_eig).max())
 

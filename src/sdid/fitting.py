@@ -31,15 +31,14 @@ def _levenberg_marquardt(residual_fn, jacobian_fn, theta0,
     """Minimize ||residual(theta)||^2 by damped normal equations.
 
     Converges when the relative parameter change drops below rel_tol.
-    Returns (theta, covariance, converged, n_iter).
+    Returns (theta, covariance, converged, residual at theta).
     """
     theta = np.asarray(theta0, dtype=float)
     lam = 1e-3
     r = residual_fn(theta)
     cost = float(r @ r)
     converged = False
-    n_iter = 0
-    for n_iter in range(1, max_iter + 1):
+    for _ in range(max_iter):
         jac = jacobian_fn(theta)
         jtj = jac.T @ jac
         jtr = jac.T @ r
@@ -77,14 +76,16 @@ def _levenberg_marquardt(residual_fn, jacobian_fn, theta0,
         cov = sigma2 * np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:
         cov = np.full((theta.size, theta.size), np.nan)
-    return theta, cov, converged, n_iter
+    return theta, cov, converged, r
 
 
-def _fit_free(residual_fn, jacobian_fn, theta0, free):
+def _fit(model: str, names, residual_fn, jacobian_fn, theta0,
+         free) -> FitResult:
     """Run LM over the entries of theta0 where `free` is True.
 
-    The pinned entries keep their theta0 value and get stderr 0.  Returns
-    (theta, stderr, converged) over all entries.
+    The pinned entries keep their theta0 value and get stderr 0.  The
+    result's params and stderr are keyed by `names`; a fit that did not
+    converge returns its best iterate with a note and a warning.
     """
     free = np.asarray(free, dtype=bool)
     theta0 = np.asarray(theta0, dtype=float)
@@ -96,13 +97,20 @@ def _fit_free(residual_fn, jacobian_fn, theta0, free):
 
     # The column selection must be C-contiguous, like a freshly stacked
     # Jacobian, for the normal equations to round the same way.
-    sub, cov, converged, _ = _levenberg_marquardt(
+    sub, cov, converged, res = _levenberg_marquardt(
         lambda sub: residual_fn(full(sub)),
         lambda sub: np.ascontiguousarray(jacobian_fn(full(sub))[:, free]),
         theta0[free])
     stderr = np.zeros(theta0.size)
     stderr[free] = np.sqrt(np.abs(np.diag(cov)))
-    return full(sub), stderr, converged
+    notes = []
+    if not converged:
+        notes.append("fit did not converge; returning best iterate")
+        warnings.warn(notes[-1])
+    return FitResult(params=dict(zip(names, full(sub))),
+                     stderr=dict(zip(names, stderr)),
+                     residual_norm=float(np.linalg.norm(res)), model=model,
+                     converged=converged, warnings=notes)
 
 
 def fit_exponential(times, magnitudes,
@@ -137,23 +145,15 @@ def fit_exponential(times, magnitudes,
         e = np.exp(np.clip(-r * t, None, 50.0))
         return np.stack([e, -a * t * e, np.ones_like(t)], axis=1)
 
-    (a, r, c), (se_a, se_r, se_c), converged = _fit_free(
-        residual, jacobian, [a0, r0, floor], [True, True, offset is None])
-    notes = []
-    if not converged:
-        notes.append("fit did not converge; returning best iterate")
-        warnings.warn(notes[-1])
+    fit = _fit("A*exp(-rate*t)+C", ("amplitude", "rate", "offset"),
+               residual, jacobian, [a0, r0, floor],
+               [True, True, offset is None])
+    r, se_r = fit.params["rate"], fit.stderr["rate"]
+    fit.params["t2"] = 1.0 / r if r > 0 else np.inf
+    fit.stderr["t2"] = se_r / r ** 2 if r > 0 else np.inf
     if r <= 0:
-        notes.append("fitted rate is non-positive")
-    params = {"amplitude": a, "rate": r, "offset": c,
-              "t2": 1.0 / r if r > 0 else np.inf}
-    stderr = {"amplitude": se_a, "rate": se_r, "offset": se_c,
-              "t2": se_r / r ** 2 if r > 0 else np.inf}
-    res = a * np.exp(np.clip(-r * t, None, 50.0)) + c - y
-    return FitResult(params=params, stderr=stderr,
-                     residual_norm=float(np.linalg.norm(res)),
-                     model="A*exp(-rate*t)+C", converged=converged,
-                     warnings=notes)
+        fit.warnings.append("fitted rate is non-positive")
+    return fit
 
 
 def fit_rb(lengths, survival, offset: float | None = None) -> FitResult:
@@ -190,18 +190,11 @@ def fit_rb(lengths, survival, offset: float | None = None) -> FitResult:
         return np.stack([np.power(pc, m), np.ones_like(m),
                          a * m * np.power(pc, m - 1)], axis=1)
 
-    (a, b, p), (se_a, se_b, se_p), converged = _fit_free(
-        residual, jacobian, [a0, b0, p0], [True, offset is None, True])
-    notes = []
-    if not converged:
-        notes.append("fit did not converge; returning best iterate")
-        warnings.warn(notes[-1])
+    fit = _fit("B+A*p^m", ("amplitude", "offset", "p"), residual, jacobian,
+               [a0, b0, p0], [True, offset is None, True])
+    p = fit.params["p"]
+    fit.params["epc"] = (1.0 - p) / 2.0
+    fit.stderr["epc"] = fit.stderr["p"] / 2.0
     if not 0.0 < p <= 1.0 + 1e-12:
-        notes.append(f"fitted p = {p:.6g} outside (0, 1]")
-    params = {"amplitude": a, "offset": b, "p": p, "epc": (1.0 - p) / 2.0}
-    stderr = {"amplitude": se_a, "offset": se_b, "p": se_p,
-              "epc": se_p / 2.0}
-    res = a * np.power(np.clip(p, 1e-12, None), m) + b - y
-    return FitResult(params=params, stderr=stderr,
-                     residual_norm=float(np.linalg.norm(res)),
-                     model="B+A*p^m", converged=converged, warnings=notes)
+        fit.warnings.append(f"fitted p = {p:.6g} outside (0, 1]")
+    return fit

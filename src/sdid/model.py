@@ -18,7 +18,7 @@ each sector's block is computed from them directly.  With diagonal H and
 local sigma-/Z jumps there are 3^(N+1) sectors, none wider than 2^(N+1);
 blocks of one size are stacked, so a step exp(L dt) costs one stacked
 exponential and one batched matrix product per block size.  A pi pulse on
-the control maps vec(rho) by a signed permutation.  The dense matrix is
+the control is a permutation of vec(rho).  The dense matrix is
 assembled only when :attr:`LiouvillianBundle.superop` is read.
 
 Internal units: rates in 1/s, couplings nu in rad/s, times in s.
@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import operators as ops
-from .operators import SIGMA_MINUS, X, Z
+from .operators import SIGMA_MINUS, Z
 
 
 class PhysicalityError(ValueError):
@@ -390,21 +390,16 @@ def validate_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> None:
                                f"(min eigenvalue {evals.min():.2e})")
 
 
-def _pulse_permutation(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """An instantaneous X pi pulse on the control as a signed permutation.
+def _pulse_permutation(d: int) -> np.ndarray:
+    """An instantaneous X pi pulse on the control as a permutation of vec(rho).
 
-    The pulse U = exp(-i pi/2 X) = -i X has one nonzero per row,
-    U[j, c_j] = u_j, so rho -> U rho U^dag sends vec index i*d + j to
-    ``sign * v[perm]`` with perm = c_i*d + c_j and sign = conj(u_i) u_j,
-    which is +-1.
+    The pulse U = exp(-i pi/2 X) = -i X flips the control, the leading bit
+    of a basis index j, so U[j, j ^ (d/2)] = -i for every j.  rho -> U rho
+    U^dag then sends vec index i*d + j to ``v[perm]`` with perm =
+    (i ^ d/2)*d + (j ^ d/2); the phases cancel, since conj(-i)(-i) = 1.
     """
-    u = ops.embed(-1j * X, 0, n_qubits)
-    d = u.shape[0]
-    col = np.argmax(u != 0, axis=1)
-    val = u[np.arange(d), col]
-    perm = (col[:, None] * d + col[None, :]).ravel()
-    sign = (val.conj()[:, None] * val[None, :]).ravel()
-    return perm, sign
+    flipped = np.arange(d) ^ (d // 2)
+    return (flipped[:, None] * d + flipped[None, :]).ravel()
 
 
 def propagate(bundle: LiouvillianBundle, rho0: np.ndarray,
@@ -420,24 +415,20 @@ def propagate(bundle: LiouvillianBundle, rho0: np.ndarray,
     pulse train share one exponential even when their float lengths differ
     in the last bits. Each step is then off by at most 5e-13 of its length,
     far below any engine-agreement tolerance; apart from that, the only
-    error is floating point. Pulse times must be sorted and strictly inside
-    (0, max(times)).
+    error is floating point. Pulse times must form a `PulseSequence` over
+    [0, max(times)]: strictly increasing inside (0, max(times)).
     """
     times = np.asarray(times, dtype=float)
-    if (times.ndim != 1 or times.size == 0 or np.any(np.diff(times) < 0)
-            or times[0] < 0):
+    # Negated comparisons, so that NaN fails them.
+    if (times.ndim != 1 or times.size == 0
+            or not np.all(np.diff(times) >= 0) or not times[0] >= 0):
         raise ValueError("times must be a sorted, non-negative grid")
     validate_density_matrix(rho0)
 
-    n_qubits = int(round(np.log2(bundle.dim)))
     pulses = [] if pulse_times is None else list(pulse_times)
-    if any(t2 <= t1 for t1, t2 in zip(pulses, pulses[1:])):
-        raise ValueError("pulse times must be strictly increasing")
-    t_end = times[-1]
-    if pulses and (pulses[0] <= 0 or pulses[-1] >= t_end):
-        raise ValueError("pulse times must lie strictly inside (0, T)")
     if pulses:
-        perm, sign = _pulse_permutation(n_qubits)
+        pulses = list(PulseSequence(times[-1], pulses).pulse_times)
+        perm = _pulse_permutation(bundle.dim)
 
     # Merge grid times and pulse times into one ordered event list.
     events = sorted(
@@ -461,7 +452,7 @@ def propagate(bundle: LiouvillianBundle, rho0: np.ndarray,
             v = _apply(step(dt), v)
             t_now = t_ev
         if kind == "pulse":
-            v = sign * v[perm]
+            v = v[perm]
         else:
             out[idx] = ops.unvectorize(v)
     return out  # type: ignore[return-value]

@@ -120,10 +120,9 @@ def transition_probability(i: int, j: int, gamma1: float, t: float) -> float:
             (1, 0): 1.0 - survive}[(i, j)]
 
 
-def rb_decay_constant(chan) -> float:
+def rb_decay_constant(chan: ConditionalChannel) -> float:
     """p = (Tr[superop] - 1) / 3 for a trace-preserving single-qubit channel."""
-    superop = chan.superop if isinstance(chan, ConditionalChannel) else chan
-    return float((np.trace(superop).real - 1.0) / 3.0)
+    return float((np.trace(chan.superop).real - 1.0) / 3.0)
 
 
 def p_experimental(i: int, nu: float, t: float) -> float:
@@ -207,7 +206,14 @@ class RBCurve:
     n_seq: int | None
 
 
-def _branch_weights(init: str, n_spec: int) -> list[tuple[tuple[int, ...], float]]:
+# Gate frames: 'experimental' divides out the ground-state ZZ phase per gate.
+FRAMES = ("bare", "experimental")
+
+
+def branch_weights(init: str,
+                   n_spec: int) -> list[tuple[tuple[int, ...], float]]:
+    """Weighted Z-bit branches of a preparation: 'zero'/'0', 'one'/'1',
+    'plus'/'+' or n_spec 0/1 bits; anything else raises ValueError."""
     if init in ("0", "zero"):
         return [(tuple([0] * n_spec), 1.0)]
     if init in ("1", "one"):
@@ -236,7 +242,7 @@ def _gate_eigenvalues(device: DeviceModel, t_gate: float, frame: str):
     gate.  A spectator with gamma = 0 never decays; its lambda_10 repeats
     lambda_11 so that the table stays finite.
     """
-    if frame not in ("bare", "experimental"):
+    if frame not in FRAMES:
         raise ValueError(f"unknown frame {frame!r}")
     nus = device.nus
     gammas = device.spectator_gammas
@@ -280,7 +286,7 @@ def average_survival(device: DeviceModel, init: str, lengths, t_gate: float,
     step = prob * (1.0 + 2.0 * lam.real) / 3.0
 
     vec = np.zeros(len(configs))
-    for bits, weight in _branch_weights(init, n_spec):
+    for bits, weight in branch_weights(init, n_spec):
         vec[configs.index(bits)] += weight
     survival = np.empty(lengths.size)
     done = 0
@@ -324,7 +330,7 @@ def simulate_rb(device: DeviceModel, init: str, lengths, n_seq: int,
     n_spec = device.n_spectators
     gammas = device.spectator_gammas
 
-    branches = _branch_weights(init, n_spec)
+    branches = branch_weights(init, n_spec)
     n_branch = len(branches)
     weights = np.array([w for _, w in branches])
     excited = np.array([bits for bits, _ in branches], dtype=bool)

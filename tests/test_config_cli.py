@@ -58,7 +58,8 @@ def test_t2_boundary_in_config():
     ok = {"control": {"t1_us": 100.0, "t2_us": 200.0}}
     assert device_from_dict(ok).control.gamma_phi == 0.0
     bad = {"control": {"t1_us": 100.0, "t2_us": 210.0}}
-    with pytest.raises(ConfigError, match="T2 exceeds 2\\*T1"):
+    with pytest.raises(ConfigError,
+                       match="field 'device.control': .*T2 exceeds 2\\*T1"):
         device_from_dict(bad)
 
 
@@ -208,7 +209,9 @@ def test_cli_reports_too_few_points_or_lengths_in_one_line(tmp_path):
                         (["ramsey", "--engines", "analytic,analytic"],
                          "'engines' repeats entry 'analytic'"),
                         (["cpmg", "--orders", "0,4,0"],
-                         "'orders' repeats entry 0")):
+                         "'orders' repeats entry 0"),
+                        (["rb", "--init", "abc"], "'spectator_init'"),
+                        (["rb", "--frame", "lab"], "'frame'")):
         result = CliRunner().invoke(main, args + ["--config", cfg,
                                                   "--out", str(out)])
         assert result.exit_code != 0
@@ -419,6 +422,22 @@ def test_cli_rb_writes_the_exact_average(tmp_path):
     want = "length,survival,stderr\n" + "".join(
         f"{m},{float(s)!r},\n" for m, s in zip(curve.lengths, curve.survival))
     assert out.read_text() == want
+
+
+def test_cli_rb_init_takes_every_preparation_the_config_takes(tmp_path):
+    cfg = _write_config(tmp_path / "b.json", DEVICE_B)
+    for init in ("101", "0", "+"):
+        out = tmp_path / f"rb_{init}.csv"
+        result = CliRunner().invoke(main, [
+            "rb", "--config", cfg, "--init", init, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+    from_file = _write_config(tmp_path / "b101.json", DEVICE_B,
+                              spectator_init="101")
+    out = tmp_path / "rb_file.csv"
+    result = CliRunner().invoke(main, [
+        "rb", "--config", from_file, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert out.read_bytes() == (tmp_path / "rb_101.csv").read_bytes()
 
 
 def test_cli_fit_reports_short_inputs_in_one_line(tmp_path):

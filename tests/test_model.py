@@ -140,11 +140,13 @@ def test_master_equation_bundles_match_dense_reference():
 
 
 def test_pulse_permutation_matches_dense_pulse_superop():
-    for n_qubits in (1, 2, 3):
+    # The pulse's phases cancel in U rho U^dag: the permutation alone, with
+    # ones and no sign, is the dense superoperator.
+    for n_qubits in (1, 2, 3, 4):
         d2 = 4 ** n_qubits
-        perm, sign = model._pulse_permutation(n_qubits)
+        perm = model._pulse_permutation(2 ** n_qubits)
         dense = np.zeros((d2, d2), dtype=complex)
-        dense[np.arange(d2), perm] = sign
+        dense[np.arange(d2), perm] = 1.0
         assert np.array_equal(dense, _pulse_superop(n_qubits))
 
 
@@ -205,6 +207,11 @@ def test_propagate_validates_pulses_and_grid():
         propagate(bundle, rho0, [1e-6], pulse_times=[2e-6])
     with pytest.raises(ValueError):
         propagate(bundle, rho0, [1e-6], pulse_times=[0.6e-6, 0.4e-6])
+    # NaN fails every comparison, so it must be rejected, not skipped.
+    with pytest.raises(ValueError, match="sorted, non-negative grid"):
+        propagate(bundle, rho0, [np.nan])
+    with pytest.raises(ValueError):
+        propagate(bundle, rho0, [1e-6], pulse_times=[np.nan])
 
 
 def test_propagate_takes_pulse_times_as_an_array(device_b):
