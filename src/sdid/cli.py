@@ -7,17 +7,22 @@ average), `derive` (coarse-graining-time sweep of the two-qubit
 master-equation coefficients), and `fit` (re-fit a CSV produced by the other
 subcommands).
 
-Every run writes a CSV plus a JSON sidecar (resolved config, fitted
-parameters, seed, version).  Each experiment's runner only computes: it
-returns the CSV header and rows and the sidecar fields of its own, and
-`run` adds the resolved config and version and writes both files.
-Identical config and seed give byte-identical CSV output.  A configuration
-error ends the command with a one-line message that names the field.
+Every run writes a CSV plus a JSON sidecar (resolved config, fit records,
+version).  Each experiment's runner only computes: it returns the CSV
+header and rows and the sidecar fields of its own, and `run` adds the
+resolved config and version and writes both files.  Identical config and
+seed give byte-identical CSV output.  A configuration error ends the
+command with a one-line message that names the field.
+
+One function fits: `_fits` turns a table into fit records.  `run` calls it
+on the rows it writes, and `fit` on the rows it reads back, so the `fits` of
+a `ramsey`, `cpmg` or `rb` sidecar are what `sdid fit` prints for its CSV.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -34,8 +39,9 @@ from . import analytic, trajectory
 from .config import (ConfigError, ExperimentConfig, config_from_dict,
                      config_to_dict, load_config)
 from .derivations import (BathSpectrum, bohr_spectrum, build_cetcg,
-                          cluster_bohr, sinc, two_qubit_cetcg_reference,
-                          two_qubit_coupling, two_qubit_hamiltonian)
+                          cluster_bohr, two_qubit_cetcg_reference,
+                          two_qubit_coupling, two_qubit_hamiltonian,
+                          two_qubit_kossakowski)
 from .fitting import fit_exponential, fit_rb
 from .model import (build_liouvillian, control_coherence, lindblad_trace,
                     parse_spectator_init, propagate, ramsey_initial_state)
@@ -58,19 +64,51 @@ def _json(payload: dict) -> str:
 
 
 # The model has no state-preparation or measurement error, so RB survival
-# decays to 1/2; `run_rb` and `fit --kind rb` pin the fit's offset there.
+# decays to 1/2; every RB fit pins its offset there.
 RB_ASYMPTOTE = 0.5
 
+# The fit kind of each experiment whose sidecar carries fit records.
+_FIT_KINDS = {"ramsey": "exponential", "cpmg": "exponential", "rb": "rb"}
 
-def _fit_decay(times, mags, cpmg_n: int | None):
-    """Exponential fit of |coherence|; the offset is pinned to 0 under a
-    pulse train and free for Ramsey (`cpmg_n` None).
 
-    A pulse train's coherence decays to zero, and a free offset would let the
-    fit trade the rate against a floor that the model does not have.
+def _fits(header, column, kind: str) -> list[dict]:
+    """Fit records, one per curve, of a table with columns `header`;
+    `column(name, convert)` returns one column with its entries converted.
+
+    An RB table is one curve, and an exponential table one per engine and
+    CPMG order.  A pulse train's coherence decays to zero, so its offset is
+    pinned to 0; a Ramsey offset is free.  A record holds the `FitResult`
+    fields, plus `engine`, `t2_us` and `cpmg_n` (CPMG only) for an
+    exponential curve.  A curve that cannot be fitted raises ValueError.
     """
-    return fit_exponential(times, mags,
-                           offset=None if cpmg_n is None else 0.0)
+    if kind == "rb":
+        fit = fit_rb(np.array(column("length", int)),
+                     np.array(column("survival", float)),
+                     offset=RB_ASYMPTOTE)
+        return [dataclasses.asdict(fit)]
+    engines = column("engine", str)
+    orders = (column("cpmg_n", int) if "cpmg_n" in header
+              else [None] * len(engines))
+    groups: dict = {}
+    for key, t_us, mag in zip(zip(engines, orders), column("time_us", float),
+                              column("coh_abs", float)):
+        groups.setdefault(key, []).append((t_us, mag))
+    records = []
+    for (engine, order), group in groups.items():
+        t_us, mags = np.array(group).T
+        try:
+            fit = fit_exponential(t_us * 1e-6, mags,
+                                  offset=None if order is None else 0.0)
+        except ValueError as exc:
+            name = f"engine {engine!r}" + (
+                "" if order is None else f", cpmg_n {order}")
+            raise ValueError(f"{name}: {exc}") from None
+        record = {"engine": engine, "t2_us": fit.params["t2"] * 1e6,
+                  **dataclasses.asdict(fit)}
+        if order is not None:
+            record["cpmg_n"] = order
+        records.append(record)
+    return records
 
 
 def run_ramsey(cfg: ExperimentConfig) -> Table:
@@ -93,15 +131,8 @@ def run_ramsey(cfg: ExperimentConfig) -> Table:
     header = ["time_us", "coh_re", "coh_im", "coh_abs", "engine",
               "stderr_abs"]
 
-    fields: dict = {"fits": {}, "cross_checks": {}}
+    fields: dict = {"cross_checks": {}}
     by_engine = {engine: trace.values for engine, trace in results}
-    for engine, values in by_engine.items():
-        mags = np.abs(values)
-        if np.all(mags > 0) and times.size >= 4:
-            fit = _fit_decay(times, mags, None)
-            fields["fits"][engine] = {"t2_us": fit.params["t2"] * 1e6,
-                                      "rate_per_s": fit.params["rate"],
-                                      "converged": fit.converged}
     for other in ("lindblad", "trajectory"):
         if "analytic" in by_engine and other in by_engine:
             diff = by_engine["analytic"] - by_engine[other]
@@ -117,22 +148,14 @@ def run_cpmg(cfg: ExperimentConfig) -> Table:
             else 5.0 / analytic.heuristic_rate(device, s))
     times = np.linspace(0.0, tmax, cfg.points)
 
-    def compute(n):
-        values = analytic.ramsey_trace(device, s, times, cpmg_order=n).values
-        return n, values, _fit_decay(times, np.abs(values), n)
-
-    results = [compute(n) for n in cfg.orders]
     rows = [[n, t * 1e6, v.real, v.imag, abs(v), "analytic", ""]
-            for n, values, _ in results for t, v in zip(times, values)]
+            for n in cfg.orders
+            for t, v in zip(times, analytic.ramsey_trace(
+                device, s, times, cpmg_order=n).values)]
     header = ["cpmg_n", "time_us", "coh_re", "coh_im", "coh_abs", "engine",
               "stderr_abs"]
-    fits = {str(n): fit for n, _, fit in results}
-    fields = {"fitted_t2_us": {n: f.params["t2"] * 1e6
-                               for n, f in fits.items()},
-              "fit_converged": {n: f.converged for n, f in fits.items()},
-              # T2 is not monotone in the order: report window and residuals.
-              "fit_residual": {n: f.residual_norm for n, f in fits.items()},
-              "tmax_us": tmax * 1e6,
+    # T2 is not monotone in the order: report the window with the fits.
+    fields = {"tmax_us": tmax * 1e6,
               "tmax_scaling": "5x heuristic decay time unless tmax_us given"}
     return header, rows, fields
 
@@ -142,14 +165,9 @@ def run_rb(cfg: ExperimentConfig) -> Table:
     # not read and the `stderr` column stays empty.
     curve = average_survival(cfg.device, cfg.spectator_init, cfg.lengths,
                              t_gate=cfg.t_gate, frame=cfg.frame)
-    fit = fit_rb(curve.lengths, curve.survival, offset=RB_ASYMPTOTE)
     rows = [[int(m), surv, ""]
             for m, surv in zip(curve.lengths, curve.survival)]
-    fields = {"fit": {"p": fit.params["p"], "epc": fit.params["epc"],
-                      "amplitude": fit.params["amplitude"],
-                      "offset": fit.params["offset"],
-                      "p_stderr": fit.stderr["p"], "converged": fit.converged}}
-    return ["length", "survival", "stderr"], rows, fields
+    return ["length", "survival", "stderr"], rows, {}
 
 
 def run_derive(cfg: ExperimentConfig) -> Table:
@@ -167,11 +185,8 @@ def run_derive(cfg: ExperimentConfig) -> Table:
         built = build_cetcg(clusters, bath, tau_c)
         ref = two_qubit_cetcg_reference(nu, tau_c, gamma)
         diff = float(np.max(np.abs(built.superop - ref.superop)))
-        coef_plus = 0.5 * gamma * (1.0 + float(sinc(4.0 * nu * tau_c)))
-        coef_minus = 0.5 * gamma * (1.0 - float(sinc(4.0 * nu * tau_c)))
-        coef_cross = 0.5 * gamma * float(
-            np.sin(2.0 * nu * tau_c) * sinc(2.0 * nu * tau_c))
-        rows.append([x, coef_plus, coef_minus, coef_cross, diff])
+        k = two_qubit_kossakowski(nu, tau_c, gamma)
+        rows.append([x, k[0, 0].real, k[1, 1].real, k[0, 1].imag, diff])
     header = ["nu_tauc", "coef_uncorrelated", "coef_correlated",
               "coef_cross", "builder_vs_reference_max_abs_diff"]
     fields = {"note": "coefficients of D[I(x)sm], D[Zs(x)sm], and the cross "
@@ -189,6 +204,13 @@ def run(cfg: ExperimentConfig) -> dict:
         raise ConfigError("field 'out' is required to run an experiment")
     out = Path(cfg.out)
     header, rows, fields = _RUNNERS[cfg.experiment](cfg)
+    if cfg.experiment in _FIT_KINDS:
+        columns = dict(zip(header, zip(*rows)))
+        try:
+            fields["fits"] = _fits(header, lambda name, convert: list(
+                map(convert, columns[name])), _FIT_KINDS[cfg.experiment])
+        except ValueError as exc:
+            fields.update(fits=[], fit_error=str(exc))
     meta = {"resolved_config": config_to_dict(cfg),
             "sdid_version": __version__, **fields}
     with open(out, "w", newline="\n") as fh:
@@ -288,15 +310,13 @@ def cpmg(config_path, orders, spectator_init, tmax_us, points, out):
                    "no sequences.")
 @click.option("--tgate-ns", "tgate_ns", type=float, default=None)
 @click.option("--frame", default=None, help="bare or experimental.")
-@click.option("--seed", type=int, default=None)
 @click.option("--out", required=True, type=click.Path())
-def rb(config_path, spectator_init, lengths, n_seq, tgate_ns, frame, seed,
-       out):
+def rb(config_path, spectator_init, lengths, n_seq, tgate_ns, frame, out):
     """Single-qubit randomized benchmarking under spectator decay."""
     cfg = _base_config(config_path, experiment="rb",
                        spectator_init=spectator_init, lengths=lengths,
                        n_seq=n_seq, tgate_ns=tgate_ns, frame=frame,
-                       seed=seed, out=out)
+                       out=out)
     run(cfg)
     click.echo(f"wrote {out}")
 
@@ -328,8 +348,8 @@ def derive(config_path, nu_tauc, out):
 def fit(in_path, kind, out):
     """Fit a CSV written by ramsey/cpmg (exponential) or rb.
 
-    An exponential fit is made per engine and CPMG order and listed under
-    "fits"; a CPMG order's fit pins the offset to 0, as `sdid cpmg` does.
+    Prints the `fits` records that the run's own sidecar holds: one per
+    engine and CPMG order, or one for an RB CSV.
     """
     if kind not in ("exponential", "rb"):
         raise click.BadParameter(f"{kind!r} is not one of 'exponential', "
@@ -349,44 +369,12 @@ def fit(in_path, kind, out):
                 f"{in_path}: column {name!r} has an entry that is not "
                 f"{convert.__name__}") from None
 
-    if kind == "exponential":
-        orders = (column("cpmg_n", int) if "cpmg_n" in header
-                  else [None] * len(rows))
-        groups: dict = {}
-        for key, t_us, mag in zip(zip(column("engine", str), orders),
-                                  column("time_us", float),
-                                  column("coh_abs", float)):
-            groups.setdefault(key, []).append((t_us, mag))
-        fits = []
-        for (engine, order), group in groups.items():
-            t_us, mags = np.array(group).T
-            # The offset rule of `run_ramsey` and `run_cpmg`, so the re-fit
-            # reproduces the run's sidecar.
-            try:
-                result = _fit_decay(t_us * 1e-6, mags, order)
-            except ValueError as exc:
-                name = f"engine {engine!r}" + (
-                    "" if order is None else f", cpmg_n {order}")
-                raise click.ClickException(f"{name}: {exc}") from None
-            entry = {"engine": engine, "model": result.model,
-                     "converged": result.converged,
-                     "t2_us": result.params["t2"] * 1e6,
-                     "params": result.params, "stderr": result.stderr}
-            if order is not None:
-                entry["cpmg_n"] = order
-            fits.append(entry)
-        payload = {"fits": fits}
-    else:
-        lengths = np.array(column("length", int))
-        survival = np.array(column("survival", float))
-        # Pinned as in `run_rb`, so the re-fit reproduces the run's sidecar.
-        try:
-            result = fit_rb(lengths, survival, offset=RB_ASYMPTOTE)
-        except ValueError as exc:
-            raise click.ClickException(f"{in_path}: {exc}") from None
-        payload = {"model": result.model, "converged": result.converged,
-                   "params": result.params, "stderr": result.stderr}
-    text = _json(payload)
+    try:
+        fits = _fits(header, column, kind)
+    except ValueError as exc:
+        where = "" if kind == "exponential" else f"{in_path}: "
+        raise click.ClickException(f"{where}{exc}") from None
+    text = _json({"fits": fits})
     if out:
         Path(out).write_text(text + "\n")
         click.echo(f"wrote {out}")

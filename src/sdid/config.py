@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .fitting import MIN_LENGTHS, MIN_POINTS
 from .model import (DeviceModel, PhysicalityError, QubitParams,
                     parse_spectator_init)
 from .rb import FRAMES, branch_weights
@@ -215,9 +216,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         cfg.tmax_us = _require_positive(data["tmax_us"], "tmax_us")
     if "points" in data:
         cfg.points = _require_int(data["points"], "points", 1)
-    if experiment == "cpmg" and cfg.points < 4:
-        raise ConfigError(f"field 'points' must be >= 4 for 'cpmg' (the T2 "
-                          f"fit needs 4 points), got {cfg.points}")
+    if experiment == "cpmg" and cfg.points < MIN_POINTS:
+        raise ConfigError(f"field 'points' must be >= {MIN_POINTS} for "
+                          f"'cpmg' (the T2 fit needs {MIN_POINTS} points), "
+                          f"got {cfg.points}")
     if "orders" in data:
         orders = tuple(
             _require_int(n, f"orders[{k}]", 0)
@@ -227,10 +229,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         cfg.lengths = tuple(
             _require_int(m, f"lengths[{k}]", 1)
             for k, m in enumerate(_require_list(data["lengths"], "lengths")))
-    if experiment == "rb" and len(set(cfg.lengths)) < 3:
-        raise ConfigError(f"field 'lengths' needs at least 3 distinct "
-                          f"lengths for 'rb' (the fit needs them), got "
-                          f"{list(cfg.lengths)}")
+    if experiment == "rb" and len(set(cfg.lengths)) < MIN_LENGTHS:
+        raise ConfigError(f"field 'lengths' needs at least {MIN_LENGTHS} "
+                          f"distinct lengths for 'rb' (the fit needs them), "
+                          f"got {list(cfg.lengths)}")
     if "n_seq" in data:
         cfg.n_seq = _require_int(data["n_seq"], "n_seq", 1)
     if "n_traj" in data:

@@ -80,10 +80,7 @@ class RateMatrix:
     def build(cls, frequencies: Sequence[float], tau_c: float,
               gamma_bar: float) -> "RateMatrix":
         freqs = np.asarray(frequencies, dtype=float)
-        m = np.empty((freqs.size, freqs.size), dtype=complex)
-        for a, oa in enumerate(freqs):
-            for b, ob in enumerate(freqs):
-                m[a, b] = cetcg_rate(oa, ob, tau_c, gamma_bar)
+        m = cetcg_rate(freqs[:, None], freqs[None, :], tau_c, gamma_bar)
         return cls(frequencies=freqs, matrix=m, tau_c=tau_c)
 
     def min_eigenvalue(self) -> float:
@@ -191,19 +188,16 @@ def build_bmpsa(clusters: Sequence[Cluster],
     return LiouvillianBundle.from_terms(h, jumps)
 
 
-def cetcg_rate(omega: float, omega_p: float, tau_c: float,
-               gamma_bar: float) -> complex:
+def cetcg_rate(omega, omega_p, tau_c: float, gamma_bar: float) -> np.ndarray:
     """Coarse-grained rate between Bohr frequencies within one cluster.
 
-    Equal frequencies give gamma_bar; otherwise
-    gamma_bar * e^{i (O'-O) tau_c / 2} sinc((O'-O) tau_c / 2).
+    gamma_bar * e^{i (O'-O) tau_c / 2} sinc((O'-O) tau_c / 2), so equal
+    frequencies give gamma_bar; the frequencies broadcast.
     """
     if tau_c <= 0:
         raise ValueError("tau_c must be positive")
-    if omega == omega_p:
-        return complex(gamma_bar)
-    half = 0.5 * (omega_p - omega) * tau_c
-    return gamma_bar * np.exp(1j * half) * complex(sinc(half))
+    half = 0.5 * (np.asarray(omega_p) - omega) * tau_c
+    return gamma_bar * np.exp(1j * half) * sinc(half)
 
 
 def _kossakowski_jumps(rate_matrix: np.ndarray,
@@ -262,6 +256,21 @@ def two_qubit_coupling(a: float = 0.0) -> np.ndarray:
     return ops.kron(ops.I2, ops.X) + a * ops.kron(ops.X, ops.Z)
 
 
+def two_qubit_kossakowski(nu: float, tau_c: float,
+                          gamma: float) -> np.ndarray:
+    """Rate matrix over (I (x) sm, Zs (x) sm) of the reference generator.
+
+    PSD, since det = (gamma/2)^2 (1 - sinc(2 nu tau_c)^2) >= 0.
+    """
+    if tau_c <= 0:
+        raise ValueError("tau_c must be positive")
+    u = 2.0 * nu * tau_c
+    s4 = float(sinc(2.0 * u))
+    cross = float(np.sin(u) * sinc(u))
+    return 0.5 * gamma * np.array([[1.0 + s4, 1j * cross],
+                                   [-1j * cross, 1.0 - s4]], dtype=complex)
+
+
 def two_qubit_cetcg_reference(nu: float, tau_c: float,
                               gamma: float) -> LiouvillianBundle:
     """Closed-form coarse-grained generator for the two-qubit system.
@@ -272,17 +281,10 @@ def two_qubit_cetcg_reference(nu: float, tau_c: float,
                 (i I (x) sm rho Zs (x) sp + h.c.) ],
     with Zs = |1><1| - |0><0| the spectator-conditioned sign operator.
     """
-    if tau_c <= 0:
-        raise ValueError("tau_c must be positive")
+    k = two_qubit_kossakowski(nu, tau_c, gamma)
     p = ops.kron(ops.I2, ops.SIGMA_MINUS)
     zs = -ops.Z  # |1><1| - |0><0|
     q = ops.kron(zs, ops.SIGMA_MINUS)
-    u = 2.0 * nu * tau_c
-    s4 = float(sinc(2.0 * u))
-    cross = float(np.sin(u) * sinc(u))
-    # Kossakowski matrix over (p, q); PSD since det = 1 - sinc(u)^2 >= 0.
-    k = 0.5 * gamma * np.array([[1.0 + s4, 1j * cross],
-                                [-1j * cross, 1.0 - s4]], dtype=complex)
     superop = np.zeros((16, 16), dtype=complex)
     lind = [p, q]
     for a in range(2):

@@ -14,6 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# The fewest points of an exponential fit and distinct lengths of an RB fit.
+MIN_POINTS = 4
+MIN_LENGTHS = 3
+
 
 @dataclass
 class FitResult:
@@ -122,8 +126,8 @@ def fit_exponential(times, magnitudes,
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(magnitudes, dtype=float)
-    if t.size < 4:
-        raise ValueError("fit_exponential needs at least 4 points")
+    if t.size < MIN_POINTS:
+        raise ValueError(f"fit_exponential needs at least {MIN_POINTS} points")
     if np.any(y <= 0):
         raise ValueError("magnitudes must be positive")
 
@@ -166,8 +170,9 @@ def fit_rb(lengths, survival, offset: float | None = None) -> FitResult:
     """
     m = np.asarray(lengths, dtype=float)
     y = np.asarray(survival, dtype=float)
-    if np.unique(m).size < 3:
-        raise ValueError("fit_rb needs at least 3 distinct lengths")
+    if np.unique(m).size < MIN_LENGTHS:
+        raise ValueError(f"fit_rb needs at least {MIN_LENGTHS} distinct "
+                         f"lengths")
 
     b0 = 0.5 if offset is None else float(offset)
     a0 = y[np.argmin(m)] - b0

@@ -18,7 +18,7 @@ import sdid
 from sdid import (ConfigError, average_survival, config_from_dict,
                   device_from_dict, device_to_dict, fit_exponential,
                   load_config, nu_from_4nu_khz)
-from sdid.cli import main
+from sdid.cli import _json, main
 
 DEVICE_A = {
     "control": {"t2_us": 127.0},
@@ -111,8 +111,9 @@ def test_seed_must_be_a_non_negative_integer(tmp_path):
             config_from_dict({"device": DEVICE_A, "seed": bad})
     assert config_from_dict({"device": DEVICE_A, "seed": 3.0}).seed == 3
     assert config_from_dict({"device": DEVICE_A, "seed": 0}).seed == 0
-    # The trajectory and RB engines key Philox with the seed; a bad one is a
-    # one-line error, not a traceback.
+    # The trajectory engine keys Philox with the seed. The config checks it
+    # for every experiment, RB too, and a bad one is a one-line error, not a
+    # traceback.
     cfg = _write_config(tmp_path / "b.json", DEVICE_B, seed=-1)
     for args in (["ramsey", "--engines", "trajectory"], ["rb"]):
         out = tmp_path / "x.csv"
@@ -324,8 +325,8 @@ def test_cli_cpmg_sweep(tmp_path):
     rows = _read_rows(out)
     assert {r["cpmg_n"] for r in rows} == {"0", "4"}
     meta = json.loads((tmp_path / "cpmg.csv.meta.json").read_text())
-    assert set(meta["fitted_t2_us"]) == {"0", "4"}
-    assert meta["fitted_t2_us"]["4"] > 0
+    assert [f["cpmg_n"] for f in meta["fits"]] == [0, 4]
+    assert meta["fits"][1]["t2_us"] > 0
 
 
 def test_cli_cpmg_fits_are_physical(tmp_path):
@@ -338,12 +339,11 @@ def test_cli_cpmg_fits_are_physical(tmp_path):
         "--out", str(out)])
     assert result.exit_code == 0, result.output
     meta = json.loads((tmp_path / "cpmg.csv.meta.json").read_text())
-    orders = {"0", "1", "4", "16", "64", "160"}
-    assert set(meta["fit_converged"]) == orders
-    assert all(meta["fit_converged"].values())
-    t2s = meta["fitted_t2_us"]
-    assert set(t2s) == orders
-    assert all(0.0 < t2 <= 241.0 for t2 in t2s.values()), t2s
+    fits = meta["fits"]
+    assert [f["cpmg_n"] for f in fits] == [0, 1, 4, 16, 64, 160]
+    assert all(f["converged"] for f in fits)
+    t2s = [f["t2_us"] for f in fits]
+    assert all(0.0 < t2 <= 241.0 for t2 in t2s), t2s
 
 
 def test_cli_cpmg_sidecar_records_window_and_residuals(tmp_path):
@@ -359,9 +359,10 @@ def test_cli_cpmg_sidecar_records_window_and_residuals(tmp_path):
     assert meta["tmax_us"] == max(float(r["time_us"]) for r in rows)
     rate = 1 / 241e-6 + 1 / 150e-6 + 1 / 218e-6 + 1 / 122e-6
     assert math.isclose(meta["tmax_us"], 5e6 / rate, rel_tol=1e-6)
-    assert set(meta["fit_residual"]) == {"0", "1", "4", "16"}
-    for n, residual in meta["fit_residual"].items():
-        group = [r for r in rows if r["cpmg_n"] == n]
+    assert [f["cpmg_n"] for f in meta["fits"]] == [0, 1, 4, 16]
+    for f in meta["fits"]:
+        n, residual = f["cpmg_n"], f["residual_norm"]
+        group = [r for r in rows if r["cpmg_n"] == str(n)]
         times = np.array([float(r["time_us"]) for r in group]) * 1e-6
         mags = np.array([float(r["coh_abs"]) for r in group])
         refit = fit_exponential(times, mags, offset=0.0)
@@ -383,7 +384,7 @@ def test_cli_rb_and_fit_round_trip(tmp_path):
     result = CliRunner().invoke(main, [
         "fit", "--in", str(out), "--kind", "rb", "--out", str(fit_out)])
     assert result.exit_code == 0, result.output
-    payload = json.loads(fit_out.read_text())
+    [payload] = json.loads(fit_out.read_text())["fits"]
     assert 0.0 < payload["params"]["p"] <= 1.0 + 1e-9
 
 
@@ -396,16 +397,16 @@ def test_cli_rb_fit_pins_the_offset(tmp_path):
     result = CliRunner().invoke(main, [
         "rb", "--config", cfg, "--nseq", "10", "--out", str(out)])
     assert result.exit_code == 0, result.output
-    fit = json.loads((tmp_path / "rb.csv.meta.json").read_text())["fit"]
+    [fit] = json.loads((tmp_path / "rb.csv.meta.json").read_text())["fits"]
     assert fit["converged"] is True
-    assert fit["offset"] == 0.5
+    assert fit["params"]["offset"] == 0.5
     # Re-fitting the CSV gives the run's own fit.
     result = CliRunner().invoke(main, ["fit", "--in", str(out), "--kind", "rb"])
     assert result.exit_code == 0, result.output
-    refit = json.loads(result.output)
+    [refit] = json.loads(result.output)["fits"]
     assert refit["converged"] is True
     assert refit["params"]["offset"] == 0.5
-    assert abs(refit["params"]["epc"] - fit["epc"]) <= 1e-12
+    assert abs(refit["params"]["epc"] - fit["params"]["epc"]) <= 1e-12
 
 
 def test_cli_rb_writes_the_exact_average(tmp_path):
@@ -466,6 +467,11 @@ def test_cli_fit_reports_short_inputs_in_one_line(tmp_path):
         result = CliRunner().invoke(main, ["fit"] + args)
         assert result.exit_code != 0
         assert result.output.strip().splitlines() == [message]
+    # The run's sidecar records the error that `sdid fit` reports.
+    meta = json.loads((tmp_path / "ramsey.csv.meta.json").read_text())
+    assert meta["fits"] == []
+    assert meta["fit_error"] == ("engine 'analytic': fit_exponential needs "
+                                 "at least 4 points")
 
 
 def test_cli_derive_table_matches_closed_forms(tmp_path):
@@ -541,11 +547,30 @@ def test_cli_fit_of_a_cpmg_csv_reproduces_the_sidecar(tmp_path):
     assert result.exit_code == 0, result.output
     fits = json.loads(result.output)["fits"]
     assert [f["cpmg_n"] for f in fits] == [0, 1, 4, 16]
+    assert fits == sidecar["fits"]
     for f in fits:
-        want = sidecar["fitted_t2_us"][str(f["cpmg_n"])]
-        assert abs(f["t2_us"] - want) <= 1e-12, (f["cpmg_n"], f["t2_us"],
-                                                 want)
         assert f["params"]["offset"] == 0.0
+
+
+def test_cli_fit_prints_the_fits_of_the_run_sidecar(tmp_path):
+    # One fit path: a run's sidecar holds exactly what `sdid fit` prints for
+    # its CSV, for every experiment that fits.
+    cfg = _write_config(tmp_path / "b.json", DEVICE_B, seed=5, n_traj=2000)
+    for name, args, kind in (
+            ("ramsey", ["--points", "21", "--engines",
+                        "analytic,lindblad,trajectory"], "exponential"),
+            ("cpmg", ["--orders", "0,1,4,16"], "exponential"),
+            ("rb", ["--init", "plus"], "rb")):
+        out = tmp_path / f"{name}.csv"
+        result = CliRunner().invoke(main, [name, "--config", cfg] + args
+                                    + ["--out", str(out)])
+        assert result.exit_code == 0, result.output
+        meta = json.loads((tmp_path / f"{name}.csv.meta.json").read_text())
+        assert meta["fits"] and "fit_error" not in meta, name
+        result = CliRunner().invoke(main, ["fit", "--in", str(out),
+                                           "--kind", kind])
+        assert result.exit_code == 0, result.output
+        assert result.output == _json({"fits": meta["fits"]}) + "\n", name
 
 
 def test_cli_requires_output_path(tmp_path):

@@ -142,6 +142,14 @@ def test_cetcg_rate_properties():
     assert np.isclose(cetcg_rate(4.0, 1.0, 0.7, 2.0), np.conj(r))
     with pytest.raises(ValueError):
         cetcg_rate(1.0, 2.0, 0.0, 1.0)
+    # The frequencies broadcast, and a rate matrix is one such call; a
+    # repeated frequency gets gamma_bar exactly.
+    freqs = np.array([-1.5, 0.25, 0.25, 3.0])
+    m = cetcg_rate(freqs[:, None], freqs[None, :], 0.7, 2.0)
+    assert np.array_equal(m, [[cetcg_rate(a, b, 0.7, 2.0) for b in freqs]
+                              for a in freqs])
+    assert np.array_equal(RateMatrix.build(freqs, 0.7, 2.0).matrix, m)
+    assert m[1, 2] == 2.0
 
 
 def _cetcg_rate_quadrature(omega: float, omega_p: float, tau_c: float,
