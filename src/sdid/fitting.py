@@ -18,6 +18,11 @@ import numpy as np
 MIN_POINTS = 4
 MIN_LENGTHS = 3
 
+# Above this rms residual (in the units of the data, at most 1 for
+# coherence magnitudes and survival probabilities) a fit carries a note that
+# its model does not describe the curve.
+MAX_RMS_RESIDUAL = 0.02
+
 
 @dataclass
 class FitResult:
@@ -89,7 +94,8 @@ def _fit(model: str, names, residual_fn, jacobian_fn, theta0,
 
     The pinned entries keep their theta0 value and get stderr 0.  The
     result's params and stderr are keyed by `names`; a fit that did not
-    converge returns its best iterate with a note and a warning.
+    converge returns its best iterate with a note and a warning.  A fit
+    whose rms residual exceeds MAX_RMS_RESIDUAL carries a note only.
     """
     free = np.asarray(free, dtype=bool)
     theta0 = np.asarray(theta0, dtype=float)
@@ -111,9 +117,14 @@ def _fit(model: str, names, residual_fn, jacobian_fn, theta0,
     if not converged:
         notes.append("fit did not converge; returning best iterate")
         warnings.warn(notes[-1])
+    residual_norm = float(np.linalg.norm(res))
+    rms = residual_norm / np.sqrt(res.size)
+    if rms > MAX_RMS_RESIDUAL:
+        notes.append(f"rms residual {rms:.3g} exceeds {MAX_RMS_RESIDUAL}: "
+                     f"the model {model} does not describe the data")
     return FitResult(params=dict(zip(names, full(sub))),
                      stderr=dict(zip(names, stderr)),
-                     residual_norm=float(np.linalg.norm(res)), model=model,
+                     residual_norm=residual_norm, model=model,
                      converged=converged, warnings=notes)
 
 

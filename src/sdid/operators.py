@@ -4,9 +4,11 @@ exponential.
 
 The exponential takes any matrix, or a stack of equal-size matrices; the
 Lindblad engine in :mod:`sdid.model` exponentiates its sector blocks with
-it, and other callers pass small dense generators.  It is the package's
-only use of scipy, and ``scipy.linalg`` is imported on its first call, so
-commands that exponentiate nothing never pay for loading it.
+it, and other callers pass small dense generators.  It is scaling and
+squaring with the degree-13 Pade approximant (Higham, SIAM J. Matrix Anal.
+Appl. 26, 1179 (2005)), written in numpy over the whole stack, so the
+package never loads scipy.  Each matrix gets its own scaling exponent, so
+a matrix of a stack comes out bitwise equal to its exponential taken alone.
 
 Conventions used throughout the package:
 
@@ -102,21 +104,63 @@ def trace_row(d: int) -> np.ndarray:
     return vectorize(np.eye(d, dtype=complex))
 
 
+# Numerator coefficients b_0..b_13 of the [13/13] Pade approximant of exp,
+# divided by b_0 so that b_0 = 1 and expm(0) is exactly the identity, and
+# the largest 1-norm theta_13 at which the approximant is accurate to unit
+# roundoff in double precision (Higham 2005).
+_PADE13 = tuple(b / 64764752532480000 for b in (
+    64764752532480000, 32382376266240000, 7771770303897600,
+    1187353796428800, 129060195264000, 10559470521600, 670442572800,
+    33522128640, 1323241920, 40840800, 960960, 16380, 182, 1))
+_THETA13 = 5.371920351148152
+
+
 def expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring with Pade approximant).
+    """Matrix exponential by scaling and squaring with the [13/13] Pade
+    approximant (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
 
-    Takes a square matrix or a stack (..., n, n) of them, each exponentiated
-    on its own. Raises ValueError on non-finite entries; delegates the
-    numerics to ``scipy.linalg.expm``.
+    Takes a square matrix or a stack (..., n, n) of them.  Each matrix A is
+    scaled by its own 2^-s, s = max(0, ceil(log2(||A||_1 / theta_13))), and
+    matrices that share s are evaluated together, so every matrix of a
+    stack comes out bitwise equal to its exponential taken alone.  Raises
+    ValueError on non-square or non-finite input.
+
+    The exponent follows the 1-norm, so a matrix whose norm far exceeds
+    the growth of its powers is over-scaled: on [[1, b], [0, -1]] the
+    error relative to the result is 1e-14 at b = 1e3 but 3e-12 at b = 1e6.
+    The Lindblad sector blocks are far from that regime.
     """
-    import scipy.linalg     # about 0.1 s to load; most commands never need it
-
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expm expects square matrices, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("expm input contains non-finite entries")
-    return scipy.linalg.expm(m)
+    n = m.shape[-1]
+    stack = m.reshape(-1, n, n)
+    norms = np.abs(stack).sum(axis=-2).max(axis=-1)
+    exponents = np.ceil(np.log2(np.maximum(norms / _THETA13, 1.0))).astype(int)
+    out = np.empty_like(stack)
+    for s in np.unique(exponents):
+        pick = exponents == s
+        out[pick] = _pade13_squared(stack[pick] / 2.0 ** s, int(s))
+    return out.reshape(m.shape)
+
+
+def _pade13_squared(a: np.ndarray, squarings: int) -> np.ndarray:
+    """r13(a) = solve(V - U, V + U) for a stack a, squared `squarings` times."""
+    b = _PADE13
+    eye = np.eye(a.shape[-1], dtype=complex)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        r = r @ r
+    return r
 
 
 def hermiticity_defect(m: np.ndarray) -> float:

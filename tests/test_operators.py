@@ -117,11 +117,65 @@ def test_expm_block_split_matches_full_expm(device_b):
         assert np.unique(labels).size == n_components
 
 
+def _assert_matches_scipy(m, rtol=1e-13):
+    # scipy's expm (Al-Mohy & Higham 2009) is the independent reference; the
+    # error is taken relative to the result where that exceeds 1.
+    ref = scipy.linalg.expm(m)
+    bound = rtol * max(1.0, np.linalg.norm(ref, 1))
+    assert np.max(np.abs(ops.expm(m) - ref)) <= bound
+
+
+def test_expm_matches_scipy_on_every_sector_block(device_a, device_b,
+                                                   device_b5):
+    for device in (device_a, device_b, device_b5):
+        bundle = build_liouvillian(device)
+        for dt in (1e-6, 50e-6, 500e-6, 5e-3):
+            for _, blocks in bundle.sectors:
+                for m in blocks * dt:
+                    _assert_matches_scipy(m)
+
+
+def test_expm_matches_scipy_on_hard_matrices():
+    rng = np.random.default_rng(2005)
+    jordan = 2.0 * np.eye(6) + np.diag(np.ones(5), 1)   # defective
+    # Strongly non-normal: off-diagonal entries up to ~100x the diagonal.
+    triangular = (np.triu(30.0 * rng.standard_normal((8, 8)), 1)
+                  - np.diag(np.arange(8.0)))
+    for m in (jordan, triangular):
+        _assert_matches_scipy(m)
+    # Random matrices shifted to a spectrum in the closed left half-plane,
+    # as the Lindblad generators are, so no exponential overflows.  The
+    # exponential's condition number is at least ||A||_1, so at 1-norm 1e3
+    # each algorithm is itself up to ~1.6e-13 from the exact result
+    # (checked against 50-digit arithmetic); there the bound is 10u||A||_1.
+    for norm in 10.0 ** np.arange(-8, 4):
+        for n in (2, 5, 12):
+            m = _random_complex(rng, n)
+            m -= np.max(np.linalg.eigvals(m).real) * np.eye(n)
+            _assert_matches_scipy(m * norm / np.linalg.norm(m, 1),
+                                  rtol=max(1e-13, 1e-15 * norm))
+
+
+def test_expm_of_zero_is_exactly_the_identity():
+    assert np.array_equal(ops.expm(np.zeros((5, 5))), np.eye(5))
+    assert np.array_equal(ops.expm(np.zeros((3, 4, 4))),
+                          np.broadcast_to(np.eye(4), (3, 4, 4)))
+
+
 def test_expm_of_a_stack_is_the_expm_of_each_matrix(rng):
-    stack = np.stack([_random_complex(rng, 6) * 0.3 for _ in range(4)])
+    # 1-norms from ~0.07 to ~250 need scaling exponents from 0 to about 6,
+    # so one call splits the stack into several exponent groups.
+    scales = (0.01, 0.3, 3.0, 30.0, 0.3, 30.0)
+    stack = np.stack([_random_complex(rng, 6) * c for c in scales])
+    stack = stack.reshape(2, 3, 6, 6)
+    exponents = {int(np.ceil(np.log2(max(np.linalg.norm(m, 1)
+                                         / ops._THETA13, 1))))
+                 for m in stack.reshape(-1, 6, 6)}
+    assert len(exponents) >= 3
     out = ops.expm(stack)
-    for m, e in zip(stack, out):
-        assert np.array_equal(e, scipy.linalg.expm(m))
+    assert out.shape == stack.shape
+    for m, e in zip(stack.reshape(-1, 6, 6), out.reshape(-1, 6, 6)):
+        assert np.array_equal(e, ops.expm(m))
 
 
 def test_expm_rejects_bad_input():
