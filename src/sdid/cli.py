@@ -14,9 +14,9 @@ resolved config and version and writes both files.  Identical config and
 seed give byte-identical CSV output.  A configuration error ends the
 command with a one-line message that names the field.
 
-One function fits: `_fits` turns a table into fit records.  `run` calls it
-on the rows it writes, and `fit` on the rows it reads back, so the `fits` of
-a `ramsey`, `cpmg` or `rb` sidecar are what `sdid fit` prints for its CSV.
+One function reads a result table: `_fits`.  `run` calls it on the CSV text
+it writes, and `fit` on the text it reads back, so the `fits` of a `ramsey`,
+`cpmg` or `rb` sidecar are what `sdid fit` prints for its CSV.
 """
 
 from __future__ import annotations
@@ -52,40 +52,45 @@ from .trajectory import EnsembleSpec
 Table = tuple[list[str], list[list], dict]
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
 def _json(payload: dict) -> str:
-    """The JSON text of a sidecar or of a `fit` result."""
-    return json.dumps(payload, indent=2, sort_keys=True, default=float)
+    """The JSON text of a sidecar or of a `fit` result, with null for each
+    non-finite number, which Python would write as NaN or Infinity."""
+    finite = json.loads(json.dumps(payload, default=float),
+                        parse_constant=lambda _: None)
+    return json.dumps(finite, indent=2, sort_keys=True, allow_nan=False)
 
 
 # The model has no state-preparation or measurement error, so RB survival
 # decays to 1/2; every RB fit pins its offset there.
 RB_ASYMPTOTE = 0.5
 
-# The fit kind of each experiment whose sidecar carries fit records.
-_FIT_KINDS = {"ramsey": "exponential", "cpmg": "exponential", "rb": "rb"}
 
+def _fits(header: list[str], rows: list[list[str]]) -> list[dict]:
+    """Fit records, one per curve, of a table: `header` and `rows` of CSV text.
 
-def _fits(header, column, kind: str) -> list[dict]:
-    """Fit records, one per curve, of a table with columns `header`;
-    `column(name, convert)` returns one column with its entries converted.
-
-    An RB table is one curve, and an exponential table one per engine and
-    CPMG order.  A pulse train's coherence decays to zero, so its offset is
-    pinned to 0; a Ramsey offset is free.  A record holds the `FitResult`
-    fields, plus `engine`, `t2_us` and `cpmg_n` (CPMG only) for an
-    exponential curve.  A curve that cannot be fitted raises ValueError.
+    A `length` column makes it one RB curve, a `time_us` column one curve
+    per engine and CPMG order (a pulse train decays to zero, so its offset
+    is pinned to 0), and any other table has no fit.  A record holds the
+    `FitResult` fields, plus `engine`, `t2_us` and `cpmg_n` (CPMG only) for
+    an exponential curve.  A missing or unreadable column, or a curve that
+    cannot be fitted, raises ValueError.
     """
-    if kind == "rb":
-        fit = fit_rb(np.array(column("length", int)),
-                     np.array(column("survival", float)),
+    def column(name, convert):
+        if name not in header:
+            raise ValueError(f"no column {name!r}")
+        k = header.index(name)
+        try:
+            return [convert(row[k]) for row in rows]
+        except (IndexError, ValueError):
+            raise ValueError(f"column {name!r} has an entry that is not "
+                             f"{convert.__name__}") from None
+
+    if "length" in header:
+        fit = fit_rb(column("length", int), column("survival", float),
                      offset=RB_ASYMPTOTE)
         return [dataclasses.asdict(fit)]
+    if "time_us" not in header:
+        return []
     engines = column("engine", str)
     orders = (column("cpmg_n", int) if "cpmg_n" in header
               else [None] * len(engines))
@@ -144,16 +149,17 @@ def run_ramsey(cfg: ExperimentConfig) -> Table:
 def run_cpmg(cfg: ExperimentConfig) -> Table:
     device = cfg.device
     s = parse_spectator_init(cfg.spectator_init, device.n_spectators)
-    tmax = (cfg.tmax_us * 1e-6 if cfg.tmax_us
-            else 5.0 / analytic.heuristic_rate(device, s))
+    rate = analytic.heuristic_rate(device, s)
+    if not (cfg.tmax_us or rate > 0):
+        raise ConfigError("field 'tmax_us' is required when nothing decays")
+    tmax = cfg.tmax_us * 1e-6 if cfg.tmax_us else 5.0 / rate
     times = np.linspace(0.0, tmax, cfg.points)
 
-    rows = [[n, t * 1e6, v.real, v.imag, abs(v), "analytic", ""]
+    rows = [[n, t * 1e6, v.real, v.imag, abs(v), "analytic"]
             for n in cfg.orders
             for t, v in zip(times, analytic.ramsey_trace(
                 device, s, times, cpmg_order=n).values)]
-    header = ["cpmg_n", "time_us", "coh_re", "coh_im", "coh_abs", "engine",
-              "stderr_abs"]
+    header = ["cpmg_n", "time_us", "coh_re", "coh_im", "coh_abs", "engine"]
     # T2 is not monotone in the order: report the window with the fits.
     fields = {"tmax_us": tmax * 1e6,
               "tmax_scaling": "5x heuristic decay time unless tmax_us given"}
@@ -162,12 +168,11 @@ def run_cpmg(cfg: ExperimentConfig) -> Table:
 
 def run_rb(cfg: ExperimentConfig) -> Table:
     # The exact sequence average samples nothing, so `n_seq` and `seed` are
-    # not read and the `stderr` column stays empty.
+    # not read.
     curve = average_survival(cfg.device, cfg.spectator_init, cfg.lengths,
                              t_gate=cfg.t_gate, frame=cfg.frame)
-    rows = [[int(m), surv, ""]
-            for m, surv in zip(curve.lengths, curve.survival)]
-    return ["length", "survival", "stderr"], rows, {}
+    rows = [[int(m), surv] for m, surv in zip(curve.lengths, curve.survival)]
+    return ["length", "survival"], rows, {}
 
 
 def run_derive(cfg: ExperimentConfig) -> Table:
@@ -204,18 +209,20 @@ def run(cfg: ExperimentConfig) -> dict:
         raise ConfigError("field 'out' is required to run an experiment")
     out = Path(cfg.out)
     header, rows, fields = _RUNNERS[cfg.experiment](cfg)
-    if cfg.experiment in _FIT_KINDS:
-        columns = dict(zip(header, zip(*rows)))
-        try:
-            fields["fits"] = _fits(header, lambda name, convert: list(
-                map(convert, columns[name])), _FIT_KINDS[cfg.experiment])
-        except ValueError as exc:
-            fields.update(fits=[], fit_error=str(exc))
+    # `str` gives a float's shortest round-trip text; the csv module would
+    # take its `repr`, which numpy 2 spells np.float64(x).
+    rows = [[str(x) for x in row] for row in rows]
+    try:
+        fits = _fits(header, rows)
+    except ValueError as exc:
+        fields.update(fits=[], fit_error=str(exc))
+    else:
+        if fits:
+            fields["fits"] = fits
     meta = {"resolved_config": config_to_dict(cfg),
             "sdid_version": __version__, **fields}
     with open(out, "w", newline="\n") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(
-            [header] + [[_fmt(x) for x in row] for row in rows])
+        csv.writer(fh, lineterminator="\n").writerows([header] + rows)
     out.with_suffix(out.suffix + ".meta.json").write_text(_json(meta) + "\n")
     return meta
 
@@ -343,37 +350,21 @@ def derive(config_path, nu_tauc, out):
 @main.command()
 @click.option("--in", "in_path", required=True,
               type=click.Path(exists=True))
-@click.option("--kind", default="exponential", help="exponential or rb.")
 @click.option("--out", type=click.Path(), default=None)
-def fit(in_path, kind, out):
-    """Fit a CSV written by ramsey/cpmg (exponential) or rb.
+def fit(in_path, out):
+    """Fit a CSV written by ramsey, cpmg or rb; its header says which fit.
 
     Prints the `fits` records that the run's own sidecar holds: one per
-    engine and CPMG order, or one for an RB CSV.
+    engine and CPMG order, one for an RB CSV, and none for a derive CSV.
     """
-    if kind not in ("exponential", "rb"):
-        raise click.BadParameter(f"{kind!r} is not one of 'exponential', "
-                                 f"'rb'.", param_hint="'--kind'")
-    with open(in_path) as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-    header = reader.fieldnames or []
-
-    def column(name, convert):
-        if name not in header:
-            raise click.ClickException(f"{in_path}: no column {name!r}")
-        try:
-            return [convert(r[name]) for r in rows]
-        except (TypeError, ValueError):
-            raise click.ClickException(
-                f"{in_path}: column {name!r} has an entry that is not "
-                f"{convert.__name__}") from None
-
+    with open(in_path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = [row for row in reader if row]
     try:
-        fits = _fits(header, column, kind)
+        fits = _fits(header, rows)
     except ValueError as exc:
-        where = "" if kind == "exponential" else f"{in_path}: "
-        raise click.ClickException(f"{where}{exc}") from None
+        raise click.ClickException(f"{in_path}: {exc}") from None
     text = _json({"fits": fits})
     if out:
         Path(out).write_text(text + "\n")

@@ -62,6 +62,8 @@ def _require_list(value, name: str) -> list:
 
 
 def _require_distinct(entries: tuple, name: str) -> tuple:
+    if not entries:
+        raise ConfigError(f"field {name!r} must not be empty")
     for k, e in enumerate(entries):
         if e in entries[:k]:
             raise ConfigError(f"field {name!r} repeats entry {e!r}")
@@ -105,7 +107,8 @@ def device_from_dict(d: dict) -> DeviceModel:
         raise ConfigError("field 'device.control' is required")
     control = _qubit_from_dict(d["control"], "device.control")
     spectators = []
-    for k, spec in enumerate(d.get("spectators", [])):
+    for k, spec in enumerate(_require_list(d.get("spectators", []),
+                                           "device.spectators")):
         name = f"device.spectators[{k}]"
         if not isinstance(spec, dict):
             raise ConfigError(f"field {name!r} must be an object")

@@ -9,7 +9,6 @@ flagged rather than raised, returning the best iterate.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,9 +92,9 @@ def _fit(model: str, names, residual_fn, jacobian_fn, theta0,
     """Run LM over the entries of theta0 where `free` is True.
 
     The pinned entries keep their theta0 value and get stderr 0.  The
-    result's params and stderr are keyed by `names`; a fit that did not
-    converge returns its best iterate with a note and a warning.  A fit
-    whose rms residual exceeds MAX_RMS_RESIDUAL carries a note only.
+    result's params and stderr are keyed by `names`.  A fit that did not
+    converge returns its best iterate, and a fit whose rms residual exceeds
+    MAX_RMS_RESIDUAL is returned too; each carries a note in `warnings`.
     """
     free = np.asarray(free, dtype=bool)
     theta0 = np.asarray(theta0, dtype=float)
@@ -116,7 +115,6 @@ def _fit(model: str, names, residual_fn, jacobian_fn, theta0,
     notes = []
     if not converged:
         notes.append("fit did not converge; returning best iterate")
-        warnings.warn(notes[-1])
     residual_norm = float(np.linalg.norm(res))
     rms = residual_norm / np.sqrt(res.size)
     if rms > MAX_RMS_RESIDUAL:
@@ -139,6 +137,8 @@ def fit_exponential(times, magnitudes,
     y = np.asarray(magnitudes, dtype=float)
     if t.size < MIN_POINTS:
         raise ValueError(f"fit_exponential needs at least {MIN_POINTS} points")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+        raise ValueError("fit_exponential needs finite times and magnitudes")
     if np.any(y <= 0):
         raise ValueError("magnitudes must be positive")
 
@@ -184,6 +184,8 @@ def fit_rb(lengths, survival, offset: float | None = None) -> FitResult:
     if np.unique(m).size < MIN_LENGTHS:
         raise ValueError(f"fit_rb needs at least {MIN_LENGTHS} distinct "
                          f"lengths")
+    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(y))):
+        raise ValueError("fit_rb needs finite lengths and survival")
 
     b0 = 0.5 if offset is None else float(offset)
     a0 = y[np.argmin(m)] - b0

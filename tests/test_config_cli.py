@@ -163,6 +163,11 @@ def test_list_and_count_fields_name_the_field():
            ({"engines": ["analytic", "lindblad", "analytic"]},
             "'engines' repeats entry 'analytic'"),
            ({"orders": [0, 4, 0]}, "'orders' repeats entry 0"),
+           ({"engines": []}, "'engines' must not be empty"),
+           ({"orders": []}, "'orders' must not be empty"),
+           *(({"device": {**DEVICE_A, "spectators": spectators}},
+              "'device.spectators' must be a list")
+             for spectators in (5, None, DEVICE_A["spectators"][0], "s1")),
            ({"points": 2.5}, "'points'"),
            ({"points": True}, "'points'"),
            ({"n_seq": 0}, "'n_seq'"),
@@ -220,6 +225,44 @@ def test_cli_reports_too_few_points_or_lengths_in_one_line(tmp_path):
         lines = result.output.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"Error: field {field}")
         assert not out.exists()
+
+
+# Nothing decays: the control has no T1 or T2, the spectator no T1.
+DEVICE_STILL = {"control": {},
+                "spectators": [{"t2_us": 100.0, "zz_4nu_khz": 45.0}]}
+
+
+def test_cli_cpmg_needs_tmax_when_nothing_decays(tmp_path):
+    # The default window is 5 heuristic decay times, and here that rate is 0.
+    cfg = _write_config(tmp_path / "still.json", DEVICE_STILL)
+    out = tmp_path / "cpmg.csv"
+    result = CliRunner().invoke(main, ["cpmg", "--config", cfg,
+                                       "--out", str(out)])
+    assert result.exit_code != 0
+    assert result.output.strip().splitlines() == [
+        "Error: field 'tmax_us' is required when nothing decays"]
+    assert not out.exists()
+
+
+def test_cli_json_is_strict_when_nothing_decays(tmp_path):
+    # The fitted T2 is infinite; a sidecar and `sdid fit` write it as null.
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    cfg = _write_config(tmp_path / "still.json", DEVICE_STILL)
+    out = tmp_path / "ramsey.csv"
+    result = CliRunner().invoke(main, ["ramsey", "--config", cfg,
+                                       "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    meta = json.loads((tmp_path / "ramsey.csv.meta.json").read_text(),
+                      parse_constant=reject)
+    [record] = meta["fits"]
+    assert record["t2_us"] is None and record["params"]["t2"] is None
+    assert "fitted rate is non-positive" in record["warnings"]
+    result = CliRunner().invoke(main, ["fit", "--in", str(out)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output, parse_constant=reject) == {
+        "fits": meta["fits"]}
 
 
 def test_device_round_trips_through_config_units():
@@ -405,7 +448,7 @@ def test_cli_rb_and_fit_round_trip(tmp_path):
     assert all(0.0 <= float(r["survival"]) <= 1.0 for r in rows)
     fit_out = tmp_path / "fit.json"
     result = CliRunner().invoke(main, [
-        "fit", "--in", str(out), "--kind", "rb", "--out", str(fit_out)])
+        "fit", "--in", str(out), "--out", str(fit_out)])
     assert result.exit_code == 0, result.output
     [payload] = json.loads(fit_out.read_text())["fits"]
     assert 0.0 < payload["params"]["p"] <= 1.0 + 1e-9
@@ -424,7 +467,7 @@ def test_cli_rb_fit_pins_the_offset(tmp_path):
     assert fit["converged"] is True
     assert fit["params"]["offset"] == 0.5
     # Re-fitting the CSV gives the run's own fit.
-    result = CliRunner().invoke(main, ["fit", "--in", str(out), "--kind", "rb"])
+    result = CliRunner().invoke(main, ["fit", "--in", str(out)])
     assert result.exit_code == 0, result.output
     [refit] = json.loads(result.output)["fits"]
     assert refit["converged"] is True
@@ -442,9 +485,8 @@ def test_cli_rb_writes_the_exact_average(tmp_path):
     parsed = load_config(cfg)
     curve = average_survival(parsed.device, "plus", [1, 20, 60, 120],
                              t_gate=parsed.t_gate)
-    # The exact average has no sampling error, so `stderr` stays empty.
-    want = "length,survival,stderr\n" + "".join(
-        f"{m},{float(s)!r},\n" for m, s in zip(curve.lengths, curve.survival))
+    want = "length,survival\n" + "".join(
+        f"{m},{float(s)!r}\n" for m, s in zip(curve.lengths, curve.survival))
     assert out.read_text() == want
 
 
@@ -475,21 +517,31 @@ def test_cli_fit_reports_short_inputs_in_one_line(tmp_path):
     text = tmp_path / "text.csv"
     text.write_text("time_us,coh_abs,engine\n0.0,1.0,analytic\n"
                     "1.0,high,analytic\n")
-    for args, message in (
-            (["--in", str(ramsey)],
-             "Error: engine 'analytic': fit_exponential needs at least 4 "
-             "points"),
-            (["--in", str(rb), "--kind", "rb"],
-             f"Error: {rb}: fit_rb needs at least 3 distinct lengths"),
-            (["--in", str(rb)], f"Error: {rb}: no column 'engine'"),
-            (["--in", str(ramsey), "--kind", "rb"],
-             f"Error: {ramsey}: no column 'length'"),
-            (["--in", str(text)],
-             f"Error: {text}: column 'coh_abs' has an entry that is not "
-             "float")):
-        result = CliRunner().invoke(main, ["fit"] + args)
+    short = tmp_path / "short.csv"
+    short.write_text("length,survival\n1,0.99\n20\n60,0.9\n")
+    no_engine = tmp_path / "no_engine.csv"
+    no_engine.write_text("time_us,coh_abs\n0.0,1.0\n")
+    # A non-finite entry parses as a float but cannot be fitted.
+    nan = tmp_path / "nan.csv"
+    nan.write_text("time_us,coh_abs,engine\n" + "".join(
+        f"{t},{m},analytic\n" for t, m in ((0, 1.0), (1, 0.9), (2, "nan"),
+                                           (3, 0.7), (4, 0.6))))
+    rb_nan = tmp_path / "rb_nan.csv"
+    rb_nan.write_text("length,survival\n1,0.99\n20,nan\n60,0.9\n")
+    for path, message in (
+            (ramsey, "engine 'analytic': fit_exponential needs at least 4 "
+                     "points"),
+            (rb, "fit_rb needs at least 3 distinct lengths"),
+            (text, "column 'coh_abs' has an entry that is not float"),
+            (short, "column 'survival' has an entry that is not float"),
+            (no_engine, "no column 'engine'"),
+            (nan, "engine 'analytic': fit_exponential needs finite times "
+                  "and magnitudes"),
+            (rb_nan, "fit_rb needs finite lengths and survival")):
+        result = CliRunner().invoke(main, ["fit", "--in", str(path)])
         assert result.exit_code != 0
-        assert result.output.strip().splitlines() == [message]
+        assert result.output.strip().splitlines() == [
+            f"Error: {path}: {message}"]
     # The run's sidecar records the error that `sdid fit` reports.
     meta = json.loads((tmp_path / "ramsey.csv.meta.json").read_text())
     assert meta["fits"] == []
@@ -579,21 +631,30 @@ def test_cli_fit_prints_the_fits_of_the_run_sidecar(tmp_path):
     # One fit path: a run's sidecar holds exactly what `sdid fit` prints for
     # its CSV, for every experiment that fits.
     cfg = _write_config(tmp_path / "b.json", DEVICE_B, seed=5, n_traj=2000)
-    for name, args, kind in (
+    for name, args in (
             ("ramsey", ["--points", "21", "--engines",
-                        "analytic,lindblad,trajectory"], "exponential"),
-            ("cpmg", ["--orders", "0,1,4,16"], "exponential"),
-            ("rb", ["--init", "plus"], "rb")):
+                        "analytic,lindblad,trajectory"]),
+            ("cpmg", ["--orders", "0,1,4,16"]),
+            ("rb", ["--init", "plus"])):
         out = tmp_path / f"{name}.csv"
         result = CliRunner().invoke(main, [name, "--config", cfg] + args
                                     + ["--out", str(out)])
         assert result.exit_code == 0, result.output
         meta = json.loads((tmp_path / f"{name}.csv.meta.json").read_text())
         assert meta["fits"] and "fit_error" not in meta, name
-        result = CliRunner().invoke(main, ["fit", "--in", str(out),
-                                           "--kind", kind])
+        result = CliRunner().invoke(main, ["fit", "--in", str(out)])
         assert result.exit_code == 0, result.output
         assert result.output == _json({"fits": meta["fits"]}) + "\n", name
+    # A derive table has no fit: its sidecar has no `fits`, and `sdid fit`
+    # prints none.
+    out = tmp_path / "derive.csv"
+    result = CliRunner().invoke(main, ["derive", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert "fits" not in json.loads(
+        (tmp_path / "derive.csv.meta.json").read_text())
+    result = CliRunner().invoke(main, ["fit", "--in", str(out)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output) == {"fits": []}
 
 
 def test_cli_requires_output_path(tmp_path):

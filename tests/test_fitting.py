@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sdid import fit_exponential, fit_rb, heuristic_rate, ramsey_trace
+from sdid import fit_exponential, fit_rb, fitting, heuristic_rate, ramsey_trace
 
 
 def test_exact_exponential_recovers_decay_time():
@@ -44,6 +44,21 @@ def test_exponential_input_validation():
         fit_exponential([1.0, 2.0, 3.0], [1.0, 0.5, 0.3])
     with pytest.raises(ValueError):
         fit_exponential([1.0, 2.0, 3.0, 4.0], [1.0, 0.5, -0.1, 0.2])
+
+
+def test_non_convergence_is_a_note_not_a_warning(monkeypatch):
+    # The record says it once; no Python warning is raised.
+    real = fitting._levenberg_marquardt
+
+    def stalled(*args, **kwargs):
+        theta, cov, _, res = real(*args, **kwargs)
+        return theta, cov, False, res
+
+    monkeypatch.setattr(fitting, "_levenberg_marquardt", stalled)
+    t = np.linspace(1e-6, 300e-6, 60)
+    fit = fit_exponential(t, np.exp(-t / 80e-6))
+    assert not fit.converged
+    assert fit.warnings == ["fit did not converge; returning best iterate"]
 
 
 def test_exact_rb_curve_recovers_p():
