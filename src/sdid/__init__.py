@@ -27,8 +27,8 @@ from .model import (CoherenceTrace, DeviceModel, LiouvillianBundle,
                     propagate, ramsey_initial_state)
 from .rb import (CliffordGroup, ConditionalChannel, ForbiddenTransitionError,
                  RBCurve, average_survival, clifford_group,
-                 conditional_channel, lambda_analytic, p_experimental,
-                 rb_decay_constant, simulate_rb, transition_probability)
+                 conditional_channel, lambda_analytic, rb_decay_constant,
+                 simulate_rb, transition_probability)
 from .trajectory import EnsembleSpec, ensemble_coherence, ensemble_trace
 
 __all__ = [
@@ -48,7 +48,7 @@ __all__ = [
     "parse_spectator_init", "propagate", "ramsey_initial_state",
     "CliffordGroup", "ConditionalChannel", "ForbiddenTransitionError",
     "RBCurve", "average_survival", "clifford_group", "conditional_channel",
-    "lambda_analytic", "p_experimental", "rb_decay_constant", "simulate_rb",
+    "lambda_analytic", "rb_decay_constant", "simulate_rb",
     "transition_probability",
     "EnsembleSpec", "ensemble_coherence", "ensemble_trace",
 ]

@@ -11,8 +11,9 @@ Every run writes a CSV plus a JSON sidecar (resolved config, fit records,
 version).  Each experiment's runner only computes: it returns the CSV
 header and rows and the sidecar fields of its own, and `run` adds the
 resolved config and version and writes both files.  Identical config and
-seed give byte-identical CSV output.  A configuration error ends the
-command with a one-line message that names the field.
+seed give byte-identical CSV output, and `_write` writes every file.  A
+configuration error, or a file that cannot be read or written, ends the
+command with a one-line message that names the field or the path.
 
 One function reads a result table: `_fits`.  `run` calls it on the CSV text
 it writes, and `fit` on the text it reads back, so the `fits` of a `ramsey`,
@@ -23,8 +24,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
-from pathlib import Path
 
 import click
 import numpy as np
@@ -203,11 +204,20 @@ _RUNNERS = {"ramsey": run_ramsey, "cpmg": run_cpmg, "rb": run_rb,
             "derive": run_derive}
 
 
+def _write(path, text: str) -> None:
+    """Write `text` to `path`, replacing the file.  Every output file is
+    written here; a failure is a one-line error that names the path."""
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write '{path}': {exc.strerror}") from None
+
+
 def run(cfg: ExperimentConfig) -> dict:
     """Run the experiment, write its CSV and sidecar; returns the sidecar."""
     if cfg.out is None:
         raise ConfigError("field 'out' is required to run an experiment")
-    out = Path(cfg.out)
     header, rows, fields = _RUNNERS[cfg.experiment](cfg)
     # `str` gives a float's shortest round-trip text; the csv module would
     # take its `repr`, which numpy 2 spells np.float64(x).
@@ -221,18 +231,27 @@ def run(cfg: ExperimentConfig) -> dict:
             fields["fits"] = fits
     meta = {"resolved_config": config_to_dict(cfg),
             "sdid_version": __version__, **fields}
-    with open(out, "w", newline="\n") as fh:
-        csv.writer(fh, lineterminator="\n").writerows([header] + rows)
-    out.with_suffix(out.suffix + ".meta.json").write_text(_json(meta) + "\n")
+    table = io.StringIO()
+    csv.writer(table, lineterminator="\n").writerows([header] + rows)
+    _write(cfg.out, table.getvalue())
+    _write(f"{cfg.out}.meta.json", _json(meta) + "\n")
     return meta
 
 
-def _base_config(config_path, **overrides) -> ExperimentConfig:
-    if not config_path:
-        raise ConfigError("a --config file is required")
-    return load_config(config_path, **{key: value for key, value
-                                       in overrides.items()
-                                       if value is not None})
+def _run(experiment: str, config_path, overrides: dict) -> None:
+    """Run `experiment` on the config file, each option given on the command
+    line replacing the field of its name, and write its files."""
+    given = {key: value for key, value in overrides.items()
+             if value is not None}
+    given["experiment"] = experiment
+    if config_path is None:
+        # Only `derive` runs without a file; it reads no device parameter.
+        cfg = config_from_dict({"device": {"control": {"t2_us": 100.0}},
+                                **given})
+    else:
+        cfg = load_config(config_path, **given)
+    run(cfg)
+    click.echo(f"wrote {cfg.out}")
 
 
 # Entry type of each comma-list option.
@@ -270,104 +289,78 @@ def main():
 
 @main.command()
 @click.option("--config", "config_path", type=click.Path(), required=True)
-@click.option("--spectators", "spectator_init", default=None,
+@click.option("--spectators", "spectator_init",
               help="Initial spectator bits, e.g. 111.")
-@click.option("--tmax-us", type=float, default=None)
-@click.option("--points", type=int, default=None)
-@click.option("--engines", callback=_comma_list, default=None,
+@click.option("--tmax-us", type=float)
+@click.option("--points", type=int)
+@click.option("--engines", callback=_comma_list,
               help="Comma list from analytic,lindblad,trajectory.")
-@click.option("--ntraj", "n_traj", type=int, default=None)
-@click.option("--seed", type=int, default=None)
+@click.option("--ntraj", "n_traj", type=int)
+@click.option("--seed", type=int)
 @click.option("--out", required=True, type=click.Path())
-def ramsey(config_path, spectator_init, tmax_us, points, engines, n_traj,
-           seed, out):
+def ramsey(config_path, **overrides):
     """Ramsey coherence decay for a fixed spectator preparation."""
-    cfg = _base_config(config_path, experiment="ramsey",
-                       spectator_init=spectator_init, tmax_us=tmax_us,
-                       points=points, engines=engines, n_traj=n_traj,
-                       seed=seed, out=out)
-    run(cfg)
-    click.echo(f"wrote {out}")
+    _run("ramsey", config_path, overrides)
 
 
 @main.command()
 @click.option("--config", "config_path", type=click.Path(), required=True)
-@click.option("--orders", callback=_comma_list, default=None,
+@click.option("--orders", callback=_comma_list,
               help="Comma list of CPMG orders.")
-@click.option("--spectators", "spectator_init", default=None)
-@click.option("--tmax-us", type=float, default=None)
-@click.option("--points", type=int, default=None)
+@click.option("--spectators", "spectator_init")
+@click.option("--tmax-us", type=float)
+@click.option("--points", type=int)
 @click.option("--out", required=True, type=click.Path())
-def cpmg(config_path, orders, spectator_init, tmax_us, points, out):
+def cpmg(config_path, **overrides):
     """Exact CPMG coherence over pulse orders with per-order T2 fits."""
-    cfg = _base_config(config_path, experiment="cpmg", orders=orders,
-                       spectator_init=spectator_init, tmax_us=tmax_us,
-                       points=points, out=out)
-    run(cfg)
-    click.echo(f"wrote {out}")
+    _run("cpmg", config_path, overrides)
 
 
 @main.command()
 @click.option("--config", "config_path", type=click.Path(), required=True)
-@click.option("--init", "spectator_init", default=None,
+@click.option("--init", "spectator_init",
               help="Spectator preparation: zero/0, one/1, plus/+ or N bits.")
-@click.option("--lengths", callback=_comma_list, default=None)
-@click.option("--nseq", "n_seq", type=int, default=None,
-              help="Accepted and not read: the exact average samples "
-                   "no sequences.")
-@click.option("--tgate-ns", "tgate_ns", type=float, default=None)
-@click.option("--frame", default=None, help="bare or experimental.")
+@click.option("--lengths", callback=_comma_list)
+@click.option("--tgate-ns", type=float)
+@click.option("--frame", help="bare or experimental.")
 @click.option("--out", required=True, type=click.Path())
-def rb(config_path, spectator_init, lengths, n_seq, tgate_ns, frame, out):
+def rb(config_path, **overrides):
     """Single-qubit randomized benchmarking under spectator decay."""
-    cfg = _base_config(config_path, experiment="rb",
-                       spectator_init=spectator_init, lengths=lengths,
-                       n_seq=n_seq, tgate_ns=tgate_ns, frame=frame,
-                       out=out)
-    run(cfg)
-    click.echo(f"wrote {out}")
+    _run("rb", config_path, overrides)
 
 
 @main.command()
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--nu-tauc", "nu_tauc", callback=_comma_list, default=None)
+@click.option("--config", "config_path", type=click.Path())
+@click.option("--nu-tauc", callback=_comma_list)
 @click.option("--out", required=True, type=click.Path())
-def derive(config_path, nu_tauc, out):
+def derive(config_path, **overrides):
     """Sweep nu*tau_c and tabulate coarse-grained generator coefficients."""
-    if config_path:
-        cfg = _base_config(config_path, experiment="derive", nu_tauc=nu_tauc,
-                           out=out)
-    else:
-        data = {"device": {"control": {"t2_us": 100.0}},
-                "experiment": "derive", "out": out}
-        if nu_tauc is not None:
-            data["nu_tauc"] = nu_tauc
-        cfg = config_from_dict(data)
-    run(cfg)
-    click.echo(f"wrote {out}")
+    _run("derive", config_path, overrides)
 
 
 @main.command()
 @click.option("--in", "in_path", required=True,
-              type=click.Path(exists=True))
-@click.option("--out", type=click.Path(), default=None)
+              type=click.Path(exists=True, dir_okay=False))
+@click.option("--out", type=click.Path())
 def fit(in_path, out):
     """Fit a CSV written by ramsey, cpmg or rb; its header says which fit.
 
     Prints the `fits` records that the run's own sidecar holds: one per
     engine and CPMG order, one for an RB CSV, and none for a derive CSV.
     """
-    with open(in_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        rows = [row for row in reader if row]
     try:
+        with open(in_path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            rows = [row for row in reader if row]
         fits = _fits(header, rows)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
+        # A file that is not UTF-8 text raises UnicodeDecodeError, a
+        # ValueError.
         raise click.ClickException(f"{in_path}: {exc}") from None
     text = _json({"fits": fits})
     if out:
-        Path(out).write_text(text + "\n")
+        _write(out, text + "\n")
         click.echo(f"wrote {out}")
     else:
         click.echo(text)

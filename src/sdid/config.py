@@ -268,13 +268,17 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 def load_config(path, **overrides) -> ExperimentConfig:
     """Read a JSON config file; `overrides` replace its top-level fields
     before the merged config is validated."""
+    name = f"config file '{path}'"
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
+    if not path.is_file():
+        raise ConfigError(f"{name} is not a file" if path.exists()
+                          else f"{name} does not exist")
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{name} cannot be read: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+        raise ConfigError(f"{name} is not valid JSON: {exc}") from None
     if isinstance(data, dict):
         data = {**data, **overrides}
     return config_from_dict(data)

@@ -72,16 +72,14 @@ class Cluster:
 class RateMatrix:
     """Hermitian PSD matrix of coarse-grained rates over a cluster's frequencies."""
 
-    frequencies: np.ndarray
     matrix: np.ndarray
-    tau_c: float
 
     @classmethod
     def build(cls, frequencies: Sequence[float], tau_c: float,
               gamma_bar: float) -> "RateMatrix":
         freqs = np.asarray(frequencies, dtype=float)
         m = cetcg_rate(freqs[:, None], freqs[None, :], tau_c, gamma_bar)
-        return cls(frequencies=freqs, matrix=m, tau_c=tau_c)
+        return cls(matrix=m)
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.matrix).min())

@@ -81,10 +81,13 @@ def _levenberg_marquardt(residual_fn, jacobian_fn, theta0,
     dof = max(r.size - theta.size, 1)
     sigma2 = cost / dof
     try:
-        cov = sigma2 * np.linalg.inv(jac.T @ jac)
+        inv = np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:
-        cov = np.full((theta.size, theta.size), np.nan)
-    return theta, cov, converged, r
+        inv = np.full((theta.size, theta.size), np.nan)
+    # A degenerate Jacobian leaves entries that the data do not determine;
+    # NaN marks them, and scaling a NaN raises no warning where inf * 0 does.
+    inv[~np.isfinite(inv)] = np.nan
+    return theta, sigma2 * inv, converged, r
 
 
 def _fit(model: str, names, residual_fn, jacobian_fn, theta0,
@@ -93,8 +96,9 @@ def _fit(model: str, names, residual_fn, jacobian_fn, theta0,
 
     The pinned entries keep their theta0 value and get stderr 0.  The
     result's params and stderr are keyed by `names`.  A fit that did not
-    converge returns its best iterate, and a fit whose rms residual exceeds
-    MAX_RMS_RESIDUAL is returned too; each carries a note in `warnings`.
+    converge returns its best iterate, a stderr that the data do not
+    determine is NaN, and a fit whose rms residual exceeds MAX_RMS_RESIDUAL
+    is returned too; each carries a note in `warnings`.
     """
     free = np.asarray(free, dtype=bool)
     theta0 = np.asarray(theta0, dtype=float)
@@ -115,6 +119,11 @@ def _fit(model: str, names, residual_fn, jacobian_fn, theta0,
     notes = []
     if not converged:
         notes.append("fit did not converge; returning best iterate")
+    undetermined = [name for name, se in zip(names, stderr)
+                    if not np.isfinite(se)]
+    if undetermined:
+        notes.append(f"the data do not determine the stderr of "
+                     f"{', '.join(undetermined)}")
     residual_norm = float(np.linalg.norm(res))
     rms = residual_norm / np.sqrt(res.size)
     if rms > MAX_RMS_RESIDUAL:

@@ -48,8 +48,6 @@ class ConditionalChannel:
     probability of the (i -> j) spectator transition.
     """
 
-    i: int
-    j: int
     superop: np.ndarray
     norm: float
 
@@ -91,7 +89,7 @@ def conditional_channel(i: int, j: int, nu: float, gamma1: float,
     if norm <= 1e-14:
         raise ForbiddenTransitionError(
             f"spectator transition {i} -> {j} has zero probability")
-    return ConditionalChannel(i=i, j=j, superop=lifted / norm, norm=norm)
+    return ConditionalChannel(superop=lifted / norm, norm=norm)
 
 
 def lambda_analytic(i: int, j: int, nu: float, gamma1: float,
@@ -125,15 +123,6 @@ def rb_decay_constant(chan: ConditionalChannel) -> float:
     return float((np.trace(chan.superop).real - 1.0) / 3.0)
 
 
-def p_experimental(i: int, nu: float, t: float) -> float:
-    """RB decay constants in the experimental (ground-state) calibration frame."""
-    if i == 0:
-        return 1.0
-    if i == 1:
-        return (1.0 + 2.0 * np.cos(4.0 * nu * t)) / 3.0
-    raise ValueError("spectator bit must be 0 or 1")
-
-
 @dataclass(frozen=True)
 class CliffordGroup:
     """The 24 single-qubit Cliffords with composition and inverse tables."""
@@ -153,43 +142,40 @@ def _canonical_phase(u: np.ndarray) -> np.ndarray:
     return u * (abs(pivot) / pivot)
 
 
-def _key(u: np.ndarray) -> bytes:
-    # Adding complex zero maps -0.0 to +0.0 in both components, so equal
-    # matrices never hash to different byte strings.
-    return (np.round(_canonical_phase(u), 9) + (0.0 + 0.0j)).tobytes()
-
-
 @lru_cache(maxsize=1)
 def clifford_group() -> CliffordGroup:
-    """Generate the group from {H, S} by closure; order 24."""
+    """Generate the group from {H, S} by closure; order 24.
+
+    U and V are one Clifford when |tr(U^dagger V)| = 2, and two distinct
+    Cliffords have |tr(U^dagger V)| <= sqrt(2), so an element is matched by
+    its overlap.
+    """
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     s = np.array([[1, 0], [0, 1j]], dtype=complex)
     elements: list[np.ndarray] = [np.eye(2, dtype=complex)]
-    index = {_key(elements[0]): 0}
     frontier = [elements[0]]
     while frontier:
         nxt = []
         for u in frontier:
             for g in (h, s):
                 v = _canonical_phase(g @ u)
-                k = _key(v)
-                if k not in index:
-                    index[k] = len(elements)
+                if all(abs((w.conj() * v).sum()) < 1.5 for w in elements):
                     elements.append(v)
                     nxt.append(v)
         frontier = nxt
     if len(elements) != 24:
         raise RuntimeError(f"Clifford closure produced {len(elements)} elements")
-    n = len(elements)
-    compose = np.empty((n, n), dtype=int)
-    for a in range(n):
-        for b in range(n):
-            compose[a, b] = index[_key(elements[a] @ elements[b])]
-    inverse = np.empty(n, dtype=int)
-    for a in range(n):
-        inverse[a] = index[_key(elements[a].conj().T)]
-    return CliffordGroup(unitaries=tuple(elements), compose=compose,
-                         inverse=inverse)
+    stack = np.array(elements)
+
+    def index(w):
+        """Index of the element equal, up to a phase, to each matrix of `w`."""
+        overlaps = np.einsum("kij,...ij->...k", stack.conj(), w)
+        return np.argmax(np.abs(overlaps), axis=-1)
+
+    # One row at a time keeps the overlaps 24 x 24.
+    return CliffordGroup(unitaries=tuple(elements),
+                         compose=np.array([index(u @ stack) for u in stack]),
+                         inverse=index(stack.conj().transpose(0, 2, 1)))
 
 
 @dataclass

@@ -341,7 +341,7 @@ def test_criterion_10_cli_determinism(tmp_path):
              "--points", "21", "--engines", "analytic,trajectory",
              "--ntraj", "5000", "--out", str(out)],
             ["rb", "--config", str(cfg), "--init", "one",
-             "--lengths", "1,20,60", "--nseq", "5", "--out", str(rb_out)],
+             "--lengths", "1,20,60", "--out", str(rb_out)],
         ):
             proc = subprocess.run([sys.executable, "-m", "sdid.cli"] + args,
                                   capture_output=True, text=True, env=env)

@@ -106,6 +106,36 @@ def test_cli_reports_config_errors_without_traceback(tmp_path):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("command, option, kind", [
+    ("ramsey", "--config", "folder"), ("ramsey", "--config", "binary"),
+    ("ramsey", "--config", "empty"), ("ramsey", "--out", "folder"),
+    ("ramsey", "--out", "missing"), ("fit", "--in", "folder"),
+    ("fit", "--in", "binary")])
+def test_cli_reports_unusable_paths_in_one_line(tmp_path, command, option,
+                                                kind):
+    # A path that is not a readable (or writable) text file ends the command
+    # with one error line that names it, and no file is written.
+    paths = {"folder": tmp_path / "folder", "binary": tmp_path / "binary",
+             "missing": tmp_path / "missing" / "x.csv", "empty": ""}
+    paths["folder"].mkdir()
+    paths["binary"].write_bytes(b"\xff\xfe{}")
+    args = ({"--in": None, "--out": str(tmp_path / "fit.json")}
+            if command == "fit" else
+            {"--config": _write_config(tmp_path / "a.json", DEVICE_A),
+             "--out": str(tmp_path / "x.csv")})
+    args[option] = str(paths[kind])
+    before = sorted(tmp_path.rglob("*"))
+    result = CliRunner().invoke(main, [command] + [
+        word for pair in args.items() for word in pair])
+    assert result.exit_code != 0
+    assert "Traceback" not in result.output
+    lines = result.output.strip().splitlines()
+    errors = [line for line in lines if line.startswith("Error")]
+    assert errors == lines[-1:], result.output
+    assert str(paths[kind]) in errors[0]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_seed_must_be_a_non_negative_integer(tmp_path):
     for bad in (-1, 1.5, "7", True, 2 ** 128, float("nan")):
         with pytest.raises(ConfigError, match="'seed'"):
@@ -263,6 +293,25 @@ def test_cli_json_is_strict_when_nothing_decays(tmp_path):
     assert result.exit_code == 0, result.output
     assert json.loads(result.output, parse_constant=reject) == {
         "fits": meta["fits"]}
+
+
+def test_cli_notes_stderrs_that_the_data_do_not_determine(tmp_path):
+    # Eleven points of a curve that does not decay fit a vanishing amplitude
+    # whose rate nothing pins: the normal matrix is degenerate.
+    cfg = _write_config(tmp_path / "still.json", DEVICE_STILL)
+    out = tmp_path / "ramsey.csv"
+    result = CliRunner().invoke(main, ["ramsey", "--config", cfg,
+                                       "--points", "11", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    meta = json.loads((tmp_path / "ramsey.csv.meta.json").read_text())
+    [record] = meta["fits"]
+    assert [name for name, se in record["stderr"].items() if se is None] == [
+        "amplitude", "rate", "t2"]
+    assert record["warnings"] == [
+        "the data do not determine the stderr of amplitude, rate"]
+    result = CliRunner().invoke(main, ["fit", "--in", str(out)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output) == {"fits": meta["fits"]}
 
 
 def test_device_round_trips_through_config_units():
@@ -441,7 +490,7 @@ def test_cli_rb_and_fit_round_trip(tmp_path):
     out = tmp_path / "rb.csv"
     result = CliRunner().invoke(main, [
         "rb", "--config", cfg, "--init", "one", "--lengths", "1,20,60,120",
-        "--nseq", "4", "--out", str(out)])
+        "--out", str(out)])
     assert result.exit_code == 0, result.output
     rows = _read_rows(out)
     assert [r["length"] for r in rows] == ["1", "20", "60", "120"]
@@ -461,7 +510,7 @@ def test_cli_rb_fit_pins_the_offset(tmp_path):
                         spectator_init="plus")
     out = tmp_path / "rb.csv"
     result = CliRunner().invoke(main, [
-        "rb", "--config", cfg, "--nseq", "10", "--out", str(out)])
+        "rb", "--config", cfg, "--out", str(out)])
     assert result.exit_code == 0, result.output
     [fit] = json.loads((tmp_path / "rb.csv.meta.json").read_text())["fits"]
     assert fit["converged"] is True
