@@ -14,11 +14,10 @@ from .analytic import (coherence, cpmg_effective, heuristic_rate,
 from .config import (ConfigError, ExperimentConfig, config_from_dict,
                      config_to_dict, device_from_dict, device_to_dict,
                      load_config, nu_from_4nu_khz)
-from .derivations import (BathSpectrum, BohrTerm, Cluster, RateMatrix,
-                          bohr_spectrum, build_bmpsa, build_bmrwa,
-                          build_cetcg, cetcg_rate, choi_matrix, cluster_bohr,
-                          two_qubit_cetcg_reference, two_qubit_coupling,
-                          two_qubit_hamiltonian)
+from .derivations import (BohrTerm, Cluster, RateMatrix, bohr_spectrum,
+                          build_bmpsa, build_cetcg, cetcg_rate, choi_matrix,
+                          cluster_bohr, two_qubit_cetcg_reference,
+                          two_qubit_coupling, two_qubit_hamiltonian)
 from .fitting import FitResult, fit_exponential, fit_rb
 from .model import (CoherenceTrace, DeviceModel, LiouvillianBundle,
                     PhysicalityError, PulseSequence, QubitParams,
@@ -37,9 +36,9 @@ __all__ = [
     "ramsey_trace",
     "ConfigError", "ExperimentConfig", "config_from_dict", "config_to_dict",
     "device_from_dict", "device_to_dict", "load_config", "nu_from_4nu_khz",
-    "BathSpectrum", "BohrTerm", "Cluster", "RateMatrix", "bohr_spectrum",
-    "build_bmpsa", "build_bmrwa", "build_cetcg", "cetcg_rate", "choi_matrix",
-    "cluster_bohr", "two_qubit_cetcg_reference", "two_qubit_coupling",
+    "BohrTerm", "Cluster", "RateMatrix", "bohr_spectrum", "build_bmpsa",
+    "build_cetcg", "cetcg_rate", "choi_matrix", "cluster_bohr",
+    "two_qubit_cetcg_reference", "two_qubit_coupling",
     "two_qubit_hamiltonian",
     "FitResult", "fit_exponential", "fit_rb",
     "CoherenceTrace", "DeviceModel", "LiouvillianBundle", "PhysicalityError",

@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import errno
 import io
 import json
+import os
 
 import click
 import numpy as np
@@ -39,10 +41,9 @@ from . import analytic, trajectory
 # So they stay, even those this module does not call.
 from .config import (ConfigError, ExperimentConfig, config_from_dict,
                      config_to_dict, load_config)
-from .derivations import (BathSpectrum, bohr_spectrum, build_cetcg,
-                          cluster_bohr, two_qubit_cetcg_reference,
-                          two_qubit_coupling, two_qubit_hamiltonian,
-                          two_qubit_kossakowski)
+from .derivations import (bohr_spectrum, build_cetcg, cluster_bohr,
+                          two_qubit_cetcg_reference, two_qubit_coupling,
+                          two_qubit_hamiltonian, two_qubit_kossakowski)
 from .fitting import fit_exponential, fit_rb
 from .model import (build_liouvillian, control_coherence, lindblad_trace,
                     parse_spectator_init, propagate, ramsey_initial_state)
@@ -183,12 +184,11 @@ def run_derive(cfg: ExperimentConfig) -> Table:
     h_s = two_qubit_hamiltonian(omega0, omega1, nu)
     terms = bohr_spectrum(h_s, two_qubit_coupling(a=0.0))
     clusters = cluster_bohr(terms, delta_omega=3.0 * nu)
-    bath = BathSpectrum.flat(gamma)
 
     rows = []
     for x in cfg.nu_tauc:
         tau_c = x / nu
-        built = build_cetcg(clusters, bath, tau_c)
+        built = build_cetcg(clusters, gamma, tau_c)
         ref = two_qubit_cetcg_reference(nu, tau_c, gamma)
         diff = float(np.max(np.abs(built.superop - ref.superop)))
         k = two_qubit_kossakowski(nu, tau_c, gamma)
@@ -214,10 +214,27 @@ def _write(path, text: str) -> None:
         raise ConfigError(f"cannot write '{path}': {exc.strerror}") from None
 
 
+def _check_out(path: str) -> None:
+    """Raise, before anything runs, the error `_write` would give for a CSV
+    or sidecar path that is a directory or lies in a missing directory."""
+    folder = os.path.dirname(path) or "."
+    for target in (path, f"{path}.meta.json"):
+        if os.path.isdir(target):
+            code = errno.EISDIR
+        elif not os.path.isdir(folder):
+            code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+        elif not target:
+            code = errno.ENOENT
+        else:
+            continue
+        raise ConfigError(f"cannot write '{target}': {os.strerror(code)}")
+
+
 def run(cfg: ExperimentConfig) -> dict:
     """Run the experiment, write its CSV and sidecar; returns the sidecar."""
     if cfg.out is None:
         raise ConfigError("field 'out' is required to run an experiment")
+    _check_out(cfg.out)
     header, rows, fields = _RUNNERS[cfg.experiment](cfg)
     # `str` gives a float's shortest round-trip text; the csv module would
     # take its `repr`, which numpy 2 spells np.float64(x).

@@ -1,13 +1,15 @@
-"""Microscopic master-equation builders: strong secular (RWA), partial
-secular (clustered), and time-coarse-grained cumulant-expansion forms.
+"""Microscopic master-equation builders for a flat zero-temperature bath
+(rate gamma0 at positive Bohr frequencies, none elsewhere): partial secular
+(clustered) and time-coarse-grained cumulant-expansion forms.
 
 Workflow: eigendecompose a system Hamiltonian, split a system-bath coupling
-operator into Bohr-frequency components, optionally agglomerate nearly
-degenerate frequencies into clusters, then assemble a Liouvillian with rates
-drawn from a bath spectrum.  The coarse-grained builder carries a
-user-defined time tau_C that interpolates between the clustered (tau_C -> 0)
-and fully secular (tau_C -> infinity) generators while preserving complete
-positivity (its rate matrix is a Gram matrix, hence PSD).
+operator into Bohr-frequency components, agglomerate nearly degenerate
+frequencies into clusters, then assemble a Liouvillian.  Over zero-width
+clusters the partial secular generator is the fully secular one.  The
+coarse-grained builder carries a user-defined time tau_C that interpolates
+between the clustered (tau_C -> 0) and fully secular (tau_C -> infinity)
+generators while preserving complete positivity (its rate matrix is a Gram
+matrix, hence PSD).
 
 Sign conventions: |1> is the excited state (energy +omega/2), so the
 reference Hamiltonians here carry -(omega/2) Z self-energy terms and
@@ -17,7 +19,7 @@ sigma_minus components appear at positive Bohr frequencies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,21 +30,6 @@ from .model import LiouvillianBundle
 def sinc(x) -> np.ndarray:
     """sin(x)/x with sinc(0) = 1 (unnormalized convention)."""
     return np.sinc(np.asarray(x) / np.pi)
-
-
-@dataclass(frozen=True)
-class BathSpectrum:
-    """Decay rate as a function of the Bohr frequency (1/s).
-
-    Zero temperature: no spectral weight at non-positive frequencies.
-    """
-
-    gamma_of: Callable[[float], float]
-
-    @classmethod
-    def flat(cls, gamma0: float) -> "BathSpectrum":
-        """Gamma(omega) = gamma0 for omega > 0, zero otherwise."""
-        return cls(gamma_of=lambda omega: gamma0 if omega > 0 else 0.0)
 
 
 @dataclass(frozen=True)
@@ -102,8 +89,7 @@ def bohr_spectrum(h_s: np.ndarray, x: np.ndarray) -> list[BohrTerm]:
     x_eig = evecs.conj().T @ np.asarray(x, dtype=complex) @ evecs
     elem_tol = 1e-12 * max(1.0, np.abs(x_eig).max())
 
-    terms: dict[int, tuple[float, np.ndarray]] = {}
-    freq_reps: list[float] = []
+    terms: list[BohrTerm] = []
     d = evals.size
     for k in range(d):
         for j in range(d):
@@ -111,37 +97,14 @@ def bohr_spectrum(h_s: np.ndarray, x: np.ndarray) -> list[BohrTerm]:
             if abs(amp) < elem_tol:
                 continue
             omega = evals[j] - evals[k]
-            for idx, rep in enumerate(freq_reps):
-                if abs(omega - rep) <= tol:
-                    key = idx
-                    break
-            else:
-                key = len(freq_reps)
-                freq_reps.append(omega)
-                terms[key] = (omega, np.zeros((d, d), dtype=complex))
-            acc_omega, acc = terms[key]
-            acc += amp * np.outer(evecs[:, k], evecs[:, j].conj())
-    out = [BohrTerm(frequency=omega, op=op)
-           for omega, op in terms.values()]
-    out.sort(key=lambda t: t.frequency)
-    return out
-
-
-def build_bmrwa(terms: Sequence[BohrTerm],
-                bath: BathSpectrum) -> LiouvillianBundle:
-    """Fully secular generator: one dissipator per Bohr frequency.
-
-    No Lamb-shift Hamiltonian: it would only weakly renormalize the system
-    energies, so the generator is purely dissipative.
-    """
-    d = terms[0].op.shape[0] if terms else 1
-    jumps = []
-    for term in terms:
-        rate = bath.gamma_of(term.frequency)
-        if rate > 0:
-            jumps.append((rate, term.op))
-    h = np.zeros((d, d), dtype=complex)
-    return LiouvillianBundle.from_terms(h, jumps)
+            term = next((t for t in terms
+                         if abs(omega - t.frequency) <= tol), None)
+            if term is None:
+                term = BohrTerm(frequency=omega,
+                                op=np.zeros((d, d), dtype=complex))
+                terms.append(term)
+            term.op[:] += amp * np.outer(evecs[:, k], evecs[:, j].conj())
+    return sorted(terms, key=lambda t: t.frequency)
 
 
 def cluster_bohr(terms: Sequence[BohrTerm],
@@ -150,8 +113,8 @@ def cluster_bohr(terms: Sequence[BohrTerm],
 
     A neighbor joins the current cluster as long as every member stays within
     the running mean +- delta_omega.  delta_omega = 0 gives one cluster per
-    distinct frequency, reducing the partial secular builders to fully
-    secular ones.
+    distinct frequency, over which the partial secular builders are fully
+    secular.
     """
     if delta_omega < 0:
         raise ValueError("delta_omega must be >= 0")
@@ -172,18 +135,25 @@ def cluster_bohr(terms: Sequence[BohrTerm],
     return clusters
 
 
-def build_bmpsa(clusters: Sequence[Cluster],
-                bath: BathSpectrum) -> LiouvillianBundle:
-    """Partial secular generator: one dissipator per cluster, members summed
-    coherently, rate evaluated at the cluster mean frequency."""
+def _dissipative(clusters: Sequence[Cluster], gamma0: float,
+                 cluster_jumps) -> LiouvillianBundle:
+    """Generator of a flat zero-temperature bath: each cluster of positive
+    mean frequency adds the jumps `cluster_jumps(cluster, gamma0)`, the
+    others none.  No Lamb-shift Hamiltonian: it would only weakly
+    renormalize the system energies."""
     d = clusters[0].members[0].op.shape[0] if clusters else 1
-    jumps = []
-    for cluster in clusters:
-        rate = bath.gamma_of(cluster.mean)
-        if rate > 0:
-            jumps.append((rate, cluster.collective_op))
-    h = np.zeros((d, d), dtype=complex)
-    return LiouvillianBundle.from_terms(h, jumps)
+    jumps = [jump for cluster in clusters if cluster.mean > 0 and gamma0 > 0
+             for jump in cluster_jumps(cluster, gamma0)]
+    return LiouvillianBundle.from_terms(np.zeros((d, d), dtype=complex),
+                                        jumps)
+
+
+def build_bmpsa(clusters: Sequence[Cluster],
+                gamma0: float) -> LiouvillianBundle:
+    """Partial secular generator: one dissipator per cluster, its members
+    summed coherently.  Over zero-width clusters it is fully secular."""
+    return _dissipative(clusters, gamma0,
+                        lambda cluster, rate: [(rate, cluster.collective_op)])
 
 
 def cetcg_rate(omega, omega_p, tau_c: float, gamma_bar: float) -> np.ndarray:
@@ -214,7 +184,7 @@ def _kossakowski_jumps(rate_matrix: np.ndarray,
     return jumps
 
 
-def build_cetcg(clusters: Sequence[Cluster], bath: BathSpectrum,
+def build_cetcg(clusters: Sequence[Cluster], gamma0: float,
                 tau_c: float) -> LiouvillianBundle:
     """Coarse-grained generator with coherent cross terms inside each cluster.
 
@@ -222,18 +192,12 @@ def build_cetcg(clusters: Sequence[Cluster], bath: BathSpectrum,
     clusters).  Each cluster's rate matrix is diagonalized so that the bundle
     is expressed as a plain (rate, operator) Lindblad list.
     """
-    d = clusters[0].members[0].op.shape[0] if clusters else 1
-    jumps: list[tuple[float, np.ndarray]] = []
-    for cluster in clusters:
-        gamma_bar = bath.gamma_of(cluster.mean)
-        if gamma_bar <= 0:
-            continue
-        freqs = [m.frequency for m in cluster.members]
-        rm = RateMatrix.build(freqs, tau_c, gamma_bar)
-        jumps.extend(_kossakowski_jumps(rm.matrix,
-                                        [m.op for m in cluster.members]))
-    h = np.zeros((d, d), dtype=complex)
-    return LiouvillianBundle.from_terms(h, jumps)
+    def cluster_jumps(cluster, rate):
+        rm = RateMatrix.build([m.frequency for m in cluster.members], tau_c,
+                              rate)
+        return _kossakowski_jumps(rm.matrix, [m.op for m in cluster.members])
+
+    return _dissipative(clusters, gamma0, cluster_jumps)
 
 
 def two_qubit_hamiltonian(omega0: float, omega1: float,

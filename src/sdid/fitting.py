@@ -22,6 +22,11 @@ MIN_LENGTHS = 3
 # its model does not describe the curve.
 MAX_RMS_RESIDUAL = 0.02
 
+# When a fitted exponential changes by no more than this fraction of the
+# largest magnitude across the data window, the curve does not decay and
+# its T2 is not determined.
+MIN_DECAY = 1e-9
+
 
 @dataclass
 class FitResult:
@@ -177,6 +182,10 @@ def fit_exponential(times, magnitudes,
     fit.stderr["t2"] = se_r / r ** 2 if r > 0 else np.inf
     if r <= 0:
         fit.warnings.append("fitted rate is non-positive")
+    elif (abs(fit.params["amplitude"] * np.expm1(-r * np.ptp(t)))
+          <= MIN_DECAY * y.max()):
+        fit.warnings.append("the fitted curve does not decay over the data: "
+                            "T2 is not determined")
     return fit
 
 

@@ -36,7 +36,7 @@ import pytest
 
 import sdid
 from sdid import (DeviceModel, EnsembleSpec, QubitParams, bohr_spectrum,
-                  build_bmpsa, build_bmrwa, build_cetcg, build_liouvillian,
+                  build_bmpsa, build_cetcg, build_liouvillian,
                   choi_matrix, cluster_bohr, conditional_channel,
                   cpmg_effective, ensemble_trace, fit_exponential, fit_rb,
                   heuristic_rate, lambda_analytic, lindblad_trace,
@@ -44,7 +44,7 @@ from sdid import (DeviceModel, EnsembleSpec, QubitParams, bohr_spectrum,
                   two_qubit_cetcg_reference, two_qubit_coupling,
                   two_qubit_hamiltonian)
 from sdid import operators as ops
-from sdid.derivations import BathSpectrum, RateMatrix
+from sdid.derivations import RateMatrix
 from sdid.rb import ForbiddenTransitionError, rb_decay_constant
 
 CPMG_ORDERS = (0, 1, 4, 16, 64, 160)
@@ -234,22 +234,22 @@ def test_criterion_07_rb_insensitivity(device_b):
 def test_criterion_08_master_equation_limits(rng):
     omega0, omega1, nu = 500.0, 700.0, 1.0
     h_s = two_qubit_hamiltonian(omega0, omega1, nu)
-    bath = BathSpectrum.flat(1.0)
     terms = bohr_spectrum(h_s, two_qubit_coupling(a=0.0))
     clusters = cluster_bohr(terms, delta_omega=3.0 * nu)
 
     worst_ref = 0.0
     for x in (0.1, 1.0, 10.0):
-        built = build_cetcg(clusters, bath, tau_c=x / nu)
+        built = build_cetcg(clusters, 1.0, tau_c=x / nu)
         ref = two_qubit_cetcg_reference(nu, x / nu, 1.0)
         worst_ref = max(worst_ref,
                         float(np.max(np.abs(built.superop - ref.superop))))
 
-    psa = build_bmpsa(clusters, bath)
-    rel_psa = (np.linalg.norm(build_cetcg(clusters, bath, 1e-6 / nu).superop
+    psa = build_bmpsa(clusters, 1.0)
+    rel_psa = (np.linalg.norm(build_cetcg(clusters, 1.0, 1e-6 / nu).superop
                               - psa.superop) / np.linalg.norm(psa.superop))
-    rwa = build_bmrwa(terms, bath)
-    rel_rwa = (np.linalg.norm(build_cetcg(clusters, bath, 1e6 / nu).superop
+    # The fully secular generator: zero-width clusters.
+    rwa = build_bmpsa(cluster_bohr(terms, delta_omega=0.0), 1.0)
+    rel_rwa = (np.linalg.norm(build_cetcg(clusters, 1.0, 1e6 / nu).superop
                               - rwa.superop) / np.linalg.norm(rwa.superop))
 
     psd_ok = True
@@ -277,13 +277,13 @@ def test_criterion_08_master_equation_limits(rng):
 def test_criterion_09_physicality_suite(device_a, device_b):
     omega0, omega1, nu = 500.0, 700.0, 1.0
     h_s = two_qubit_hamiltonian(omega0, omega1, nu)
-    bath = BathSpectrum.flat(1.0)
     terms = bohr_spectrum(h_s, two_qubit_coupling(a=0.0))
     clusters = cluster_bohr(terms, delta_omega=3.0 * nu)
     bundles = [build_liouvillian(device_a), build_liouvillian(device_b),
-               build_bmrwa(terms, bath), build_bmpsa(clusters, bath),
-               build_cetcg(clusters, bath, tau_c=1.0),
-               build_cetcg(clusters, bath, tau_c=100.0),
+               build_bmpsa(cluster_bohr(terms, delta_omega=0.0), 1.0),
+               build_bmpsa(clusters, 1.0),
+               build_cetcg(clusters, 1.0, tau_c=1.0),
+               build_cetcg(clusters, 1.0, tau_c=100.0),
                two_qubit_cetcg_reference(nu, 1.0, 1.0)]
     worst_trace = 0.0
     worst_eig = 0.0

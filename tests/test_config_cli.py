@@ -136,6 +136,35 @@ def test_cli_reports_unusable_paths_in_one_line(tmp_path, command, option,
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("kind", ["folder", "missing", "file", "sidecar",
+                                  "empty"])
+def test_run_rejects_an_unwritable_out_before_running(tmp_path, monkeypatch,
+                                                      kind):
+    # The output path is checked before any runner is called.
+    (tmp_path / "folder").mkdir()
+    (tmp_path / "file").write_text("")
+    (tmp_path / "x.csv.meta.json").mkdir()
+    out, named = {"folder": (tmp_path / "folder",) * 2,
+                  "missing": (tmp_path / "missing" / "x.csv",) * 2,
+                  "file": (tmp_path / "file" / "x.csv",) * 2,
+                  "sidecar": (tmp_path / "x.csv",
+                              tmp_path / "x.csv.meta.json"),
+                  "empty": ("", "")}[kind]
+
+    def runner(_cfg):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setitem(sdid.cli._RUNNERS, "ramsey", runner)
+    cfg = config_from_dict({"device": DEVICE_A, "experiment": "ramsey",
+                            "out": str(out)})
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(ConfigError) as err:
+        sdid.cli.run(cfg)
+    assert str(err.value).startswith(f"cannot write '{named}': ")
+    assert "\n" not in str(err.value)
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_seed_must_be_a_non_negative_integer(tmp_path):
     for bad in (-1, 1.5, "7", True, 2 ** 128, float("nan")):
         with pytest.raises(ConfigError, match="'seed'"):
@@ -308,10 +337,41 @@ def test_cli_notes_stderrs_that_the_data_do_not_determine(tmp_path):
     assert [name for name, se in record["stderr"].items() if se is None] == [
         "amplitude", "rate", "t2"]
     assert record["warnings"] == [
-        "the data do not determine the stderr of amplitude, rate"]
+        "the data do not determine the stderr of amplitude, rate",
+        NO_DECAY_NOTE]
     result = CliRunner().invoke(main, ["fit", "--in", str(out)])
     assert result.exit_code == 0, result.output
     assert json.loads(result.output) == {"fits": meta["fits"]}
+
+
+NO_DECAY_NOTE = ("the fitted curve does not decay over the data: "
+                 "T2 is not determined")
+
+
+def test_cli_notes_a_curve_that_does_not_decay(tmp_path):
+    # With 11 points the fit drives the amplitude to ~1e-303 and reports a
+    # finite T2 of ~5e15 us, converged: its record says that T2 is not
+    # determined.  With 101 points the rate is non-positive, T2 is infinite
+    # and that note says it; a decaying curve gets neither.
+    still = _write_config(tmp_path / "still.json", DEVICE_STILL)
+    decays = _write_config(tmp_path / "a.json", DEVICE_A)
+    for name, cfg, points, noted in (("still11", still, "11", True),
+                                     ("still101", still, "101", False),
+                                     ("a11", decays, "11", False)):
+        out = tmp_path / f"{name}.csv"
+        result = CliRunner().invoke(main, ["ramsey", "--config", cfg,
+                                           "--points", points,
+                                           "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        meta = json.loads(Path(f"{out}.meta.json").read_text())
+        [record] = meta["fits"]
+        assert record["converged"]
+        assert (NO_DECAY_NOTE in record["warnings"]) == noted, record
+        non_positive = "fitted rate is non-positive" in record["warnings"]
+        assert non_positive == (name == "still101"), record
+        result = CliRunner().invoke(main, ["fit", "--in", str(out)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output) == {"fits": meta["fits"]}
 
 
 def test_device_round_trips_through_config_units():

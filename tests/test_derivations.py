@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from sdid import (BathSpectrum, RateMatrix, bohr_spectrum, build_bmpsa,
-                  build_bmrwa, build_cetcg, cetcg_rate, choi_matrix,
-                  cluster_bohr, two_qubit_cetcg_reference, two_qubit_coupling,
+from sdid import (LiouvillianBundle, RateMatrix, bohr_spectrum, build_bmpsa,
+                  build_cetcg, cetcg_rate, choi_matrix, cluster_bohr,
+                  two_qubit_cetcg_reference, two_qubit_coupling,
                   two_qubit_hamiltonian)
 from sdid import operators as ops
 from sdid.derivations import sinc
@@ -13,9 +13,23 @@ from sdid.derivations import sinc
 OMEGA0, OMEGA1, NU = 500.0, 700.0, 1.0
 
 
-def _two_qubit_terms(a=0.0):
-    h_s = two_qubit_hamiltonian(OMEGA0, OMEGA1, NU)
+def _two_qubit_terms(a=0.0, omega0=OMEGA0, omega1=OMEGA1, nu=NU):
+    h_s = two_qubit_hamiltonian(omega0, omega1, nu)
     return bohr_spectrum(h_s, two_qubit_coupling(a=a))
+
+
+def _secular(terms, gamma0=1.0):
+    """The fully secular generator: partial secular over zero-width clusters."""
+    return build_bmpsa(cluster_bohr(terms, delta_omega=0.0), gamma0)
+
+
+def _secular_reference(terms, gamma0):
+    """One dissipator per Bohr term at rate gamma0, at positive frequencies
+    only (zero temperature), and no Hamiltonian."""
+    d = terms[0].op.shape[0]
+    jumps = [(gamma0, t.op) for t in terms if t.frequency > 0]
+    return LiouvillianBundle.from_terms(np.zeros((d, d), dtype=complex),
+                                        jumps)
 
 
 def test_sinc_convention():
@@ -65,7 +79,7 @@ def test_bohr_rejects_non_hermitian_hamiltonian():
 
 def test_secular_builder_uses_projected_jumps():
     terms = _two_qubit_terms(a=0.0)
-    bundle = build_bmrwa(terms, BathSpectrum.flat(1.0))
+    bundle = _secular(terms)
     # zero temperature: only the two positive frequencies survive
     assert len(bundle.jump_terms) == 2
     p0 = np.outer(ops.KET_0, ops.KET_0.conj())
@@ -89,27 +103,37 @@ def test_clustering_groups_split_transitions():
 
 
 def test_zero_width_clusters_reduce_to_secular():
-    terms = _two_qubit_terms(a=0.0)
-    bath = BathSpectrum.flat(1.0)
-    rwa = build_bmrwa(terms, bath)
-    singles = cluster_bohr(terms, delta_omega=0.0)
-    psa = build_bmpsa(singles, bath)
-    assert np.max(np.abs(psa.superop - rwa.superop)) <= 1e-12
-    cg = build_cetcg(singles, bath, tau_c=1.0)
-    assert np.max(np.abs(cg.superop - rwa.superop)) <= 1e-12
+    # Partial secular over zero-width clusters is the secular generator bit
+    # for bit; the coarse-grained one approaches it.
+    hamiltonians = ((OMEGA0, OMEGA1, NU), (OMEGA0, OMEGA1, 0.0),
+                    (5.0, 7.0, 1.5))
+    for omega0, omega1, nu in hamiltonians:
+        for a in (0.0, 0.3, 1.0):
+            terms = _two_qubit_terms(a, omega0, omega1, nu)
+            singles = cluster_bohr(terms, delta_omega=0.0)
+            for gamma0 in (1.0, 0.37):
+                rwa = _secular_reference(terms, gamma0)
+                psa = build_bmpsa(singles, gamma0)
+                assert len(psa.jump_terms) == len(rwa.jump_terms) > 0
+                for (rate, op), (ref_rate, ref_op) in zip(psa.jump_terms,
+                                                          rwa.jump_terms):
+                    assert rate == ref_rate
+                    assert np.array_equal(op, ref_op)
+                assert np.array_equal(psa.superop, rwa.superop)
+                cg = build_cetcg(singles, gamma0, tau_c=1.0)
+                assert np.max(np.abs(cg.superop - rwa.superop)) <= 1e-12
 
 
 def test_coarse_graining_time_interpolates_between_limits():
     terms = _two_qubit_terms(a=0.0)
-    bath = BathSpectrum.flat(1.0)
     clusters = cluster_bohr(terms, delta_omega=3.0 * NU)
-    short = build_cetcg(clusters, bath, tau_c=1e-6 / NU)
-    psa = build_bmpsa(clusters, bath)
+    short = build_cetcg(clusters, 1.0, tau_c=1e-6 / NU)
+    psa = build_bmpsa(clusters, 1.0)
     rel = (np.linalg.norm(short.superop - psa.superop)
            / np.linalg.norm(psa.superop))
     assert rel <= 1e-6
-    long_cg = build_cetcg(clusters, bath, tau_c=1e6 / NU)
-    rwa = build_bmrwa(terms, bath)
+    long_cg = build_cetcg(clusters, 1.0, tau_c=1e6 / NU)
+    rwa = _secular(terms)
     rel = (np.linalg.norm(long_cg.superop - rwa.superop)
            / np.linalg.norm(rwa.superop))
     assert rel <= 1e-6
@@ -117,10 +141,9 @@ def test_coarse_graining_time_interpolates_between_limits():
 
 def test_builder_matches_two_qubit_reference():
     terms = _two_qubit_terms(a=0.0)
-    bath = BathSpectrum.flat(1.0)
     clusters = cluster_bohr(terms, delta_omega=3.0 * NU)
     for x in (0.001, 0.1, 1.0, 10.0, 1000.0):
-        built = build_cetcg(clusters, bath, tau_c=x / NU)
+        built = build_cetcg(clusters, 1.0, tau_c=x / NU)
         ref = two_qubit_cetcg_reference(NU, x / NU, 1.0)
         assert np.max(np.abs(built.superop - ref.superop)) <= 1e-10
 
@@ -195,9 +218,8 @@ def test_secular_vs_partial_secular_are_physically_distinct():
     # The partial-secular collective jump acts on the spectator alone and
     # leaves the control coherence untouched.
     terms = _two_qubit_terms(a=0.0)
-    bath = BathSpectrum.flat(1.0)
-    rwa = build_bmrwa(terms, bath)
-    psa = build_bmpsa(cluster_bohr(terms, delta_omega=3.0 * NU), bath)
+    rwa = _secular(terms)
+    psa = build_bmpsa(cluster_bohr(terms, delta_omega=3.0 * NU), 1.0)
     plus = np.outer(ops.KET_PLUS, ops.KET_PLUS.conj())
     excited = np.outer(ops.KET_1, ops.KET_1.conj())
     rho0 = ops.kron(plus, excited)
@@ -214,10 +236,9 @@ def test_secular_vs_partial_secular_are_physically_distinct():
 
 def test_choi_matrix_of_short_time_channels_is_psd():
     terms = _two_qubit_terms(a=0.0)
-    bath = BathSpectrum.flat(1.0)
     clusters = cluster_bohr(terms, delta_omega=3.0 * NU)
-    for bundle in (build_bmrwa(terms, bath), build_bmpsa(clusters, bath),
-                   build_cetcg(clusters, bath, tau_c=1.0),
+    for bundle in (_secular(terms), build_bmpsa(clusters, 1.0),
+                   build_cetcg(clusters, 1.0, tau_c=1.0),
                    two_qubit_cetcg_reference(NU, 1.0, 1.0)):
         chan = ops.expm(bundle.superop * 1e-3)
         evals = np.linalg.eigvalsh(choi_matrix(chan))
