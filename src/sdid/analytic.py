@@ -21,10 +21,12 @@ Cywinski et al., PRB 77, 174509 (2008), exact for one decay per spectator.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .model import (CoherenceTrace, DeviceModel, PulseSequence, SpectatorInit,
-                    build_cpmg, parse_spectator_init)
+                    build_cpmg, parse_spectator_init, time_grid)
 
 
 def _coherence(device: DeviceModel, s: SpectatorInit, seq: PulseSequence,
@@ -70,9 +72,8 @@ def ramsey_trace(device: DeviceModel, s: SpectatorInit, times,
     window, as in `trajectory.ensemble_trace`.  CPMG_n at time T is T times
     CPMG_n at T = 1, so the grid is one broadcast over (times x segments).
     """
-    times = np.asarray(times, dtype=float)
-    unit = (PulseSequence.ramsey(1.0) if cpmg_order is None
-            else build_cpmg(1.0, cpmg_order))
+    times = time_grid(times)
+    unit = build_cpmg(1.0, cpmg_order)
     return CoherenceTrace(times=times,
                           values=_coherence(device, s, unit, times[..., None]))
 
@@ -92,7 +93,8 @@ def cpmg_effective(device: DeviceModel, n: int) -> DeviceModel:
     rates unchanged.  `ramsey_trace(..., cpmg_order=n)` is the exact one."""
     if n < 0:
         raise ValueError("CPMG order must be >= 0")
-    return device.with_couplings(device.nus / (n + 1))
+    return dataclasses.replace(device, spectators=tuple(
+        (q, nu / (n + 1)) for q, nu in device.spectators))
 
 
 def phase_bounds(total_time: float, n: int, nu: float) -> tuple[float, float]:

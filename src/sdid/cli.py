@@ -62,11 +62,6 @@ def _json(payload: dict) -> str:
     return json.dumps(finite, indent=2, sort_keys=True, allow_nan=False)
 
 
-# The model has no state-preparation or measurement error, so RB survival
-# decays to 1/2; every RB fit pins its offset there.
-RB_ASYMPTOTE = 0.5
-
-
 def _fits(header: list[str], rows: list[list[str]]) -> list[dict]:
     """Fit records, one per curve, of a table: `header` and `rows` of CSV text.
 
@@ -88,8 +83,7 @@ def _fits(header: list[str], rows: list[list[str]]) -> list[dict]:
                              f"{convert.__name__}") from None
 
     if "length" in header:
-        fit = fit_rb(column("length", int), column("survival", float),
-                     offset=RB_ASYMPTOTE)
+        fit = fit_rb(column("length", int), column("survival", float))
         return [dataclasses.asdict(fit)]
     if "time_us" not in header:
         return []

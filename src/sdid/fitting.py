@@ -2,8 +2,10 @@
 
 Two models are supported: exponential decay A e^{-r t} + C for coherence
 magnitudes (T2 = 1/r) and B + A p^m for randomized-benchmarking survival
-(error per Clifford = (1 - p)/2).  Both use a Levenberg-Marquardt loop with
-analytic Jacobians and data-driven initial guesses; non-convergence is
+(error per Clifford = (1 - p)/2).  An RB fit always pins the asymptote B,
+to 1/2 by default: the model has no state-preparation or measurement error,
+so its survival decays to exactly 1/2.  Both use a Levenberg-Marquardt loop
+with analytic Jacobians and data-driven initial guesses; non-convergence is
 flagged rather than raised, returning the best iterate.
 """
 
@@ -38,12 +40,11 @@ class FitResult:
     warnings: list[str] = field(default_factory=list)
 
 
-def _levenberg_marquardt(residual_fn, jacobian_fn, theta0,
-                         max_iter: int = 200,
-                         rel_tol: float = 1e-10):
+def _levenberg_marquardt(residual_fn, jacobian_fn, theta0):
     """Minimize ||residual(theta)||^2 by damped normal equations.
 
-    Converges when the relative parameter change drops below rel_tol.
+    Converges when a step changes no parameter, or the cost, by more than
+    1e-10 of itself; stops after 200 iterations.
     Returns (theta, covariance, converged, residual at theta).
     """
     theta = np.asarray(theta0, dtype=float)
@@ -51,7 +52,7 @@ def _levenberg_marquardt(residual_fn, jacobian_fn, theta0,
     r = residual_fn(theta)
     cost = float(r @ r)
     converged = False
-    for _ in range(max_iter):
+    for _ in range(200):
         jac = jacobian_fn(theta)
         jtj = jac.T @ jac
         jtr = jac.T @ r
@@ -73,7 +74,7 @@ def _levenberg_marquardt(residual_fn, jacobian_fn, theta0,
                 theta, r, cost = trial, r_trial, cost_trial
                 lam = max(lam / 10, 1e-12)
                 stepped = True
-                if rel_change < rel_tol or cost_drop <= rel_tol * cost:
+                if rel_change < 1e-10 or cost_drop <= 1e-10 * cost:
                     converged = True
                 break
             lam *= 10
@@ -186,17 +187,15 @@ def fit_exponential(times, magnitudes,
           <= MIN_DECAY * y.max()):
         fit.warnings.append("the fitted curve does not decay over the data: "
                             "T2 is not determined")
+    elif 1.0 / r > t.max():
+        fit.warnings.append("T2 lies beyond the last time of the data: it "
+                            "is an extrapolation")
     return fit
 
 
-def fit_rb(lengths, survival, offset: float | None = None) -> FitResult:
-    """Fit B + A p^m; reports p, EPC = (1-p)/2, amplitude, and offset.
-
-    For shallow decays the three-parameter fit is degenerate (only the
-    product A(1-p) is constrained), so when the asymptote is known, e.g.
-    B = 1/2 for a SPAM-free simulation, pass it via `offset` to fix B and
-    fit only A and p.
-    """
+def fit_rb(lengths, survival, offset: float = 0.5) -> FitResult:
+    """Fit B + A p^m with B pinned at `offset`; reports p, EPC = (1-p)/2,
+    amplitude, and offset."""
     m = np.asarray(lengths, dtype=float)
     y = np.asarray(survival, dtype=float)
     if np.unique(m).size < MIN_LENGTHS:
@@ -205,7 +204,7 @@ def fit_rb(lengths, survival, offset: float | None = None) -> FitResult:
     if not (np.all(np.isfinite(m)) and np.all(np.isfinite(y))):
         raise ValueError("fit_rb needs finite lengths and survival")
 
-    b0 = 0.5 if offset is None else float(offset)
+    b0 = float(offset)
     a0 = y[np.argmin(m)] - b0
     if abs(a0) < 1e-6:
         a0 = 0.5
@@ -227,7 +226,7 @@ def fit_rb(lengths, survival, offset: float | None = None) -> FitResult:
                          a * m * np.power(pc, m - 1)], axis=1)
 
     fit = _fit("B+A*p^m", ("amplitude", "offset", "p"), residual, jacobian,
-               [a0, b0, p0], [True, offset is None, True])
+               [a0, b0, p0], [True, False, True])
     p = fit.params["p"]
     fit.params["epc"] = (1.0 - p) / 2.0
     fit.stderr["epc"] = fit.stderr["p"] / 2.0

@@ -26,7 +26,7 @@ Internal units: rates in 1/s, couplings nu in rad/s, times in s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -109,12 +109,6 @@ class DeviceModel:
     def spectator_gammas(self) -> np.ndarray:
         return np.array([q.gamma for q, _ in self.spectators], dtype=float)
 
-    def with_couplings(self, nus: Sequence[float]) -> "DeviceModel":
-        if len(nus) != self.n_spectators:
-            raise ValueError("coupling list length must match spectator count")
-        return replace(self, spectators=tuple(
-            (q, float(nu)) for (q, _), nu in zip(self.spectators, nus)))
-
 
 # Spectator initial states are bit tuples, one bit per spectator.
 SpectatorInit = tuple[int, ...]
@@ -169,18 +163,30 @@ class PulseSequence:
                             ("p_total", p_total)):
             object.__setattr__(self, name, value)
 
-    @classmethod
-    def ramsey(cls, total_time: float) -> "PulseSequence":
-        return cls(total_time=total_time)
 
+def build_cpmg(total_time: float, n: int | None) -> PulseSequence:
+    """CPMG_n: n+1 equidistant pulses at (k + 1/2) T / (n+1).
 
-def build_cpmg(total_time: float, n: int) -> PulseSequence:
-    """CPMG_n: n+1 equidistant pulses at (k + 1/2) T / (n+1)."""
+    n = None is the Ramsey train, `PulseSequence(total_time)`.
+    """
+    if n is None:
+        return PulseSequence(total_time)
     if n < 0:
         raise ValueError("CPMG order must be >= 0")
     tau = total_time / (n + 1)
     pulses = tuple((k + 0.5) * tau for k in range(n + 1))
     return PulseSequence(total_time=total_time, pulse_times=pulses)
+
+
+def time_grid(times) -> np.ndarray:
+    """`times` as a float array, which every engine's trace and `propagate`
+    accept only as a grid: non-empty, 1-D, finite, non-negative and
+    non-decreasing."""
+    times = np.asarray(times, dtype=float)
+    if (times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times))
+            or times[0] < 0 or np.any(np.diff(times) < 0)):
+        raise ValueError("times must be a sorted, non-negative grid")
+    return times
 
 
 @dataclass(frozen=True)
@@ -378,14 +384,15 @@ def build_liouvillian(device: DeviceModel) -> LiouvillianBundle:
     return LiouvillianBundle.from_terms(h, jumps)
 
 
-def validate_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> None:
+def validate_density_matrix(rho: np.ndarray) -> None:
+    """Raise PhysicalityError unless rho is a density matrix, to 1e-10."""
     rho = np.asarray(rho)
-    if ops.hermiticity_defect(rho) > tol:
+    if ops.hermiticity_defect(rho) > 1e-10:
         raise PhysicalityError("rho0 is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > tol:
+    if abs(np.trace(rho) - 1.0) > 1e-10:
         raise PhysicalityError("rho0 does not have unit trace")
     evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -tol:
+    if evals.min() < -1e-10:
         raise PhysicalityError(f"rho0 is not positive semidefinite "
                                f"(min eigenvalue {evals.min():.2e})")
 
@@ -418,11 +425,7 @@ def propagate(bundle: LiouvillianBundle, rho0: np.ndarray,
     error is floating point. Pulse times must form a `PulseSequence` over
     [0, max(times)]: strictly increasing inside (0, max(times)).
     """
-    times = np.asarray(times, dtype=float)
-    # Negated comparisons, so that NaN fails them.
-    if (times.ndim != 1 or times.size == 0
-            or not np.all(np.diff(times) >= 0) or not times[0] >= 0):
-        raise ValueError("times must be a sorted, non-negative grid")
+    times = time_grid(times)
     validate_density_matrix(rho0)
 
     pulses = [] if pulse_times is None else list(pulse_times)
@@ -489,7 +492,7 @@ def lindblad_trace(device: DeviceModel, s: SpectatorInit, times,
     a CPMG_n train over [0, T], as in `analytic.ramsey_trace` and
     `trajectory.ensemble_trace`.
     """
-    times = np.asarray(times, dtype=float)
+    times = time_grid(times)
     bundle = build_liouvillian(device)
     rho0 = ramsey_initial_state(device, s)
     if cpmg_order is None:
@@ -497,7 +500,7 @@ def lindblad_trace(device: DeviceModel, s: SpectatorInit, times,
     else:
         states = [rho0] * times.size
         for k, T in enumerate(times):
-            if T != 0:
+            if T > 0:
                 train = build_cpmg(T, cpmg_order).pulse_times
                 states[k] = propagate(bundle, rho0, [T], pulse_times=train)[0]
     return CoherenceTrace(times=times, values=2.0 * np.array(

@@ -284,12 +284,6 @@ def average_survival(device: DeviceModel, init: str, lengths, t_gate: float,
                    n_seq=None)
 
 
-def _apply_diag_channel(rho: np.ndarray, lam: np.ndarray) -> None:
-    """In-place diag(1, lam, lam*, 1) channel on a batch of 2x2 states."""
-    rho[..., 1, 0] *= lam
-    rho[..., 0, 1] *= lam.conj()
-
-
 def simulate_rb(device: DeviceModel, init: str, lengths, n_seq: int,
                 t_gate: float, frame: str = "experimental",
                 seed: int = 0) -> RBCurve:
@@ -353,7 +347,10 @@ def simulate_rb(device: DeviceModel, init: str, lengths, n_seq: int,
             lam = np.where(
                 excited & ((decay_gate == 0) | (decay_gate > gate_no)), lam11,
                 np.where(excited & (decay_gate == gate_no), lam10, lam00))
-            _apply_diag_channel(rho, lam.prod(axis=-1))
+            # The error channel diag(1, lam, lam*, 1), in place.
+            lam = lam.prod(axis=-1)
+            rho[..., 1, 0] *= lam
+            rho[..., 0, 1] *= lam.conj()
 
         per_seq = np.einsum("n,snab,ba->s", weights, rho, ket0).real
         survival[li] = per_seq.mean()

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (CoherenceTrace, DeviceModel, PulseSequence, SpectatorInit,
-                    build_cpmg, parse_spectator_init)
+                    build_cpmg, parse_spectator_init, time_grid)
 
 # Shots per phase block.  The block's float temporaries (256 kB each) stay in
 # cache, and a block is long enough that the interpreter work per numpy call
@@ -73,6 +73,10 @@ class EnsembleSpec:
     n_traj: int
     seed: int = 0
 
+    def __post_init__(self):
+        if self.n_traj <= 0:
+            raise ValueError("n_traj must be positive")
+
     def rng(self, stream: int = 0) -> np.random.Generator:
         return np.random.Generator(
             np.random.Philox(key=self.seed, counter=[0, 0, 0, stream]))
@@ -80,11 +84,11 @@ class EnsembleSpec:
 
 class _Workspace:
     """Buffers of one worker: n_traj complex shots, and scratch for blocks
-    of up to `block` shots.  Reused for every point the worker computes."""
+    of up to `_BLOCK` shots.  Reused for every point the worker computes."""
 
-    def __init__(self, n_traj: int, block: int):
+    def __init__(self, n_traj: int):
         self.shots = np.empty(n_traj, dtype=complex)
-        self.block = block
+        self.block = block = min(n_traj, _BLOCK)
         self.t, self.p, self.tmp = (np.empty(block) for _ in range(3))
         self.bucket = np.empty(block, dtype=np.intp)
         self.seg = np.empty(block, dtype=np.intp)
@@ -153,15 +157,13 @@ class _Parity:
         return p
 
 
-def _terms(device: DeviceModel, s: SpectatorInit, n_traj: int) -> list:
+def _terms(device: DeviceModel, s: SpectatorInit) -> list:
     """(excited, 2 nu, mean decay time 1/gamma) per spectator, in spectator
-    order, for ensembles of n_traj shots.
+    order.
 
     The mean decay time is None for a spectator that keeps its state during
     the sequence: one in |0>, or an excited one with gamma = 0.
     """
-    if n_traj <= 0:
-        raise ValueError("n_traj must be positive")
     return [(bit, 2.0 * nu, 1.0 / q.gamma if bit and q.gamma > 0 else None)
             for bit, (q, _), nu in zip(s, device.spectators, device.nus)]
 
@@ -205,12 +207,12 @@ def _coherence(device: DeviceModel, seq: PulseSequence, terms: list,
     phi = _phase(_Parity(seq), terms, rng, ws)
     shots = ws.shots
     n = shots.size
-    for a in range(0, n, ws.block):
-        b = min(a + ws.block, n)
-        tmp = ws.tmp[:b - a]
-        np.copyto(tmp, phi[a:b])
-        np.multiply(tmp, -1j, out=shots[a:b])
-        np.exp(shots[a:b], out=shots[a:b])
+    # e^{-i phi} in place.  Since -1j is (-0.0, -1.0), phi * -1j is
+    # (+0.0, -phi) with the sign of a zero phi flipped too, so these shots
+    # are bitwise those of np.exp(phi * -1j).
+    shots.real = 0.0
+    np.negative(phi, out=phi)
+    np.exp(shots, out=shots)
     envelope = np.exp(-device.control.gamma_tilde * seq.total_time)
     mean = envelope * complex(shots.mean())
     if len(seq.pulse_times) % 2:
@@ -249,8 +251,7 @@ def _compute_points(device: DeviceModel, terms: list, points: list,
     if not points:
         return
     n_workers = min(_cpus(), len(points))
-    spaces = [_Workspace(n_traj, min(n_traj, _BLOCK))
-              for _ in range(n_workers)]
+    spaces = [_Workspace(n_traj) for _ in range(n_workers)]
     failures = []
 
     def work(w):
@@ -288,9 +289,8 @@ def ensemble_coherence(device: DeviceModel, s: SpectatorInit,
     Drawn from stream `stream` of `ens`.
     """
     s = parse_spectator_init(s, device.n_spectators)
-    terms = _terms(device, s, ens.n_traj)
-    return _coherence(device, seq, terms, ens.rng(stream),
-                      _Workspace(ens.n_traj, min(ens.n_traj, _BLOCK)))
+    return _coherence(device, seq, _terms(device, s), ens.rng(stream),
+                      _Workspace(ens.n_traj))
 
 
 def ensemble_trace(device: DeviceModel, s: SpectatorInit, times,
@@ -305,14 +305,13 @@ def ensemble_trace(device: DeviceModel, s: SpectatorInit, times,
     output is the same for any number of workers.
     """
     s = parse_spectator_init(s, device.n_spectators)
-    terms = _terms(device, s, ens.n_traj)
-    times = np.asarray(times, dtype=float)
+    terms = _terms(device, s)
+    times = time_grid(times)
     values = np.ones(times.size, dtype=complex)
     errs = np.zeros(times.size)
     # Sequences and streams are made here, in the calling thread, so that
     # the workers call no public function.
-    points = [(k, PulseSequence.ramsey(T) if cpmg_order is None
-               else build_cpmg(T, cpmg_order), ens.rng(k))
+    points = [(k, build_cpmg(T, cpmg_order), ens.rng(k))
               for k, T in enumerate(times) if T > 0]
     _compute_points(device, terms, points, ens.n_traj, values, errs)
     return CoherenceTrace(times=times, values=values, stderr=errs)

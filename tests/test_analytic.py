@@ -112,6 +112,11 @@ def test_cpmg_effective_divides_couplings(device_b):
     assert all(q1 == q2 for (q1, _), (q2, _) in
                zip(eff.spectators, device_b.spectators))
     assert np.allclose(cpmg_effective(device_b, 0).nus, device_b.nus)
+    for n in (0, 1, 4, 16, 64, 160):
+        eff = cpmg_effective(device_b, n)
+        assert np.array_equal(eff.nus, device_b.nus / (n + 1))
+        assert np.array_equal(eff.spectator_gammas,
+                              device_b.spectator_gammas)
     with pytest.raises(ValueError):
         cpmg_effective(device_b, -1)
 
@@ -155,8 +160,7 @@ def test_cpmg_trace_is_the_coherence_of_each_train(device_b):
         trace = ramsey_trace(device_b, "101", times, cpmg_order=order).values
         assert trace[0] == 1.0
         for T, value in zip(times[1:], trace[1:]):
-            seq = (PulseSequence.ramsey(T) if order is None
-                   else build_cpmg(T, order))
+            seq = build_cpmg(T, order)
             assert abs(value - coherence(device_b, "101", seq)) <= 1e-13
     with pytest.raises(ValueError):
         ramsey_trace(device_b, "101", times, cpmg_order=-1)
@@ -176,6 +180,20 @@ def test_three_engines_agree_as_complex_numbers(device_b):
             assert traj.stderr[0] == 0.0
             z = np.abs(traj.values[1:] - exact[1:]) / traj.stderr[1:]
             assert np.all(z <= 4.0), (s, order, z.max())
+
+
+@pytest.mark.parametrize("engine", ["analytic", "lindblad", "trajectory"])
+@pytest.mark.parametrize("order", [None, 2])
+@pytest.mark.parametrize("times", [
+    [-20e-6, 0.0], [0.0, np.nan], [0.0, np.inf], [0.0, 20e-6, 10e-6], [],
+    [[0.0, 10e-6]]], ids=["negative", "nan", "inf", "unsorted", "empty",
+                          "2d"])
+def test_every_engine_rejects_a_bad_grid(device_a, engine, order, times):
+    trace = {"analytic": ramsey_trace, "lindblad": lindblad_trace,
+             "trajectory": lambda *args, **kw: ensemble_trace(
+                 *args, EnsembleSpec(n_traj=10), **kw)}[engine]
+    with pytest.raises(ValueError, match="sorted, non-negative grid"):
+        trace(device_a, "1", times, cpmg_order=order)
 
 
 def test_exact_cpmg_matches_trajectories(device_b):

@@ -545,6 +545,28 @@ def test_cli_cpmg_notes_a_poor_single_exponential_fit(tmp_path):
     assert json.loads(result.output)["fits"] == sidecar["fits"]
 
 
+EXTRAPOLATION_NOTE = ("T2 lies beyond the last time of the data: it is an "
+                      "extrapolation")
+
+
+def test_cli_cpmg_notes_a_t2_beyond_the_data(tmp_path):
+    # Device B's default window ends at 211.9 us; orders 64 and 160 fit a T2
+    # of 225.2 and 238.2 us past it, order 16 one of 130.5 us inside it.
+    cfg = _write_config(tmp_path / "b.json", DEVICE_B, spectator_init="111")
+    out = tmp_path / "cpmg.csv"
+    result = CliRunner().invoke(main, [
+        "cpmg", "--config", cfg, "--orders", "16,64,160", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    sidecar = json.loads((tmp_path / "cpmg.csv.meta.json").read_text())
+    for f in sidecar["fits"]:
+        beyond = f["t2_us"] > sidecar["tmax_us"]
+        assert beyond == (f["cpmg_n"] in (64, 160)), f
+        assert (EXTRAPOLATION_NOTE in f["warnings"]) == beyond, f
+    result = CliRunner().invoke(main, ["fit", "--in", str(out)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["fits"] == sidecar["fits"]
+
+
 def test_cli_rb_and_fit_round_trip(tmp_path):
     cfg = _write_config(tmp_path / "b.json", DEVICE_B, seed=3)
     out = tmp_path / "rb.csv"

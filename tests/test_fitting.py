@@ -69,6 +69,9 @@ def test_exact_rb_curve_recovers_p():
     assert abs(fit.params["p"] - p) <= 1e-6
     assert abs(fit.params["epc"] - (1.0 - p) / 2.0) <= 1e-6
     assert fit.converged
+    # The asymptote is pinned to 1/2 by default.
+    assert fit.params["offset"] == 0.5 and fit.stderr["offset"] == 0.0
+    assert fit == fit_rb(m, y, offset=0.5)
 
 
 def test_error_free_rb_curve_gives_zero_epc():

@@ -40,7 +40,8 @@ def test_pulse_sequence_validation():
         with pytest.raises(ValueError):
             PulseSequence(*bad)
     assert build_cpmg(2.0, 0).pulse_times == (1.0,)
-    assert PulseSequence.ramsey(2.0).pulse_times == ()
+    assert PulseSequence(2.0).pulse_times == ()
+    assert build_cpmg(2.0, None) == PulseSequence(2.0)
 
 
 # Reference implementation: the binary-search phase that the bucket kernel
@@ -138,7 +139,7 @@ def test_accumulated_phase_matches_piecewise_oracle(rng):
     device = _one_spec_device()
     nu = device.nus[0]
     T = 100e-6
-    for seq in (PulseSequence.ramsey(T), build_cpmg(T, 0),
+    for seq in (PulseSequence(T), build_cpmg(T, 0),
                 build_cpmg(T, 3), build_cpmg(T, 8)):
         for _ in range(20):
             t_d = float(rng.uniform(0.0, 1.5 * T))
@@ -193,12 +194,12 @@ def test_ground_state_experimental_frame_is_static():
     device = _one_spec_device()
     T = 80e-6
     ens = EnsembleSpec(n_traj=100, seed=0)
-    val, _ = ensemble_coherence(device, "0", PulseSequence.ramsey(T), ens)
+    val, _ = ensemble_coherence(device, "0", PulseSequence(T), ens)
     static = np.exp(-2j * device.nus[0] * T)
     expected = np.exp(-device.control.gamma_tilde * T)
     assert np.isclose(val / static, expected, atol=1e-12)
     with pytest.raises(TypeError):
-        ensemble_coherence(device, "0", PulseSequence.ramsey(T), ens,
+        ensemble_coherence(device, "0", PulseSequence(T), ens,
                            frame="experimental")
     with pytest.raises(ValueError):
         simulate_rb(device, "0", [1], n_seq=1, t_gate=50e-9, frame="lab")
@@ -214,7 +215,7 @@ def test_all_ground_experimental_frame_is_static_with_pulses(device_a,
     # the real intrinsic envelope.
     T = 80e-6
     if n is None:
-        seq = PulseSequence.ramsey(T)
+        seq = PulseSequence(T)
     elif n == "odd":
         seq = PulseSequence(T, (0.3 * T,))    # P(T) = -0.4 T
     else:
@@ -242,7 +243,7 @@ def test_same_seed_is_bit_identical(device_a):
 
 
 def test_stderr_scales_as_inverse_sqrt_n(device_a):
-    seq = PulseSequence.ramsey(150e-6)
+    seq = PulseSequence(150e-6)
     _, e_small = ensemble_coherence(device_a, "1", seq,
                                     EnsembleSpec(n_traj=2000, seed=4))
     _, e_big = ensemble_coherence(device_a, "1", seq,
@@ -252,8 +253,10 @@ def test_stderr_scales_as_inverse_sqrt_n(device_a):
 
 
 def test_invalid_trajectory_count(device_a):
+    with pytest.raises(ValueError, match="n_traj must be positive"):
+        EnsembleSpec(n_traj=0)
     with pytest.raises(ValueError):
-        ensemble_coherence(device_a, "1", PulseSequence.ramsey(1e-5),
+        ensemble_coherence(device_a, "1", PulseSequence(1e-5),
                            EnsembleSpec(n_traj=0, seed=0))
     with pytest.raises(ValueError):
         ensemble_trace(device_a, "1", [1e-5], EnsembleSpec(n_traj=-3, seed=0))
@@ -271,7 +274,7 @@ def _adversarial_sequences():
     p = 40e-6
     ulps = (p, np.nextafter(p, 1.0), np.nextafter(np.nextafter(p, 1.0), 1.0),
             70e-6)
-    yield PulseSequence.ramsey(T)
+    yield PulseSequence(T)
     for n in (0, 1, 2, 3, 4, 16, 64, 160):
         yield build_cpmg(T, n)
     yield PulseSequence(T, ulps)
@@ -301,7 +304,7 @@ def test_parity_kernel_matches_searchsorted_reference():
         t = _times_for(seq, rng)
         edges = np.array((0.0,) + seq.pulse_times)
         parity = trajectory._Parity(seq)
-        ws = trajectory._Workspace(0, t.size)
+        ws = trajectory._Workspace(t.size)
         assert parity.last_bucket + 1 <= 4 * edges.size
         seg = parity.segments(t, ws, t.size)
         assert np.array_equal(seg, np.searchsorted(edges, t, "right") - 1)
@@ -312,7 +315,7 @@ def test_parity_kernel_matches_searchsorted_reference():
     for n in range(0, 161):
         for T in (1e-6, 37.3e-6, 2.5e-3):
             assert trajectory._Parity(build_cpmg(T, n)).steps == 1
-    assert trajectory._Parity(PulseSequence.ramsey(1e-4)).steps == 0
+    assert trajectory._Parity(PulseSequence(1e-4)).steps == 0
 
 
 @pytest.mark.parametrize("n_traj", [1, 7, 8192, 8193, 20_000])
@@ -338,8 +341,7 @@ def test_ensemble_trace_matches_per_point_reference(device_b):
         want_err = np.empty(times.size)
         want[0], want_err[0] = 1.0, 0.0
         for k, T in enumerate(times[1:], start=1):
-            seq = (PulseSequence.ramsey(T) if order is None
-                   else build_cpmg(T, order))
+            seq = build_cpmg(T, order)
             ref, want_err[k] = _reference_coherence(device_b, (1, 1, 1), seq,
                                                     ens, stream=k)
             want[k] = _lab_frame(ref, seq)
