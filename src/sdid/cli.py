@@ -113,8 +113,7 @@ def _fits(header: list[str], rows: list[list[str]]) -> list[dict]:
 
 
 def run_ramsey(cfg: ExperimentConfig) -> Table:
-    device = cfg.device
-    s = parse_spectator_init(cfg.spectator_init, device.n_spectators)
+    device, s = cfg.device, cfg.spectator_init
     tmax = (cfg.tmax_us or 500.0) * 1e-6
     times = np.linspace(0.0, tmax, cfg.points)
     ens = EnsembleSpec(n_traj=cfg.n_traj, seed=cfg.seed)
@@ -143,8 +142,7 @@ def run_ramsey(cfg: ExperimentConfig) -> Table:
 
 
 def run_cpmg(cfg: ExperimentConfig) -> Table:
-    device = cfg.device
-    s = parse_spectator_init(cfg.spectator_init, device.n_spectators)
+    device, s = cfg.device, cfg.spectator_init
     rate = analytic.heuristic_rate(device, s)
     if not (cfg.tmax_us or rate > 0):
         raise ConfigError("field 'tmax_us' is required when nothing decays")
@@ -184,7 +182,7 @@ def run_derive(cfg: ExperimentConfig) -> Table:
         tau_c = x / nu
         built = build_cetcg(clusters, gamma, tau_c)
         ref = two_qubit_cetcg_reference(nu, tau_c, gamma)
-        diff = float(np.max(np.abs(built.superop - ref.superop)))
+        diff = float(np.max(np.abs(built.superop - ref)))
         k = two_qubit_kossakowski(nu, tau_c, gamma)
         rows.append([x, k[0, 0].real, k[1, 1].real, k[0, 1].imag, diff])
     header = ["nu_tauc", "coef_uncorrelated", "coef_correlated",

@@ -11,15 +11,16 @@ It also holds the types the three engines share: the pi-pulse train
 `lindblad_trace` is this engine's counterpart of `analytic.ramsey_trace` and
 `trajectory.ensemble_trace`.
 
-The Liouvillian is never built as a dense 4^(N+1) matrix.  Its sectors
-(sets of vec(rho) indices that no term of H or of the jumps connects to the
-rest) are found from the nonzero patterns of H and the jump operators, and
-each sector's block is computed from them directly.  With diagonal H and
-local sigma-/Z jumps there are 3^(N+1) sectors, none wider than 2^(N+1);
-blocks of one size are stacked, so a step exp(L dt) costs one stacked
-exponential and one batched matrix product per block size.  A pi pulse on
-the control is a permutation of vec(rho).  The dense matrix is
-assembled only when :attr:`LiouvillianBundle.superop` is read.
+The Liouvillian is never built as a dense 4^(N+1) matrix.  The
+`LiouvillianBundle(h, jumps)` constructor finds its sectors (sets of vec(rho)
+indices that no term of H or of the jumps connects to the rest) from the
+nonzero patterns of H and the jump operators, and computes each sector's
+block from them directly.  With diagonal H and local sigma-/Z jumps there
+are 3^(N+1) sectors, none wider than 2^(N+1); blocks of one size are
+stacked, so a step exp(L dt) costs one stacked exponential and one batched
+matrix product per block size.  A pi pulse on the control is a permutation
+of vec(rho).  The dense matrix is assembled only when
+:attr:`LiouvillianBundle.superop` is read.
 
 Internal units: rates in 1/s, couplings nu in rad/s, times in s.
 """
@@ -211,24 +212,23 @@ Sectors = tuple[tuple[np.ndarray, np.ndarray], ...]
 
 @dataclass(frozen=True)
 class LiouvillianBundle:
-    """Liouvillian as its sector blocks, with its Hamiltonian and jump list."""
+    """Liouvillian ``-i[h, .] + sum rate D[op]`` over (rate, op) in the jump
+    list, held as its sector blocks, which the constructor finds.
+
+    ``D[x] rho = x rho x^dag - {x^dag x, rho}/2``.  Each block entry is
+    summed in a fixed order: the Hamiltonian's left and right products,
+    then per jump the sandwich, the anticommutator's left and right
+    products, the rate, and the total.  Each dissipator is complete before
+    it is scaled and added, so rate * D[x] keeps its trace cancellation
+    exact instead of mixing the rates of different jumps.
+    """
 
     hamiltonian: np.ndarray
     jump_terms: tuple[tuple[float, np.ndarray], ...]
-    sectors: Sectors
+    sectors: Sectors = field(init=False, repr=False, compare=False)
 
-    @classmethod
-    def from_terms(cls, h: np.ndarray, jumps) -> "LiouvillianBundle":
-        """Bundle for ``-i[h, .] + sum rate D[op]`` over (rate, op) in jumps.
-
-        ``D[x] rho = x rho x^dag - {x^dag x, rho}/2``.  Each block entry is
-        summed in a fixed order: the Hamiltonian's left and right products,
-        then per jump the sandwich, the anticommutator's left and right
-        products, the rate, and the total.  Each dissipator is complete
-        before it is scaled and added, so rate * D[x] keeps its trace
-        cancellation exact instead of mixing the rates of different jumps.
-        """
-        jumps = tuple(jumps)
+    def __post_init__(self):
+        h, jumps = self.hamiltonian, tuple(self.jump_terms)
         terms = [(rate, np.asarray(op, dtype=complex)) for rate, op in jumps]
         halves = [0.5 * (op.conj().T @ op) for _, op in terms]
         d = h.shape[0]
@@ -236,7 +236,8 @@ class LiouvillianBundle:
             *_pattern_edges(d, [h] + halves, [op for _, op in terms]), d * d)
         sectors = tuple((idx, _block_entries(idx, d, h, terms, halves))
                         for idx in _group_by_size(labels))
-        return cls(hamiltonian=h, jump_terms=jumps, sectors=sectors)
+        object.__setattr__(self, "jump_terms", jumps)
+        object.__setattr__(self, "sectors", sectors)
 
     @property
     def dim(self) -> int:
@@ -381,7 +382,7 @@ def build_liouvillian(device: DeviceModel) -> LiouvillianBundle:
             jumps.append((q.gamma, ops.embed(SIGMA_MINUS, j, n)))
         if q.gamma_phi > 0:
             jumps.append((q.gamma_phi / 2.0, ops.embed(Z, j, n)))
-    return LiouvillianBundle.from_terms(h, jumps)
+    return LiouvillianBundle(h, jumps)
 
 
 def validate_density_matrix(rho: np.ndarray) -> None:

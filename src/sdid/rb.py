@@ -182,14 +182,12 @@ def clifford_group() -> CliffordGroup:
 class RBCurve:
     """Sequence lengths and averaged survival probabilities.
 
-    `stderr` and `n_seq` are None for the exact average, which samples no
-    sequences.
+    `stderr` is None for the exact average, which samples no sequences.
     """
 
     lengths: np.ndarray
     survival: np.ndarray
     stderr: np.ndarray | None
-    n_seq: int | None
 
 
 # Gate frames: 'experimental' divides out the ground-state ZZ phase per gate.
@@ -280,8 +278,7 @@ def average_survival(device: DeviceModel, init: str, lengths, t_gate: float,
         vec = np.linalg.matrix_power(step, int(lengths[li]) - done) @ vec
         done = int(lengths[li])
         survival[li] = 0.5 + 0.5 * vec.sum()
-    return RBCurve(lengths=lengths, survival=survival, stderr=None,
-                   n_seq=None)
+    return RBCurve(lengths=lengths, survival=survival, stderr=None)
 
 
 def simulate_rb(device: DeviceModel, init: str, lengths, n_seq: int,
@@ -355,5 +352,4 @@ def simulate_rb(device: DeviceModel, init: str, lengths, n_seq: int,
         per_seq = np.einsum("n,snab,ba->s", weights, rho, ket0).real
         survival[li] = per_seq.mean()
         stderr[li] = per_seq.std(ddof=1) / np.sqrt(n_seq) if n_seq > 1 else 0.0
-    return RBCurve(lengths=lengths, survival=survival, stderr=stderr,
-                   n_seq=n_seq)
+    return RBCurve(lengths=lengths, survival=survival, stderr=stderr)

@@ -25,6 +25,7 @@ Measured cause of the 5a failure (device B, spectators 111, seed 21):
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -242,7 +243,7 @@ def test_criterion_08_master_equation_limits(rng):
         built = build_cetcg(clusters, 1.0, tau_c=x / nu)
         ref = two_qubit_cetcg_reference(nu, x / nu, 1.0)
         worst_ref = max(worst_ref,
-                        float(np.max(np.abs(built.superop - ref.superop))))
+                        float(np.max(np.abs(built.superop - ref))))
 
     psa = build_bmpsa(clusters, 1.0)
     rel_psa = (np.linalg.norm(build_cetcg(clusters, 1.0, 1e-6 / nu).superop
@@ -283,15 +284,16 @@ def test_criterion_09_physicality_suite(device_a, device_b):
                build_bmpsa(cluster_bohr(terms, delta_omega=0.0), 1.0),
                build_bmpsa(clusters, 1.0),
                build_cetcg(clusters, 1.0, tau_c=1.0),
-               build_cetcg(clusters, 1.0, tau_c=100.0),
-               two_qubit_cetcg_reference(nu, 1.0, 1.0)]
+               build_cetcg(clusters, 1.0, tau_c=100.0)]
+    superops = ([b.superop for b in bundles]
+                + [two_qubit_cetcg_reference(nu, 1.0, 1.0)])
     worst_trace = 0.0
     worst_eig = 0.0
-    for bundle in bundles:
-        row = ops.trace_row(bundle.dim) @ bundle.superop
+    for superop in superops:
+        row = ops.trace_row(math.isqrt(superop.shape[0])) @ superop
         worst_trace = max(worst_trace, float(np.max(np.abs(row))))
-        dt = 1e-3 / max(1.0, float(np.max(np.abs(bundle.superop))))
-        chan = ops.expm(bundle.superop * dt)
+        dt = 1e-3 / max(1.0, float(np.max(np.abs(superop))))
+        chan = ops.expm(superop * dt)
         evals = np.linalg.eigvalsh(choi_matrix(chan))
         worst_eig = min(worst_eig, float(evals.min()))
 
@@ -312,7 +314,7 @@ def test_criterion_09_physicality_suite(device_a, device_b):
     ok = (worst_trace <= 1e-12 and worst_eig >= -1e-9
           and invariance <= 1e-10)
     _report("9", ok,
-            f"{len(bundles)} generators: trace defect {worst_trace:.2e}, "
+            f"{len(superops)} generators: trace defect {worst_trace:.2e}, "
             f"min Choi eigenvalue {worst_eig:.2e}, dephasing invariance "
             f"{invariance:.2e}")
 

@@ -82,6 +82,21 @@ def test_config_diagnostics_name_the_field():
     with pytest.raises(ConfigError, match="zz_4nu_khz"):
         config_from_dict({"device": {"control": {"t2_us": 100.0},
                                      "spectators": [{"t1_us": 100.0}]}})
+    control = {"t2_us": 100.0}
+    for data, field in (
+            ([DEVICE_A], "config root"),
+            ({"device": [control]}, "'device' must be an object"),
+            ({"device": {"spectators": []}}, "'device.control' is required"),
+            ({"device": {"control": 100.0}},
+             "'device.control' must be an object"),
+            ({"device": {"control": control, "spectators": [45.0]}},
+             "'device.spectators[0]' must be an object"),
+            ({"device": {"control": {"t3_us": 100.0}}},
+             "'device.control' has unknown keys ['t3_us']"),
+            *(({"device": DEVICE_A, "tgate_ns": x}, "'tgate_ns'")
+              for x in (-5, 0, math.inf))):
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            config_from_dict(data)
 
 
 def test_spectator_init_is_checked_against_the_experiment():
@@ -108,21 +123,29 @@ def test_cli_reports_config_errors_without_traceback(tmp_path):
 
 @pytest.mark.parametrize("command, option, kind", [
     ("ramsey", "--config", "folder"), ("ramsey", "--config", "binary"),
-    ("ramsey", "--config", "empty"), ("ramsey", "--out", "folder"),
+    ("ramsey", "--config", "empty"), ("ramsey", "--config", "missing"),
+    ("ramsey", "--config", "text"), ("ramsey", "--out", "folder"),
     ("ramsey", "--out", "missing"), ("fit", "--in", "folder"),
-    ("fit", "--in", "binary")])
+    ("fit", "--in", "binary"), ("fit", "--out", "folder"),
+    ("fit", "--out", "missing")])
 def test_cli_reports_unusable_paths_in_one_line(tmp_path, command, option,
                                                 kind):
     # A path that is not a readable (or writable) text file ends the command
     # with one error line that names it, and no file is written.
     paths = {"folder": tmp_path / "folder", "binary": tmp_path / "binary",
-             "missing": tmp_path / "missing" / "x.csv", "empty": ""}
+             "missing": tmp_path / "missing" / "x.csv", "empty": "",
+             "text": tmp_path / "text"}
     paths["folder"].mkdir()
     paths["binary"].write_bytes(b"\xff\xfe{}")
-    args = ({"--in": None, "--out": str(tmp_path / "fit.json")}
-            if command == "fit" else
-            {"--config": _write_config(tmp_path / "a.json", DEVICE_A),
-             "--out": str(tmp_path / "x.csv")})
+    paths["text"].write_text("version = v1\n")
+    if command == "fit":
+        table = tmp_path / "derive.csv"
+        table.write_text("nu_tauc,builder_vs_reference_max_abs_diff\n"
+                         "1.0,0.0\n")
+        args = {"--in": str(table), "--out": str(tmp_path / "fit.json")}
+    else:
+        args = {"--config": _write_config(tmp_path / "a.json", DEVICE_A),
+                "--out": str(tmp_path / "x.csv")}
     args[option] = str(paths[kind])
     before = sorted(tmp_path.rglob("*"))
     result = CliRunner().invoke(main, [command] + [
@@ -133,6 +156,9 @@ def test_cli_reports_unusable_paths_in_one_line(tmp_path, command, option,
     errors = [line for line in lines if line.startswith("Error")]
     assert errors == lines[-1:], result.output
     assert str(paths[kind]) in errors[0]
+    reason = {("--config", "missing"): "does not exist",
+              ("--config", "text"): "is not valid JSON"}
+    assert reason.get((option, kind), "") in errors[0]
     assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -608,17 +634,21 @@ def test_cli_rb_fit_pins_the_offset(tmp_path):
 
 def test_cli_rb_writes_the_exact_average(tmp_path):
     cfg = _write_config(tmp_path / "b.json", DEVICE_B, seed=3)
-    out = tmp_path / "rb.csv"
-    result = CliRunner().invoke(main, [
-        "rb", "--config", cfg, "--init", "plus", "--lengths", "1,20,60,120",
-        "--out", str(out)])
-    assert result.exit_code == 0, result.output
     parsed = load_config(cfg)
-    curve = average_survival(parsed.device, "plus", [1, 20, 60, 120],
-                             t_gate=parsed.t_gate)
-    want = "length,survival\n" + "".join(
-        f"{m},{float(s)!r}\n" for m, s in zip(curve.lengths, curve.survival))
-    assert out.read_text() == want
+    # The config's gate time, then `--tgate-ns` in its place.
+    for options, t_gate in (([], parsed.t_gate),
+                            (["--tgate-ns", "20"], 20e-9)):
+        out = tmp_path / f"rb{len(options)}.csv"
+        result = CliRunner().invoke(main, [
+            "rb", "--config", cfg, "--init", "plus", "--lengths",
+            "1,20,60,120", "--out", str(out)] + options)
+        assert result.exit_code == 0, result.output
+        curve = average_survival(parsed.device, "plus", [1, 20, 60, 120],
+                                 t_gate=t_gate)
+        want = "length,survival\n" + "".join(
+            f"{m},{float(s)!r}\n"
+            for m, s in zip(curve.lengths, curve.survival))
+        assert out.read_text() == want
 
 
 def test_cli_rb_init_takes_every_preparation_the_config_takes(tmp_path):

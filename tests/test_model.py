@@ -5,9 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sdid import (DeviceModel, EnsembleSpec, PhysicalityError, QubitParams,
-                  bohr_spectrum, build_bmpsa, build_cetcg, build_cpmg,
-                  build_hamiltonian,
+from sdid import (DeviceModel, EnsembleSpec, LiouvillianBundle,
+                  PhysicalityError, QubitParams, bohr_spectrum, build_bmpsa,
+                  build_cetcg, build_cpmg, build_hamiltonian,
                   build_liouvillian, cluster_bohr, control_coherence,
                   ensemble_coherence, lindblad_trace, parse_spectator_init,
                   propagate, ramsey_initial_state, ramsey_trace,
@@ -118,6 +118,10 @@ def test_liouvillian_reassembles(device_a, device_b, device_b4):
         bundle = build_liouvillian(device)
         dense = _superop_from_terms(bundle.hamiltonian, bundle.jump_terms)
         assert np.array_equal(bundle.superop, dense)
+    # The constructor finds the sectors; no caller can hand it others.
+    with pytest.raises(TypeError):
+        LiouvillianBundle(bundle.hamiltonian, bundle.jump_terms,
+                          sectors=bundle.sectors)
     for device in (device_b, device_b4):
         sectors = build_liouvillian(device).sectors
         n = device.n_qubits

@@ -49,6 +49,9 @@ def test_excitation_is_forbidden():
         conditional_channel(0, 1, 5e4, 1e4, 1e-7)
     with pytest.raises(ForbiddenTransitionError):
         lambda_analytic(0, 1, 5e4, 1e4, 1e-7)
+    # Without relaxation a 1 -> 0 decay is impossible as well.
+    with pytest.raises(ForbiddenTransitionError, match="zero probability"):
+        conditional_channel(1, 0, 5e4, 0.0, 1e-7)
 
 
 def test_transition_probabilities_sum_to_one():
@@ -183,7 +186,7 @@ def test_exact_average_zero_preparation_survives(device_b):
     curve = average_survival(device_b, "zero", [1, 50, 400, 1600],
                              t_gate=20e-9)
     assert np.max(np.abs(curve.survival - 1.0)) <= 1e-12
-    assert curve.stderr is None and curve.n_seq is None
+    assert curve.stderr is None
 
 
 def test_exact_average_of_frozen_excited_spectator():
