@@ -261,7 +261,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             _require_positive(x, f"nu_tauc[{k}]")
             for k, x in enumerate(_require_list(data["nu_tauc"], "nu_tauc")))
     if "out" in data:
-        cfg.out = str(data["out"])
+        if not isinstance(data["out"], str):
+            raise ConfigError(f"field 'out' must be a path string, got "
+                              f"{data['out']!r}")
+        cfg.out = data["out"]
     return cfg
 
 

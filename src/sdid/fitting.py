@@ -26,7 +26,8 @@ MAX_RMS_RESIDUAL = 0.02
 
 # When a fitted exponential changes by no more than this fraction of the
 # largest magnitude across the data window, the curve does not decay and
-# its T2 is not determined.
+# its T2 is not determined; when an RB fit's amplitude is no larger than
+# this fraction of the largest survival, its p is not determined.
 MIN_DECAY = 1e-9
 
 
@@ -230,6 +231,9 @@ def fit_rb(lengths, survival, offset: float = 0.5) -> FitResult:
     p = fit.params["p"]
     fit.params["epc"] = (1.0 - p) / 2.0
     fit.stderr["epc"] = fit.stderr["p"] / 2.0
-    if not 0.0 < p <= 1.0 + 1e-12:
+    if abs(fit.params["amplitude"]) <= MIN_DECAY * np.max(np.abs(y)):
+        fit.warnings.append("the fitted curve does not decay from its "
+                            "asymptote: p is not determined")
+    elif not 0.0 < p <= 1.0 + 1e-12:
         fit.warnings.append(f"fitted p = {p:.6g} outside (0, 1]")
     return fit

@@ -6,9 +6,10 @@ diagonal, diag(1, lambda, lambda*, 1), in the column-stacked basis.  The RB
 decay constant of a channel is p = (Tr - 1)/3.
 
 Two engines give the RB survival of one spectator preparation.  Each
-spectator is tracked classically: it survives each gate with probability
-q = e^{-gamma t_gate} (eigenvalue lambda_11), decays during one gate
-(lambda_10) or has decayed before it (lambda_00); the gate's error is the
+spectator is tracked classically: over one gate it stays in |0> (history
+code 0, eigenvalue lambda_00), stays excited with probability
+q = e^{-gamma t_gate} (code 1, lambda_11) or decays (code 2, lambda_10); the
+code picks the spectator's row of `_gate_table`, and the gate's error is the
 product over spectators.  `simulate_rb` samples finite sets of Clifford
 sequences and decay times.  `average_survival` gives the exact average over
 both.  With uniform random Cliffords C_k, the products D_k = C_k...C_1 are
@@ -92,30 +93,31 @@ def conditional_channel(i: int, j: int, nu: float, gamma1: float,
     return ConditionalChannel(superop=lifted / norm, norm=norm)
 
 
-def lambda_analytic(i: int, j: int, nu: float, gamma1: float,
-                    t: float) -> complex:
-    """Closed-form channel eigenvalues lambda_00, lambda_11, lambda_10."""
+def lambda_analytic(i: int, j: int, nu, gamma1, t: float):
+    """Closed-form channel eigenvalues lambda_00, lambda_11, lambda_10; `nu`
+    and `gamma1` may be arrays over spectators."""
     if (i, j) == (0, 0):
         return np.exp(2j * nu * t)
     if (i, j) == (1, 1):
         return np.exp(-2j * nu * t)
     if (i, j) == (1, 0):
-        if gamma1 <= 0:
+        if np.any(np.asarray(gamma1) <= 0):
             raise ValueError("lambda_10 requires gamma1 > 0 (relaxation must "
                              "be possible)")
         num = gamma1 * (np.exp(2j * nu * t)
                         - np.exp(-(gamma1 + 2j * nu) * t))
         den = (gamma1 + 4j * nu) * (1.0 - np.exp(-gamma1 * t))
-        return complex(num / den)
+        return num / den
     raise ForbiddenTransitionError(
         "spectator transition 0 -> 1 is forbidden at zero temperature")
 
 
-def transition_probability(i: int, j: int, gamma1: float, t: float) -> float:
-    """N_ij: probability of the spectator transition over a window t."""
+def transition_probability(i: int, j: int, gamma1, t: float):
+    """N_ij: probability of the spectator transition over a window t, of the
+    shape of `gamma1`."""
     survive = np.exp(-gamma1 * t)
-    return {(0, 0): 1.0, (0, 1): 0.0, (1, 1): survive,
-            (1, 0): 1.0 - survive}[(i, j)]
+    return {(0, 0): np.ones_like(survive), (0, 1): np.zeros_like(survive),
+            (1, 1): survive, (1, 0): 1.0 - survive}[(i, j)]
 
 
 def rb_decay_constant(chan: ConditionalChannel) -> float:
@@ -194,21 +196,24 @@ class RBCurve:
 FRAMES = ("bare", "experimental")
 
 
-def branch_weights(init: str,
-                   n_spec: int) -> list[tuple[tuple[int, ...], float]]:
+def branch_weights(init: str, n_spec: int) -> tuple[np.ndarray, np.ndarray]:
     """Weighted Z-bit branches of a preparation: 'zero'/'0', 'one'/'1',
-    'plus'/'+' or n_spec 0/1 bits; anything else raises ValueError."""
+    'plus'/'+' or n_spec 0/1 bits; anything else raises ValueError.
+    Returns a (branches, n_spec) bool array of excited bits and the weights.
+    """
     if init in ("0", "zero"):
-        return [(tuple([0] * n_spec), 1.0)]
+        return np.zeros((1, n_spec), dtype=bool), np.ones(1)
     if init in ("1", "one"):
-        return [(tuple([1] * n_spec), 1.0)]
+        return np.ones((1, n_spec), dtype=bool), np.ones(1)
     if len(init) == n_spec and set(init) <= {"0", "1"}:
-        return [(tuple(int(c) for c in init), 1.0)]
+        return np.array([[c == "1" for c in init]], dtype=bool), np.ones(1)
     if init in ("+", "plus"):
         # |+> preparations enter as an equal classical mixture of Z branches;
         # inter-branch coherences do not survive the twirl for this observable.
-        weight = 0.5 ** n_spec
-        return [(bits, weight) for bits in product((0, 1), repeat=n_spec)]
+        # Branch b is b in binary, the first spectator its leading bit.
+        bits = np.array(list(product((False, True), repeat=n_spec)),
+                        dtype=bool).reshape(2 ** n_spec, n_spec)
+        return bits, np.full(len(bits), 0.5 ** n_spec)
     raise ValueError(f"unknown spectator preparation {init!r}")
 
 
@@ -219,8 +224,9 @@ def _rb_lengths(lengths) -> np.ndarray:
     return lengths
 
 
-def _gate_eigenvalues(device: DeviceModel, t_gate: float, frame: str):
-    """Per-spectator gate eigenvalues (lambda_00, lambda_11, lambda_10).
+def _gate_table(device: DeviceModel, t_gate: float, frame: str) -> np.ndarray:
+    """Gate eigenvalue of each spectator (column) by its history code (row):
+    lambda_00, lambda_11 and lambda_10, a (3, N) array.
 
     The 'experimental' frame divides out the ground-state ZZ phase of each
     gate.  A spectator with gamma = 0 never decays; its lambda_10 repeats
@@ -228,18 +234,15 @@ def _gate_eigenvalues(device: DeviceModel, t_gate: float, frame: str):
     """
     if frame not in FRAMES:
         raise ValueError(f"unknown frame {frame!r}")
-    nus = device.nus
-    gammas = device.spectator_gammas
-    frame_phase = np.exp(-2j * nus * t_gate) if frame == "experimental" \
-        else np.ones(device.n_spectators, dtype=complex)
-    lam00 = np.array([lambda_analytic(0, 0, nu, g, t_gate)
-                      for nu, g in zip(nus, gammas)]) * frame_phase
-    lam11 = np.array([lambda_analytic(1, 1, nu, g, t_gate)
-                      for nu, g in zip(nus, gammas)]) * frame_phase
-    lam10 = np.array([lambda_analytic(1, 0, nu, g, t_gate) if g > 0
-                      else lam11[k] for k, (nu, g) in
-                      enumerate(zip(nus, gammas))]) * frame_phase
-    return lam00, lam11, lam10
+    nus, gammas = device.nus, device.spectator_gammas
+    table = np.array([lambda_analytic(i, j, nus, gammas, t_gate)
+                      for i, j in ((0, 0), (1, 1), (1, 1))])
+    decays = gammas > 0
+    table[2, decays] = lambda_analytic(1, 0, nus[decays], gammas[decays],
+                                       t_gate)
+    if frame == "experimental":
+        table *= np.exp(-2j * nus * t_gate)
+    return table
 
 
 def average_survival(device: DeviceModel, init: str, lengths, t_gate: float,
@@ -254,24 +257,26 @@ def average_survival(device: DeviceModel, init: str, lengths, t_gate: float,
     preparation's branch weights; one vector is carried across the sorted
     lengths.
     """
-    lam00, lam11, lam10 = _gate_eigenvalues(device, t_gate, frame)
+    lam = _gate_table(device, t_gate, frame)
     lengths = _rb_lengths(lengths)
     n_spec = device.n_spectators
-    survive = np.exp(-device.spectator_gammas * t_gate)
-
-    configs = list(product((0, 1), repeat=n_spec))
-    excited = np.array(configs, dtype=bool).reshape(len(configs), n_spec)
+    prob = np.array([transition_probability(i, j, device.spectator_gammas,
+                                            t_gate)
+                     for i, j in ((0, 0), (1, 1), (1, 0))])
+    # Every configuration, in binary order: the branches of a |+> preparation.
+    excited, _ = branch_weights("plus", n_spec)
     # step[c', c]: c is the configuration before a gate, c' the one after.
+    # A spectator's forbidden 0 -> 1 gets code 0; `allowed` masks it out.
     to, frm = excited[:, None, :], excited[None, :, :]
-    stays, decays = to & frm, frm & ~to
-    prob = np.where(stays, survive, np.where(decays, 1.0 - survive, 1.0))
-    prob = prob.prod(axis=-1) * ~(to & ~frm).any(axis=-1)
-    lam = np.where(stays, lam11, np.where(decays, lam10, lam00)).prod(axis=-1)
-    step = prob * (1.0 + 2.0 * lam.real) / 3.0
+    history = (to & frm) + 2 * (frm & ~to)
+    spectators = np.arange(n_spec)
+    allowed = ~(to & ~frm).any(axis=-1)
+    step = (prob[history, spectators].prod(axis=-1) * allowed
+            * (1.0 + 2.0 * lam[history, spectators].prod(axis=-1).real) / 3.0)
 
-    vec = np.zeros(len(configs))
-    for bits, weight in branch_weights(init, n_spec):
-        vec[configs.index(bits)] += weight
+    bits, weights = branch_weights(init, n_spec)
+    vec = np.zeros(len(excited))
+    vec[bits @ (1 << spectators[::-1])] = weights
     survival = np.empty(lengths.size)
     done = 0
     for li in np.argsort(lengths, kind="stable"):
@@ -287,30 +292,26 @@ def simulate_rb(device: DeviceModel, init: str, lengths, n_seq: int,
     """Clifford-level RB with per-gate conditional spectator-decay channels.
 
     Each spectator is tracked classically: it survives each gate window with
-    probability e^{-gamma t_gate}; its channel eigenvalue is lambda_11 before
-    the decay gate, lambda_10 during it, and lambda_00 afterwards.  The error
-    channel (including on the recovery gate) is the product of per-spectator
-    diagonal channels.  The 'experimental' frame divides out the ground-state
-    ZZ phase per gate.  `average_survival` is the exact mean of this process.
+    probability e^{-gamma t_gate}; its history code is 1 before the decay
+    gate, 2 during it and 0 afterwards, and picks its row of `_gate_table`.
+    The error channel (including on the recovery gate) is the product of
+    per-spectator diagonal channels.  `average_survival` is the exact mean of
+    this process.
 
     Random numbers are drawn per sequence, in order: the m gate indices, then
     one decay time per excited (branch, spectator) pair.  All sequences of
     one length are then propagated together as a (sequence, branch) batch,
     one gate position at a time.
     """
-    lam00, lam11, lam10 = _gate_eigenvalues(device, t_gate, frame)
+    table = _gate_table(device, t_gate, frame)
     lengths = _rb_lengths(lengths)
     group = clifford_group()
     unitaries = np.stack(group.unitaries)
     rng = np.random.Generator(np.random.Philox(key=seed))
 
-    n_spec = device.n_spectators
     gammas = device.spectator_gammas
-
-    branches = branch_weights(init, n_spec)
-    n_branch = len(branches)
-    weights = np.array([w for _, w in branches])
-    excited = np.array([bits for bits, _ in branches], dtype=bool)
+    spectators = np.arange(device.n_spectators)
+    excited, weights = branch_weights(init, device.n_spectators)
     # Excited (branch, spectator) pairs that can decay, in draw order.
     rows, cols = np.nonzero(excited & (gammas > 0))
     scales = 1.0 / gammas[cols]
@@ -322,30 +323,28 @@ def simulate_rb(device: DeviceModel, init: str, lengths, n_seq: int,
         total_gates = m + 1
         gates = np.empty((n_seq, m), dtype=int)
         # Decay gate index per (sequence, branch, spectator); 1-based,
-        # 0 = no decay within the sequence.
-        decay_gate = np.zeros((n_seq, n_branch, n_spec), dtype=int)
+        # total_gates + 1 = no decay within the sequence.
+        decay_gate = np.full((n_seq, *excited.shape), total_gates + 1)
         for sidx in range(n_seq):
             gates[sidx] = rng.integers(0, len(group), size=m)
             if scales.size:
                 k = rng.exponential(scales) // t_gate + 1
-                decay_gate[sidx, rows, cols] = np.where(k <= total_gates,
-                                                        k, 0)
+                decay_gate[sidx, rows, cols] = np.minimum(k, total_gates + 1)
         net = np.zeros(n_seq, dtype=int)
         for g_pos in range(m):
             net = group.compose[gates[:, g_pos], net]
         all_gates = np.column_stack([gates, group.inverse[net]])
 
-        rho = np.zeros((n_seq, n_branch, 2, 2), dtype=complex)
+        rho = np.zeros((n_seq, len(weights), 2, 2), dtype=complex)
         rho[..., 0, 0] = 1.0
         for g_pos in range(total_gates):
             u = unitaries[all_gates[:, g_pos]]
             rho = np.einsum("sab,snbc,sdc->snad", u, rho, u.conj())
             gate_no = g_pos + 1
-            lam = np.where(
-                excited & ((decay_gate == 0) | (decay_gate > gate_no)), lam11,
-                np.where(excited & (decay_gate == gate_no), lam10, lam00))
+            history = excited * np.where(decay_gate == gate_no, 2,
+                                         decay_gate > gate_no)
             # The error channel diag(1, lam, lam*, 1), in place.
-            lam = lam.prod(axis=-1)
+            lam = table[history, spectators].prod(axis=-1)
             rho[..., 1, 0] *= lam
             rho[..., 0, 1] *= lam.conj()
 

@@ -94,7 +94,9 @@ def test_config_diagnostics_name_the_field():
             ({"device": {"control": {"t3_us": 100.0}}},
              "'device.control' has unknown keys ['t3_us']"),
             *(({"device": DEVICE_A, "tgate_ns": x}, "'tgate_ns'")
-              for x in (-5, 0, math.inf))):
+              for x in (-5, 0, math.inf)),
+            *(({"device": DEVICE_A, "out": x}, "field 'out' must be a path")
+              for x in (None, ["a.csv"], 7))):
         with pytest.raises(ConfigError, match=re.escape(field)):
             config_from_dict(data)
 
@@ -189,6 +191,13 @@ def test_run_rejects_an_unwritable_out_before_running(tmp_path, monkeypatch,
     assert str(err.value).startswith(f"cannot write '{named}': ")
     assert "\n" not in str(err.value)
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_run_requires_an_out_path():
+    cfg = config_from_dict({"device": DEVICE_A})
+    with pytest.raises(ConfigError, match="field 'out' is required to run "
+                                          "an experiment"):
+        sdid.cli.run(cfg)
 
 
 def test_seed_must_be_a_non_negative_integer(tmp_path):
@@ -467,6 +476,31 @@ def test_cli_ramsey_compares_trajectories_as_complex_numbers(tmp_path):
     assert np.all(delta <= 4.0 * se + 1e-12), (delta / se).max()
 
 
+def test_cli_ramsey_at_one_point(tmp_path):
+    # One point is t = 0, where every engine gives coherence 1 exactly; no
+    # curve can be fitted to it, and the sidecar says so.
+    cfg = _write_config(tmp_path / "a.json", DEVICE_A, n_traj=2000)
+    out = tmp_path / "ramsey.csv"
+    result = CliRunner().invoke(main, [
+        "ramsey", "--config", cfg, "--points", "1", "--engines",
+        "analytic,lindblad,trajectory", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    rows = _read_rows(out)
+    assert [r["engine"] for r in rows] == ["analytic", "lindblad",
+                                           "trajectory"]
+    for r in rows:
+        assert (float(r["time_us"]), float(r["coh_re"]),
+                float(r["coh_im"])) == (0.0, 1.0, 0.0)
+    assert [r["stderr_abs"] for r in rows] == ["", "", "0.0"]
+    meta = json.loads((tmp_path / "ramsey.csv.meta.json").read_text())
+    assert meta["fits"] == []
+    assert meta["fit_error"] == ("engine 'analytic': fit_exponential needs "
+                                 "at least 4 points")
+    assert meta["cross_checks"] == {"analytic_vs_lindblad_max_abs_diff": 0.0,
+                                    "analytic_vs_trajectory_max_abs_diff":
+                                        0.0}
+
+
 def test_cli_runs_are_byte_identical(tmp_path):
     cfg = _write_config(tmp_path / "a.json", DEVICE_A, seed=13)
     outs = []
@@ -630,6 +664,22 @@ def test_cli_rb_fit_pins_the_offset(tmp_path):
     assert refit["converged"] is True
     assert refit["params"]["offset"] == 0.5
     assert abs(refit["params"]["epc"] - fit["params"]["epc"]) <= 1e-12
+
+
+def test_cli_fit_notes_an_rb_curve_at_its_asymptote(tmp_path):
+    # A curve that sits at 1/2 does not determine p; one at 1 determines
+    # p = 1.
+    for survival, notes in (("0.5", ["the fitted curve does not decay from "
+                                     "its asymptote: p is not determined"]),
+                            ("1.0", [])):
+        path = tmp_path / f"rb_{survival}.csv"
+        path.write_text("length,survival\n" + "".join(
+            f"{m},{survival}\n" for m in (1, 10, 50, 100, 400)))
+        result = CliRunner().invoke(main, ["fit", "--in", str(path)])
+        assert result.exit_code == 0, result.output
+        [record] = json.loads(result.output)["fits"]
+        assert record["converged"] is True
+        assert record["warnings"] == notes
 
 
 def test_cli_rb_writes_the_exact_average(tmp_path):

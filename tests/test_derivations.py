@@ -8,7 +8,7 @@ from sdid import (LiouvillianBundle, RateMatrix, bohr_spectrum, build_bmpsa,
                   two_qubit_cetcg_reference, two_qubit_coupling,
                   two_qubit_hamiltonian)
 from sdid import operators as ops
-from sdid.derivations import sinc
+from sdid.derivations import sinc, two_qubit_kossakowski
 
 OMEGA0, OMEGA1, NU = 500.0, 700.0, 1.0
 
@@ -127,6 +127,11 @@ def test_coarse_graining_time_interpolates_between_limits():
     terms = _two_qubit_terms(a=0.0)
     clusters = cluster_bohr(terms, delta_omega=3.0 * NU)
     short = build_cetcg(clusters, 1.0, tau_c=1e-6 / NU)
+    # One jump per eigenvalue of the cluster's rate matrix above a relative
+    # cut-off of 1e-14: the smaller one is ~7e-13 here and falls below the
+    # cut-off at tau_c = 1e-9 / nu.
+    assert len(short.jump_terms) == 2
+    assert len(build_cetcg(clusters, 1.0, tau_c=1e-9 / NU).jump_terms) == 1
     psa = build_bmpsa(clusters, 1.0)
     rel = (np.linalg.norm(short.superop - psa.superop)
            / np.linalg.norm(psa.superop))
@@ -165,6 +170,8 @@ def test_cetcg_rate_properties():
     assert np.isclose(cetcg_rate(4.0, 1.0, 0.7, 2.0), np.conj(r))
     with pytest.raises(ValueError):
         cetcg_rate(1.0, 2.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="tau_c must be positive"):
+        two_qubit_kossakowski(1.0, 0.0, 1.0)
     # The frequencies broadcast, and a rate matrix is one such call; a
     # repeated frequency gets gamma_bar exactly.
     freqs = np.array([-1.5, 0.25, 0.25, 3.0])

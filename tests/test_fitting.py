@@ -80,6 +80,27 @@ def test_error_free_rb_curve_gives_zero_epc():
     fit = fit_rb(m, y, offset=0.5)
     assert abs(fit.params["p"] - 1.0) <= 1e-9
     assert abs(fit.params["epc"]) <= 1e-9
+    # It decays from 1 to the asymptote by A = 1/2 over zero steps: p = 1
+    # is determined.
+    assert fit.warnings == []
+
+
+RB_FLAT_NOTE = ("the fitted curve does not decay from its asymptote: p is "
+                "not determined")
+
+
+def test_rb_fit_notes_a_p_it_cannot_trust():
+    # A curve at its asymptote fits A ~ 3e-18, and any p fits it: the fit
+    # converges with zero stderrs, so only the note says that p is unknown.
+    m = np.array([1, 10, 50, 100, 400])
+    fit = fit_rb(m, np.full(m.size, 0.5))
+    assert fit.converged
+    assert abs(fit.params["amplitude"]) <= 1e-15
+    assert fit.warnings == [RB_FLAT_NOTE]
+    # A curve that rises away from 1/2 fits p above 1.
+    fit = fit_rb(m, 0.5 + 0.4 * (1.0 - 0.99 ** m))
+    assert "fitted p = 1.00351 outside (0, 1]" in fit.warnings
+    assert RB_FLAT_NOTE not in fit.warnings
 
 
 def test_rb_offset_pinning_resolves_shallow_degeneracy():

@@ -10,6 +10,7 @@ from sdid import (DeviceModel, ForbiddenTransitionError, QubitParams,
                   fit_rb, lambda_analytic, rb_decay_constant,
                   simulate_rb, transition_probability)
 from sdid import operators as ops
+from sdid.rb import _gate_table
 
 
 def test_channel_diagonals_match_closed_forms(rng):
@@ -179,6 +180,34 @@ def test_rb_input_validation(device_b):
             engine(device_b, "111", [1, 5], t_gate=50e-9, frame="lab")
         with pytest.raises(ValueError):
             engine(device_b, "2", [1, 5], t_gate=50e-9)
+    for args, message in (((2, 0, 5e4, 1e4, 1e-7), "bits must be 0 or 1"),
+                          ((1, 0, 5e4, 1e4, 0.0), "t_gate must be positive")):
+        with pytest.raises(ValueError, match=message):
+            conditional_channel(*args)
+
+
+def test_gate_table_matches_the_dense_channels(device_b):
+    # Rows lambda_00, lambda_11, lambda_10 of each spectator against the
+    # projected two-qubit propagator, in the bare frame; the experimental
+    # frame multiplies the bare table by the ground-state phase once.
+    for t_gate in (20e-9, 2e-6):
+        bare = _gate_table(device_b, t_gate, "bare")
+        assert bare.shape == (3, device_b.n_spectators)
+        for k, (nu, gamma) in enumerate(zip(device_b.nus,
+                                            device_b.spectator_gammas)):
+            for row, (i, j) in enumerate(((0, 0), (1, 1), (1, 0))):
+                dense = conditional_channel(i, j, nu, gamma, t_gate).lam
+                assert abs(bare[row, k] - dense) <= 1e-10, (t_gate, k, row)
+        assert np.array_equal(_gate_table(device_b, t_gate, "experimental"),
+                              bare * np.exp(-2j * device_b.nus * t_gate))
+    # A spectator that never decays has no lambda_10: row 2 repeats row 1.
+    frozen = DeviceModel(control=device_b.control,
+                         spectators=device_b.spectators[:1]
+                         + ((QubitParams(), device_b.nus[1]),))
+    for frame in ("bare", "experimental"):
+        table = _gate_table(frozen, 20e-9, frame)
+        assert table[2, 1] == table[1, 1]
+        assert table[2, 0] != table[1, 0]
 
 
 def test_exact_average_zero_preparation_survives(device_b):
