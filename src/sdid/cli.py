@@ -308,7 +308,12 @@ def main():
 @click.option("--seed", type=int)
 @click.option("--out", required=True, type=click.Path())
 def ramsey(config_path, **overrides):
-    """Ramsey coherence decay for a fixed spectator preparation."""
+    """Ramsey coherence decay for a fixed spectator preparation.
+
+    The CSV column stderr_abs is empty for the analytic and lindblad
+    engines.  For trajectory it is the standard error of the complex mean;
+    to first order it bounds the standard error of coh_abs from above.
+    """
     _run("ramsey", config_path, overrides)
 
 

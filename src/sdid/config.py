@@ -200,8 +200,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                           f"{VALID_EXPERIMENTS}, got {experiment!r}")
     cfg.experiment = experiment
 
-    cfg.spectator_init = str(data.get("spectator_init",
-                                      "1" * device.n_spectators))
+    spectator_init = data.get("spectator_init", "1" * device.n_spectators)
+    if not isinstance(spectator_init, str):
+        raise ConfigError(f"field 'spectator_init' must be a string, got "
+                          f"{spectator_init!r}")
+    cfg.spectator_init = spectator_init
     # RB takes its own preparations; the other experiments take N bits.
     check = branch_weights if experiment == "rb" else parse_spectator_init
     if experiment != "derive":

@@ -22,12 +22,19 @@ matrix product per block size.  A pi pulse on the control is a permutation
 of vec(rho).  The dense matrix is assembled only when
 :attr:`LiouvillianBundle.superop` is read.
 
+Given seed indices, the constructor keeps only the sectors that hold a
+seed, found by a search from the seeds over the same pattern edges, so the
+other indices are never labelled.  `lindblad_trace` seeds it with the
+entries that `control_coherence` reads and their images under a pi pulse:
+two sectors 2^N wide, which give the full bundle's coherence to the last
+bit.
+
 Internal units: rates in 1/s, couplings nu in rad/s, times in s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -206,7 +213,8 @@ class CoherenceTrace:
 # A block-diagonal operator on vec(rho), as one (indices, blocks) pair per
 # block size n: row k of the (m, n) array `indices` lists the vec(rho)
 # indices of block k, and blocks[k] (stack shape (m, n, n)) is the operator
-# restricted to them.  Every index lies in exactly one block.
+# restricted to them.  An index lies in at most one block; one in none is
+# mapped to 0.
 Sectors = tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
@@ -221,21 +229,37 @@ class LiouvillianBundle:
     products, the rate, and the total.  Each dissipator is complete before
     it is scaled and added, so rate * D[x] keeps its trace cancellation
     exact instead of mixing the rates of different jumps.
+
+    With `seeds` (vec(rho) indices), only the sectors that hold a seed are
+    kept, found by a search from the seeds; they are those sectors of the
+    full bundle, in the same order with the same blocks.  L maps each
+    sector into itself, so the kept ones evolve exactly; `superop` and
+    `propagate` give 0 on every other index.
     """
 
     hamiltonian: np.ndarray
     jump_terms: tuple[tuple[float, np.ndarray], ...]
+    seeds: InitVar[np.ndarray | None] = None
     sectors: Sectors = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, seeds):
         h, jumps = self.hamiltonian, tuple(self.jump_terms)
         terms = [(rate, np.asarray(op, dtype=complex)) for rate, op in jumps]
         halves = [0.5 * (op.conj().T @ op) for _, op in terms]
         d = h.shape[0]
-        labels = _component_labels(
-            *_pattern_edges(d, [h] + halves, [op for _, op in terms]), d * d)
+        rows, cols = _pattern_edges(d, [h] + halves, [op for _, op in terms])
+        kept = (np.arange(d * d) if seeds is None
+                else _reached(rows, cols, d * d, seeds))
+        # Number the kept indices 0, 1, ... in increasing order; no edge
+        # leaves the kept set, so the order of the components is kept too.
+        local = np.full(d * d, -1)
+        local[kept] = np.arange(kept.size)
+        inside = local[rows] >= 0
+        labels = _component_labels(local[rows[inside]], local[cols[inside]],
+                                   kept.size)
+        groups = [kept[idx] for idx in _group_by_size(labels)]
         sectors = tuple((idx, _block_entries(idx, d, h, terms, halves))
-                        for idx in _group_by_size(labels))
+                        for idx in groups)
         object.__setattr__(self, "jump_terms", jumps)
         object.__setattr__(self, "sectors", sectors)
 
@@ -319,6 +343,24 @@ def _component_labels(rows: np.ndarray, cols: np.ndarray,
         labels = new
 
 
+def _reached(rows: np.ndarray, cols: np.ndarray, n: int,
+             seeds) -> np.ndarray:
+    """Sorted indices that the edges connect to a seed, the seeds included.
+
+    Each pass adds the neighbours of everything reached, so the passes are
+    as many as the longest path from a seed.
+    """
+    reached = np.zeros(n, dtype=bool)
+    reached[seeds] = True
+    while True:
+        new = reached.copy()
+        new[cols[reached[rows]]] = True
+        new[rows[reached[cols]]] = True
+        if np.array_equal(new, reached):
+            return np.flatnonzero(reached)
+        reached = new
+
+
 def _group_by_size(labels: np.ndarray) -> list[np.ndarray]:
     """The components as (m, n) index arrays, one per size n, ascending.
 
@@ -348,8 +390,9 @@ def _step_propagator(bundle: LiouvillianBundle, dt: float) -> Sectors:
 
 
 def _apply(sectors: Sectors, v: np.ndarray) -> np.ndarray:
-    """Block-diagonal operator times vector, one batched product per size."""
-    out = np.empty_like(v)
+    """Block-diagonal operator times vector, one batched product per size;
+    0 on the indices that no sector holds."""
+    out = np.zeros(v.shape, dtype=v.dtype)
     for idx, blocks in sectors:
         out[idx] = np.matmul(blocks, v[idx][:, :, None])[:, :, 0]
     return out
@@ -366,12 +409,14 @@ def build_hamiltonian(device: DeviceModel) -> np.ndarray:
     return h
 
 
-def build_liouvillian(device: DeviceModel) -> LiouvillianBundle:
+def build_liouvillian(device: DeviceModel,
+                      seeds: np.ndarray | None = None) -> LiouvillianBundle:
     """L = -i[H, .] + sum_j (gamma_j D[sigma-_j] + (gamma_phi_j / 2) D[Z_j]).
 
     The Z dissipator dephases coherences at twice its rate, so the factor of
     one half keeps gamma_phi equal to the pure dephasing rate and preserves
-    1/T2 = gamma_phi + gamma/2 across all engines.
+    1/T2 = gamma_phi + gamma/2 across all engines.  With `seeds`, the bundle
+    holds only the sectors of those vec(rho) indices (`LiouvillianBundle`).
     """
     n = device.n_qubits
     h = build_hamiltonian(device)
@@ -382,7 +427,7 @@ def build_liouvillian(device: DeviceModel) -> LiouvillianBundle:
             jumps.append((q.gamma, ops.embed(SIGMA_MINUS, j, n)))
         if q.gamma_phi > 0:
             jumps.append((q.gamma_phi / 2.0, ops.embed(Z, j, n)))
-    return LiouvillianBundle(h, jumps)
+    return LiouvillianBundle(h, jumps, seeds)
 
 
 def validate_density_matrix(rho: np.ndarray) -> None:
@@ -424,7 +469,9 @@ def propagate(bundle: LiouvillianBundle, rho0: np.ndarray,
     in the last bits. Each step is then off by at most 5e-13 of its length,
     far below any engine-agreement tolerance; apart from that, the only
     error is floating point. Pulse times must form a `PulseSequence` over
-    [0, max(times)]: strictly increasing inside (0, max(times)).
+    [0, max(times)]: strictly increasing inside (0, max(times)).  A bundle
+    built with seeds evolves only its sectors: after the first step, the
+    returned matrices are 0 on every vec(rho) index outside them.
     """
     times = time_grid(times)
     validate_density_matrix(rho0)
@@ -491,10 +538,17 @@ def lindblad_trace(device: DeviceModel, s: SpectatorInit, times,
     exactly 1 at t = 0.  Ramsey propagates the sorted grid in one
     call.  With `cpmg_order` set, every T > 0 is propagated on its own under
     a CPMG_n train over [0, T], as in `analytic.ramsey_trace` and
-    `trajectory.ensemble_trace`.
+    `trajectory.ensemble_trace`.  The bundle holds only the sector that
+    `control_coherence` reads, rho[k, d/2 + k] at vec index (d/2 + k) d + k,
+    and the sector a pulse maps it to: the values are those of the full
+    bundle to the last bit.
     """
     times = time_grid(times)
-    bundle = build_liouvillian(device)
+    d = 2 ** device.n_qubits
+    k = np.arange(d // 2)
+    read = (d // 2 + k) * d + k
+    bundle = build_liouvillian(
+        device, np.concatenate([read, _pulse_permutation(d)[read]]))
     rho0 = ramsey_initial_state(device, s)
     if cpmg_order is None:
         states = propagate(bundle, rho0, times)

@@ -104,9 +104,12 @@ def lambda_analytic(i: int, j: int, nu, gamma1, t: float):
         if np.any(np.asarray(gamma1) <= 0):
             raise ValueError("lambda_10 requires gamma1 > 0 (relaxation must "
                              "be possible)")
-        num = gamma1 * (np.exp(2j * nu * t)
-                        - np.exp(-(gamma1 + 2j * nu) * t))
-        den = (gamma1 + 4j * nu) * (1.0 - np.exp(-gamma1 * t))
+        # gamma1 (e^{2i nu t} - e^{-(gamma1 + 2i nu) t}) over
+        # (gamma1 + 4i nu)(1 - e^{-gamma1 t}), with each difference taken
+        # by expm1 so that it does not cancel when gamma1 t is small.
+        num = -gamma1 * np.exp(2j * nu * t) * np.expm1(
+            -(gamma1 + 4j * nu) * t)
+        den = -(gamma1 + 4j * nu) * np.expm1(-gamma1 * t)
         return num / den
     raise ForbiddenTransitionError(
         "spectator transition 0 -> 1 is forbidden at zero temperature")

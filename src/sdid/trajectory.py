@@ -27,12 +27,14 @@ part of the complex shot buffer, one decaying spectator at a time, in
 spectator order.  Each spectator's decay times are drawn from the point's
 stream in blocks of `_BLOCK` shots, so the draw temporaries stay in cache and
 no (spectators, shots) array is held; the blocks continue the Generator
-exactly, so they are the numbers a single draw would give.  The pulse
-segment of each decay time comes from a bucket table of at most
+exactly, so they are the numbers a single draw would give.  With pulses,
+the segment of each decay time comes from a bucket table of at most
 4 x (pulses + 1) uniform buckets, plus a fixed number of exact correction
 steps, instead of a binary search; the result is the segment that
 `np.searchsorted(seq.starts, t, "right") - 1` gives, so the phases are the
-same to the last bit.
+same to the last bit.  Without pulses there is one segment and P(t) = t
+exactly, so a Ramsey point does no lookup: each block goes from the
+clamped draw t straight to P(T) - 2t.
 
 `ensemble_trace` spreads its grid points over one worker thread per CPU the
 process may use, the calling thread among them, each with its own
@@ -120,6 +122,7 @@ class _Parity:
         self.last_bucket = n_buckets - 1
         home = np.empty(edges.size, dtype=np.intp)
         self._bucket(edges, np.empty(edges.size), home)
+        np.minimum(home, self.last_bucket, out=home)
         self.first = np.maximum(np.searchsorted(home, np.arange(n_buckets))
                                 - 1, 0)
         shared = np.bincount(home, minlength=n_buckets)
@@ -127,14 +130,16 @@ class _Parity:
         self.steps = int(shared.max())
 
     def _bucket(self, t, tmp, out):
+        """floor(t * scale), unclamped: at t = T it may be one past the
+        last bucket."""
         np.multiply(t, self.scale, out=tmp)
         np.copyto(out, tmp, casting="unsafe")
-        np.minimum(out, self.last_bucket, out=out)
 
     def segments(self, t, ws: _Workspace, m: int) -> np.ndarray:
         """Segment index of each of the m times t (a view into ws)."""
         tmp, bucket, seg = ws.tmp[:m], ws.bucket[:m], ws.seg[:m]
         self._bucket(t, tmp, bucket)
+        # mode="clip" clamps the buckets to the last one, as in __init__.
         np.take(self.first, bucket, out=seg, mode="clip")
         step = ws.step[:m]
         for _ in range(self.steps):
@@ -168,7 +173,7 @@ def _terms(device: DeviceModel, s: SpectatorInit) -> list:
             for bit, (q, _), nu in zip(s, device.spectators, device.nus)]
 
 
-def _phase(parity: _Parity, terms: list, rng: np.random.Generator,
+def _phase(seq: PulseSequence, terms: list, rng: np.random.Generator,
            ws: _Workspace) -> np.ndarray:
     """Total control phase of every shot, built in ws.shots.imag (returned).
 
@@ -176,11 +181,14 @@ def _phase(parity: _Parity, terms: list, rng: np.random.Generator,
     its sign is -1 until the decay and +1 after.  A spectator in |0> adds
     2 nu P(T).  The terms are added in spectator order, each a block of
     shots at a time, and each decaying spectator's times are drawn from
-    `rng` block by block.
+    `rng` block by block.  A train without pulses is one segment of slope 1
+    from 0, where P(t) = 0 + 1 * (t - 0) is t to the last bit, so it builds
+    no `_Parity` and takes P(t_d) = t_d.
     """
     phi = ws.shots.imag
     phi.fill(0.0)
-    T, p_total = parity.seq.total_time, parity.seq.p_total
+    T, p_total = seq.total_time, seq.p_total
+    parity = _Parity(seq) if seq.pulse_times else None
     n, block = phi.size, ws.block
     for excited, two_nu, scale in terms:
         if scale is None:
@@ -192,7 +200,7 @@ def _phase(parity: _Parity, terms: list, rng: np.random.Generator,
             rng.standard_exponential(out=t)
             t *= scale
             np.minimum(t, T, out=t)
-            p = parity(t, ws, m)
+            p = t if parity is None else parity(t, ws, m)
             p *= 2.0
             np.subtract(p_total, p, out=p)
             p *= two_nu
@@ -204,7 +212,7 @@ def _coherence(device: DeviceModel, seq: PulseSequence, terms: list,
                rng: np.random.Generator,
                ws: _Workspace) -> tuple[complex, float]:
     """One point of `ensemble_coherence`, computed in the workspace."""
-    phi = _phase(_Parity(seq), terms, rng, ws)
+    phi = _phase(seq, terms, rng, ws)
     shots = ws.shots
     n = shots.size
     # e^{-i phi} in place.  Since -1j is (-0.0, -1.0), phi * -1j is

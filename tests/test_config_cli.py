@@ -113,6 +113,16 @@ def test_spectator_init_is_checked_against_the_experiment():
         assert cfg.spectator_init == init
 
 
+@pytest.mark.parametrize("experiment", ["ramsey", "rb", "derive"])
+@pytest.mark.parametrize("init", [101, None, True])
+def test_spectator_init_must_be_a_json_string(experiment, init):
+    # A number is not read as its digits, and null is not the text "None".
+    with pytest.raises(ConfigError,
+                       match="field 'spectator_init' must be a string"):
+        config_from_dict({"device": DEVICE_B, "experiment": experiment,
+                          "spectator_init": init})
+
+
 def test_cli_reports_config_errors_without_traceback(tmp_path):
     cfg = _write_config(tmp_path / "b.json", DEVICE_B, spectator_init="plus")
     result = CliRunner().invoke(main, [
@@ -905,5 +915,7 @@ def test_no_command_loads_scipy(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "scipy modules: []", proc.stdout
-    # The Lindblad engine did run, and exponentiated its sector blocks.
-    assert "lindblad" in (tmp_path / "ramsey.csv").read_text()
+    # The Lindblad engine did run, and exponentiated its sector blocks;
+    # so did the trajectory engine.
+    table = (tmp_path / "ramsey.csv").read_text()
+    assert "lindblad" in table and "trajectory" in table

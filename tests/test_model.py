@@ -130,6 +130,67 @@ def test_liouvillian_reassembles(device_a, device_b, device_b4):
                                                         for k in range(n + 1)]
 
 
+def _coherence_seeds(d):
+    # The entries rho[k, d/2 + k] that control_coherence sums, as vec(rho)
+    # indices, and the indices that a control pi pulse maps them to.
+    read = np.zeros((d, d))
+    read[:d // 2, d // 2:] = np.eye(d // 2)
+    idx = np.flatnonzero(ops.vectorize(read))
+    return np.concatenate([idx, model._pulse_permutation(d)[idx]])
+
+
+def test_seeded_bundle_keeps_the_sectors_that_hold_a_seed(device_a, device_b,
+                                                          device_b4):
+    rng = np.random.default_rng(5)
+    for device in (device_a, device_b, device_b4):
+        full = build_liouvillian(device)
+        d2 = full.dim ** 2
+        coherence = _coherence_seeds(full.dim)
+        # The coherence and its pulse image: two sectors 2^N wide.
+        assert [idx.shape for idx, _ in
+                build_liouvillian(device, coherence).sectors] == [
+                    (2, 2 ** device.n_spectators)]
+        for seeds in (coherence, rng.choice(d2, 5, replace=False), [0],
+                      np.arange(d2)):
+            want = []
+            for idx, blocks in full.sectors:
+                hit = np.isin(idx, seeds).any(axis=1)
+                if hit.any():
+                    want.append((idx[hit], blocks[hit]))
+            got = build_liouvillian(device, seeds).sectors
+            assert len(got) == len(want)
+            for (idx, blocks), (want_idx, want_blocks) in zip(got, want):
+                assert np.array_equal(idx, want_idx)
+                assert np.array_equal(blocks, want_blocks)
+
+
+@pytest.mark.parametrize("name",
+                         ["device_a", "device_b", "device_b4", "device_b5"])
+def test_lindblad_trace_is_the_full_bundle_coherence(name, request):
+    # Bit for bit: the seeded bundle steps only the sectors it reads.
+    device = request.getfixturevalue(name)
+    s = "1" * device.n_spectators
+    full = build_liouvillian(device)
+    rho0 = ramsey_initial_state(device, s)
+    times = np.array([0.0, 40e-6, 130e-6])
+    want = [2.0 * control_coherence(rho)
+            for rho in propagate(full, rho0, times)]
+    assert np.array_equal(lindblad_trace(device, s, times).values, want)
+    for order in (0, 3):
+        want = [2.0 * control_coherence(propagate(
+            full, rho0, [T], pulse_times=build_cpmg(T, order).pulse_times)[0])
+            for T in times[1:]]
+        got = lindblad_trace(device, s, times[1:], cpmg_order=order).values
+        assert np.array_equal(got, want)
+    # One pulse off the centre of the window.
+    seeded = build_liouvillian(device, _coherence_seeds(full.dim))
+    T = times[-1]
+    got, want = (control_coherence(propagate(bundle, rho0, [T],
+                                             pulse_times=[T / 3])[0])
+                 for bundle in (seeded, full))
+    assert got == want
+
+
 def test_master_equation_bundles_match_dense_reference():
     h_s = two_qubit_hamiltonian(500.0, 700.0, 1.0)
     terms = bohr_spectrum(h_s, two_qubit_coupling(a=0.3))

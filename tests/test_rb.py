@@ -45,6 +45,15 @@ def test_decay_channel_limits():
         lambda_analytic(1, 0, 5e4, 0.0, 3e-7)
 
 
+@pytest.mark.parametrize("gamma1", [1e3, 10.0, 0.1, 1e-3])
+def test_decay_eigenvalue_keeps_precision_for_slow_decays(gamma1):
+    # A long-lived spectator at a short gate: gamma1 t down to 2e-11,
+    # where 1 - e^{-gamma1 t} would lose all but a few digits.
+    nu, t = 2 * np.pi * 12e3, 20e-9
+    lam = lambda_analytic(1, 0, nu, gamma1, t)
+    assert abs(lam - conditional_channel(1, 0, nu, gamma1, t).lam) <= 1e-14
+
+
 def test_excitation_is_forbidden():
     with pytest.raises(ForbiddenTransitionError):
         conditional_channel(0, 1, 5e4, 1e4, 1e-7)

@@ -332,6 +332,24 @@ def test_ensemble_coherence_matches_reference(device_b, n_traj):
             assert err == ref_err
 
 
+def test_pulse_free_point_does_no_segment_lookup(device_b, monkeypatch):
+    # Without pulses P(t) = t exactly, so no bucket table is built, and the
+    # value is still the reference's to the last bit.
+    def no_parity(seq):
+        raise AssertionError("a pulse-free point built a _Parity")
+
+    monkeypatch.setattr(trajectory, "_Parity", no_parity)
+    device = _mixed_device(device_b)
+    ens = EnsembleSpec(n_traj=trajectory._BLOCK + 7, seed=9)
+    for T in (3e-6, 100e-6, 0.9e-3):
+        seq = PulseSequence(T)
+        for s in ("111", "101", "000"):
+            bits = tuple(int(c) for c in s)
+            got = ensemble_coherence(device, s, seq, ens, stream=2)
+            assert got == _reference_coherence(device, bits, seq, ens,
+                                               stream=2)
+
+
 def test_ensemble_trace_matches_per_point_reference(device_b):
     times = np.array([0.0, 4e-6, 33.3e-6, 120e-6, 0.7e-3])
     ens = EnsembleSpec(n_traj=9000, seed=2)
