@@ -61,9 +61,14 @@ def _require_list(value, name: str) -> list:
     return list(value)
 
 
-def _require_distinct(entries: tuple, name: str) -> tuple:
+def _require_entries(value, name: str) -> list:
+    entries = _require_list(value, name)
     if not entries:
         raise ConfigError(f"field {name!r} must not be empty")
+    return entries
+
+
+def _require_distinct(entries: tuple, name: str) -> tuple:
     for k, e in enumerate(entries):
         if e in entries[:k]:
             raise ConfigError(f"field {name!r} repeats entry {e!r}")
@@ -87,6 +92,10 @@ def _qubit_from_dict(d: dict, name: str) -> QubitParams:
     unknown = set(d) - {"t1_us", "t2_us", "label"}
     if unknown:
         raise ConfigError(f"field {name!r} has unknown keys {sorted(unknown)}")
+    label = d.get("label", name)
+    if not isinstance(label, str):
+        raise ConfigError(f"field '{name}.label' must be a string, got "
+                          f"{label!r}")
     t1_us = d.get("t1_us")
     t2_us = d.get("t2_us")
     t1 = _require_positive(t1_us, f"{name}.t1_us") * 1e-6 \
@@ -94,8 +103,7 @@ def _qubit_from_dict(d: dict, name: str) -> QubitParams:
     t2 = _require_positive(t2_us, f"{name}.t2_us") * 1e-6 \
         if t2_us is not None else None
     try:
-        return QubitParams.from_times(t1=t1, t2=t2,
-                                      label=d.get("label", name))
+        return QubitParams.from_times(t1=t1, t2=t2, label=label)
     except PhysicalityError as exc:
         raise ConfigError(f"field {name!r}: {exc}") from None
 
@@ -123,13 +131,21 @@ def device_from_dict(d: dict) -> DeviceModel:
 
 
 def device_to_dict(device: DeviceModel) -> dict:
-    """Re-emit a device in config units; round-trips the physical rates."""
+    """Re-emit a device in config units; round-trips the physical rates.
+
+    Each number is re-derived from a rate and rounded to 12 significant
+    digits, so that a time given as 141.0 reads 141.0, not
+    140.99999999999997.
+    """
+    def rounded(x: float) -> float:
+        return float(f"{x:.12g}")
+
     def qubit_dict(q: QubitParams) -> dict:
         out = {}
         if q.gamma > 0:
-            out["t1_us"] = 1e6 / q.gamma
+            out["t1_us"] = rounded(1e6 / q.gamma)
         if q.gamma_tilde > 0:
-            out["t2_us"] = 1e6 / q.gamma_tilde
+            out["t2_us"] = rounded(1e6 / q.gamma_tilde)
         if q.label:
             out["label"] = q.label
         return out
@@ -137,7 +153,8 @@ def device_to_dict(device: DeviceModel) -> dict:
     return {
         "control": qubit_dict(device.control),
         "spectators": [
-            dict(qubit_dict(q), zz_4nu_khz=4.0 * nu / (2.0 * math.pi * 1e3))
+            dict(qubit_dict(q),
+                 zz_4nu_khz=rounded(4.0 * nu / (2.0 * math.pi * 1e3)))
             for q, nu in device.spectators
         ],
     }
@@ -170,11 +187,12 @@ _KNOWN_KEYS = {f.name for f in fields(ExperimentConfig)} | {"version"}
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Re-emit a config in file form, without `out`; sidecars record this."""
+    """Re-emit a config in file form, without `out` or an unset (None) field;
+    sidecars record this, and `config_from_dict` loads it back."""
     data = {"version": SCHEMA_VERSION, "device": device_to_dict(cfg.device)}
     for f in fields(ExperimentConfig):
-        if f.name not in ("device", "out"):
-            value = getattr(cfg, f.name)
+        value = getattr(cfg, f.name)
+        if f.name not in ("device", "out") and value is not None:
             data[f.name] = list(value) if isinstance(value, tuple) else value
     return data
 
@@ -229,7 +247,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if "orders" in data:
         orders = tuple(
             _require_int(n, f"orders[{k}]", 0)
-            for k, n in enumerate(_require_list(data["orders"], "orders")))
+            for k, n in enumerate(_require_entries(data["orders"], "orders")))
         cfg.orders = _require_distinct(orders, "orders")
     if "lengths" in data:
         cfg.lengths = tuple(
@@ -253,7 +271,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                           f"got {frame!r}")
     cfg.frame = frame
     if "engines" in data:
-        engines = tuple(_require_list(data["engines"], "engines"))
+        engines = tuple(_require_entries(data["engines"], "engines"))
         for e in engines:
             if e not in VALID_ENGINES:
                 raise ConfigError(f"field 'engines' entry {e!r} not in "
@@ -262,7 +280,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if "nu_tauc" in data:
         cfg.nu_tauc = tuple(
             _require_positive(x, f"nu_tauc[{k}]")
-            for k, x in enumerate(_require_list(data["nu_tauc"], "nu_tauc")))
+            for k, x in enumerate(_require_entries(data["nu_tauc"],
+                                                   "nu_tauc")))
     if "out" in data:
         if not isinstance(data["out"], str):
             raise ConfigError(f"field 'out' must be a path string, got "

@@ -2,11 +2,12 @@
 
 Two models are supported: exponential decay A e^{-r t} + C for coherence
 magnitudes (T2 = 1/r) and B + A p^m for randomized-benchmarking survival
-(error per Clifford = (1 - p)/2).  An RB fit always pins the asymptote B,
-to 1/2 by default: the model has no state-preparation or measurement error,
-so its survival decays to exactly 1/2.  Both use a Levenberg-Marquardt loop
-with analytic Jacobians and data-driven initial guesses; non-convergence is
-flagged rather than raised, returning the best iterate.
+(error per Clifford = (1 - p)/2).  A pinned parameter is a constant of its
+model, which the fit neither varies nor differentiates.  An RB fit always
+pins B, to 1/2 by default: the model has no state-preparation or
+measurement error, so its survival decays to exactly 1/2.  Both fits run a
+Levenberg-Marquardt loop with analytic Jacobians from data-driven guesses,
+and flag non-convergence rather than raise it, returning the best iterate.
 """
 
 from __future__ import annotations
@@ -98,35 +99,27 @@ def _levenberg_marquardt(residual_fn, jacobian_fn, theta0):
 
 
 def _fit(model: str, names, residual_fn, jacobian_fn, theta0,
-         free) -> FitResult:
-    """Run LM over the entries of theta0 where `free` is True.
+         pinned: dict[str, float]) -> FitResult:
+    """Run LM over theta0, the parameters of `names` that `pinned` lacks.
 
-    The pinned entries keep their theta0 value and get stderr 0.  The
-    result's params and stderr are keyed by `names`.  A fit that did not
-    converge returns its best iterate, a stderr that the data do not
+    A pinned parameter is a constant of the model: the residual and the
+    Jacobian take the free ones only, in `names` order.  The result's params
+    and stderr are keyed by `names`, a pinned one with stderr 0.  A fit that
+    did not converge returns its best iterate, a stderr that the data do not
     determine is NaN, and a fit whose rms residual exceeds MAX_RMS_RESIDUAL
     is returned too; each carries a note in `warnings`.
     """
-    free = np.asarray(free, dtype=bool)
-    theta0 = np.asarray(theta0, dtype=float)
-
-    def full(sub):
-        theta = theta0.copy()
-        theta[free] = sub
-        return theta
-
-    # The column selection must be C-contiguous, like a freshly stacked
-    # Jacobian, for the normal equations to round the same way.
-    sub, cov, converged, res = _levenberg_marquardt(
-        lambda sub: residual_fn(full(sub)),
-        lambda sub: np.ascontiguousarray(jacobian_fn(full(sub))[:, free]),
-        theta0[free])
-    stderr = np.zeros(theta0.size)
-    stderr[free] = np.sqrt(np.abs(np.diag(cov)))
+    theta, cov, converged, res = _levenberg_marquardt(
+        residual_fn, jacobian_fn, theta0)
+    free = iter(zip(theta, np.sqrt(np.abs(np.diag(cov)))))
+    params, stderr = {}, {}
+    for name in names:
+        params[name], stderr[name] = ((pinned[name], 0.0) if name in pinned
+                                      else next(free))
     notes = []
     if not converged:
         notes.append("fit did not converge; returning best iterate")
-    undetermined = [name for name, se in zip(names, stderr)
+    undetermined = [name for name, se in stderr.items()
                     if not np.isfinite(se)]
     if undetermined:
         notes.append(f"the data do not determine the stderr of "
@@ -136,8 +129,7 @@ def _fit(model: str, names, residual_fn, jacobian_fn, theta0,
     if rms > MAX_RMS_RESIDUAL:
         notes.append(f"rms residual {rms:.3g} exceeds {MAX_RMS_RESIDUAL}: "
                      f"the model {model} does not describe the data")
-    return FitResult(params=dict(zip(names, full(sub))),
-                     stderr=dict(zip(names, stderr)),
+    return FitResult(params=params, stderr=stderr,
                      residual_norm=residual_norm, model=model,
                      converged=converged, warnings=notes)
 
@@ -167,18 +159,21 @@ def fit_exponential(times, magnitudes,
     if r0 <= 0:
         r0 = 1.0 / (t.max() - t.min() + 1e-300)
 
+    # theta is (A, r, C), or (A, r) with C = offset; C's column is the last.
     def residual(theta):
-        a, r, c = theta
+        a, r, c = theta if offset is None else (*theta, floor)
         return a * np.exp(np.clip(-r * t, None, 50.0)) + c - y
 
     def jacobian(theta):
-        a, r, c = theta
+        a, r = theta[:2]
         e = np.exp(np.clip(-r * t, None, 50.0))
-        return np.stack([e, -a * t * e, np.ones_like(t)], axis=1)
+        return np.stack([e, -a * t * e, np.ones_like(t)][:theta.size],
+                        axis=1)
 
+    pinned = {} if offset is None else {"offset": floor}
+    theta0 = [a0, r0] if pinned else [a0, r0, floor]
     fit = _fit("A*exp(-rate*t)+C", ("amplitude", "rate", "offset"),
-               residual, jacobian, [a0, r0, floor],
-               [True, True, offset is None])
+               residual, jacobian, theta0, pinned)
     r, se_r = fit.params["rate"], fit.stderr["rate"]
     fit.params["t2"] = 1.0 / r if r > 0 else np.inf
     fit.stderr["t2"] = se_r / r ** 2 if r > 0 else np.inf
@@ -216,18 +211,19 @@ def fit_rb(lengths, survival, offset: float = 0.5) -> FitResult:
     else:
         p0 = 0.99
 
+    # theta is (A, p); B = offset is a constant of the model.
     def residual(theta):
-        a, b, p = theta
-        return a * np.power(np.clip(p, 1e-12, None), m) + b - y
+        a, p = theta
+        return a * np.power(np.clip(p, 1e-12, None), m) + b0 - y
 
     def jacobian(theta):
-        a, b, p = theta
+        a, p = theta
         pc = np.clip(p, 1e-12, None)
-        return np.stack([np.power(pc, m), np.ones_like(m),
-                         a * m * np.power(pc, m - 1)], axis=1)
+        return np.stack([np.power(pc, m), a * m * np.power(pc, m - 1)],
+                        axis=1)
 
     fit = _fit("B+A*p^m", ("amplitude", "offset", "p"), residual, jacobian,
-               [a0, b0, p0], [True, False, True])
+               [a0, p0], {"offset": b0})
     p = fit.params["p"]
     fit.params["epc"] = (1.0 - p) / 2.0
     fit.stderr["epc"] = fit.stderr["p"] / 2.0

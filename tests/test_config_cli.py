@@ -93,6 +93,12 @@ def test_config_diagnostics_name_the_field():
              "'device.spectators[0]' must be an object"),
             ({"device": {"control": {"t3_us": 100.0}}},
              "'device.control' has unknown keys ['t3_us']"),
+            *(({"device": {"control": {**control, "label": label}}},
+               "'device.control.label' must be a string")
+              for label in (["x"], 7, None)),
+            ({"device": {"control": control, "spectators": [
+                {"t1_us": 107.0, "zz_4nu_khz": 45.0, "label": 7}]}},
+             "'device.spectators[0].label' must be a string"),
             *(({"device": DEVICE_A, "tgate_ns": x}, "'tgate_ns'")
               for x in (-5, 0, math.inf)),
             *(({"device": DEVICE_A, "out": x}, "field 'out' must be a path")
@@ -269,6 +275,7 @@ def test_list_and_count_fields_name_the_field():
            ({"orders": [0, 4, 0]}, "'orders' repeats entry 0"),
            ({"engines": []}, "'engines' must not be empty"),
            ({"orders": []}, "'orders' must not be empty"),
+           ({"nu_tauc": []}, "'nu_tauc' must not be empty"),
            *(({"device": {**DEVICE_A, "spectators": spectators}},
               "'device.spectators' must be a list")
              for spectators in (5, None, DEVICE_A["spectators"][0], "s1")),
@@ -428,6 +435,40 @@ def test_device_round_trips_through_config_units():
         assert np.isclose(q1.gamma, q2.gamma)
         assert np.isclose(q1.gamma_tilde, q2.gamma_tilde)
         assert np.isclose(nu1, nu2)
+
+
+def test_sidecar_config_reruns_the_run(tmp_path):
+    # A sidecar's resolved_config is a config file: fed back through
+    # --config, it reproduces the run's CSV byte for byte.  Its device holds
+    # each number as written: re-derived from a rate and rounded to 12
+    # significant digits, 141.0 reads 141.0, not 140.99999999999997.
+    for label, device in (("a", DEVICE_A), ("b", DEVICE_B)):
+        cfg = _write_config(tmp_path / f"{label}.json", device)
+        for name, args in (
+                ("ramsey", ["--points", "21", "--ntraj", "500", "--seed", "7",
+                            "--engines", "analytic,lindblad,trajectory"]),
+                ("cpmg", ["--orders", "0,4", "--points", "11"]),
+                ("rb", ["--init", "plus", "--lengths", "1,5,20"]),
+                ("derive", ["--nu-tauc", "0.1,10"])):
+            out = tmp_path / f"{label}_{name}.csv"
+            result = CliRunner().invoke(main, [name, "--config", cfg] + args
+                                        + ["--out", str(out)])
+            assert result.exit_code == 0, result.output
+            meta = json.loads(Path(f"{out}.meta.json").read_text())
+            # Each qubit reads every number written, unchanged.
+            resolved = meta["resolved_config"]["device"]
+            for written, read in zip(
+                    [device["control"], *device["spectators"]],
+                    [resolved["control"], *resolved["spectators"]]):
+                assert read | written == read, (label, name)
+            again_cfg = tmp_path / f"{label}_{name}.resolved.json"
+            again_cfg.write_text(json.dumps(meta["resolved_config"]))
+            again = tmp_path / f"{label}_{name}.again.csv"
+            result = CliRunner().invoke(main, [name, "--config",
+                                               str(again_cfg),
+                                               "--out", str(again)])
+            assert result.exit_code == 0, (label, name, result.output)
+            assert again.read_bytes() == out.read_bytes(), (label, name)
 
 
 def test_config_defaults():
