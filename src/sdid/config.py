@@ -135,27 +135,30 @@ def device_to_dict(device: DeviceModel) -> dict:
 
     Each number is re-derived from a rate and rounded to 12 significant
     digits, so that a time given as 141.0 reads 141.0, not
-    140.99999999999997.
+    140.99999999999997.  A label is written exactly when it differs from
+    the default that reading gives an unlabelled qubit, its field path
+    (`device.control`, `device.spectators[k]`), so the result reads back
+    to the same labels, "" included.
     """
     def rounded(x: float) -> float:
         return float(f"{x:.12g}")
 
-    def qubit_dict(q: QubitParams) -> dict:
+    def qubit_dict(q: QubitParams, name: str) -> dict:
         out = {}
         if q.gamma > 0:
             out["t1_us"] = rounded(1e6 / q.gamma)
         if q.gamma_tilde > 0:
             out["t2_us"] = rounded(1e6 / q.gamma_tilde)
-        if q.label:
+        if q.label != name:
             out["label"] = q.label
         return out
 
     return {
-        "control": qubit_dict(device.control),
+        "control": qubit_dict(device.control, "device.control"),
         "spectators": [
-            dict(qubit_dict(q),
+            dict(qubit_dict(q, f"device.spectators[{k}]"),
                  zz_4nu_khz=rounded(4.0 * nu / (2.0 * math.pi * 1e3)))
-            for q, nu in device.spectators
+            for k, (q, nu) in enumerate(device.spectators)
         ],
     }
 

@@ -14,20 +14,22 @@ It also holds the types the three engines share: the pi-pulse train
 The Liouvillian is never built as a dense 4^(N+1) matrix.  The
 `LiouvillianBundle(h, jumps)` constructor finds its sectors (sets of vec(rho)
 indices that no term of H or of the jumps connects to the rest) from the
-nonzero patterns of H and the jump operators, and computes each sector's
-block from them directly.  With diagonal H and local sigma-/Z jumps there
-are 3^(N+1) sectors, none wider than 2^(N+1); blocks of one size are
-stacked, so a step exp(L dt) costs one stacked exponential and one batched
-matrix product per block size.  A pi pulse on the control is a permutation
-of vec(rho).  The dense matrix is assembled only when
-:attr:`LiouvillianBundle.superop` is read.
+nonzero patterns of H and the jump operators, keeping only the pairs of
+distinct indices they couple, and computes each sector's block from them
+directly.  With diagonal H and local sigma-/Z jumps only the sigma-
+sandwiches join indices, and there are 3^(N+1) sectors, none wider than
+2^(N+1); blocks of one size are stacked, so a step exp(L dt) costs one
+stacked exponential and one batched matrix product per block size.  A pi
+pulse on the control is a permutation of vec(rho).  The dense matrix is
+assembled only when :attr:`LiouvillianBundle.superop` is read.
 
 Given seed indices, the constructor keeps only the sectors that hold a
-seed, found by a search from the seeds over the same pattern edges, so the
-other indices are never labelled.  `lindblad_trace` seeds it with the
-entries that `control_coherence` reads and their images under a pi pulse:
-two sectors 2^N wide, which give the full bundle's coherence to the last
-bit.
+seed: the one component search starts from the seeds instead of from
+every index, so the other indices are never labelled.  `lindblad_trace`
+seeds it with the entries that `control_coherence` reads and their images
+under a pi pulse: two sectors 2^N wide, which give the full bundle's
+coherence to the last bit.  It reads the coherence from vec(rho) at each
+grid time and keeps no state per point; `propagate` returns the states.
 
 Internal units: rates in 1/s, couplings nu in rad/s, times in s.
 """
@@ -35,7 +37,7 @@ Internal units: rates in 1/s, couplings nu in rad/s, times in s.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -248,16 +250,9 @@ class LiouvillianBundle:
         halves = [0.5 * (op.conj().T @ op) for _, op in terms]
         d = h.shape[0]
         rows, cols = _pattern_edges(d, [h] + halves, [op for _, op in terms])
-        kept = (np.arange(d * d) if seeds is None
-                else _reached(rows, cols, d * d, seeds))
-        # Number the kept indices 0, 1, ... in increasing order; no edge
-        # leaves the kept set, so the order of the components is kept too.
-        local = np.full(d * d, -1)
-        local[kept] = np.arange(kept.size)
-        inside = local[rows] >= 0
-        labels = _component_labels(local[rows[inside]], local[cols[inside]],
-                                   kept.size)
-        groups = [kept[idx] for idx in _group_by_size(labels)]
+        labels = _component_labels(rows, cols, d * d, seeds)
+        kept = np.flatnonzero(labels < d * d)
+        groups = [kept[idx] for idx in _group_by_size(labels[kept])]
         sectors = tuple((idx, _block_entries(idx, d, h, terms, halves))
                         for idx in groups)
         object.__setattr__(self, "jump_terms", jumps)
@@ -275,23 +270,28 @@ class LiouvillianBundle:
 
 def _pattern_edges(d: int, lr_ops,
                    sandwiched) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (rows, cols) that the dense Liouvillian can couple.
+    """Pairs (rows, cols) of distinct indices that the dense Liouvillian
+    can couple.
 
-    An operator ``a`` entering as rho -> a rho and rho -> rho a couples
+    The operators ``a`` entering as rho -> a rho and rho -> rho a couple
     (k*d + p, k*d + q) and (q*d + k, p*d + k) for every k and each nonzero
-    a[p, q]; a sandwich x rho x^dag couples (p*d + p', q*d + q') for
-    nonzero x[p, q] and x[p', q'].
+    a[p, q] of their joint pattern; a sandwich x rho x^dag couples
+    (p*d + p', q*d + q') for nonzero x[p, q] and x[p', q'].  A pair that
+    joins an index to itself cannot join two sectors, so none is emitted:
+    a diagonal a, such as a ZZ Hamiltonian or x^dag x, adds no pair.
     """
     k = np.arange(d)[:, None]
-    rows, cols = [], []
+    pattern = np.zeros((d, d), dtype=bool)
     for a in lr_ops:
-        p, q = np.nonzero(a)
-        rows += [(k * d + p).ravel(), (q * d + k).ravel()]
-        cols += [(k * d + q).ravel(), (p * d + k).ravel()]
+        pattern |= a != 0
+    p, q = np.nonzero(pattern & ~np.eye(d, dtype=bool))
+    rows = [(k * d + p).ravel(), (q * d + k).ravel()]
+    cols = [(k * d + q).ravel(), (p * d + k).ravel()]
     for x in sandwiched:
         p, q = np.nonzero(x)
-        rows.append((p[:, None] * d + p[None, :]).ravel())
-        cols.append((q[:, None] * d + q[None, :]).ravel())
+        moved = (p[:, None] != q[:, None]) | (p[None, :] != q[None, :])
+        rows.append((p[:, None] * d + p[None, :])[moved])
+        cols.append((q[:, None] * d + q[None, :])[moved])
     return np.concatenate(rows), np.concatenate(cols)
 
 
@@ -324,41 +324,32 @@ def _block_entries(idx: np.ndarray, d: int, h: np.ndarray, terms,
     return blocks
 
 
-def _component_labels(rows: np.ndarray, cols: np.ndarray,
-                      n: int) -> np.ndarray:
-    """Smallest index of each index's connected component of the edges.
+def _component_labels(rows: np.ndarray, cols: np.ndarray, n: int,
+                      seeds=None) -> np.ndarray:
+    """Smallest index of each index's connected component of the edges, or
+    n for an index that no path of edges joins to a seed.
 
-    Label propagation: every index takes the smallest label among its
-    neighbours, then follows its label's own label (pointer jumping),
-    until nothing changes.
+    Label propagation from the seeds (every index when `seeds` is None):
+    each reached index takes the smallest label among its neighbours, then
+    follows its label's own label (pointer jumping), until nothing changes.
+    A component then carries its smallest seed, and is relabelled by its
+    smallest member.
     """
-    labels = np.arange(n)
+    seeds = np.arange(n) if seeds is None else seeds
+    labels = np.full(n + 1, n)  # entry n stands for "not reached"
+    labels[seeds] = seeds
     while True:
         new = labels.copy()
         np.minimum.at(new, rows, labels[cols])
         np.minimum.at(new, cols, labels[rows])
         new = new[new]
         if np.array_equal(new, labels):
-            return labels
+            break
         labels = new
-
-
-def _reached(rows: np.ndarray, cols: np.ndarray, n: int,
-             seeds) -> np.ndarray:
-    """Sorted indices that the edges connect to a seed, the seeds included.
-
-    Each pass adds the neighbours of everything reached, so the passes are
-    as many as the longest path from a seed.
-    """
-    reached = np.zeros(n, dtype=bool)
-    reached[seeds] = True
-    while True:
-        new = reached.copy()
-        new[cols[reached[rows]]] = True
-        new[rows[reached[cols]]] = True
-        if np.array_equal(new, reached):
-            return np.flatnonzero(reached)
-        reached = new
+    smallest = np.full(n + 1, n)
+    reached = np.flatnonzero(labels[:n] < n)
+    np.minimum.at(smallest, labels[reached], reached)
+    return smallest[labels[:n]]
 
 
 def _group_by_size(labels: np.ndarray) -> list[np.ndarray]:
@@ -475,38 +466,36 @@ def propagate(bundle: LiouvillianBundle, rho0: np.ndarray,
     """
     times = time_grid(times)
     validate_density_matrix(rho0)
-
-    pulses = [] if pulse_times is None else list(pulse_times)
+    pulses = () if pulse_times is None else tuple(pulse_times)
     if pulses:
-        pulses = list(PulseSequence(times[-1], pulses).pulse_times)
+        pulses = PulseSequence(times[-1], pulses).pulse_times
+    v0 = ops.vectorize(np.asarray(rho0, dtype=complex))
+    return [ops.unvectorize(v) for v in _evolve(bundle, v0, times, pulses)]
+
+
+def _evolve(bundle: LiouvillianBundle, v: np.ndarray, times: np.ndarray,
+            pulses: Sequence[float]) -> Iterator[np.ndarray]:
+    """Yield vec(rho) at each grid time, as `propagate` describes; the
+    caller has checked the grid, the state and the pulse train."""
+    if pulses:
         perm = _pulse_permutation(bundle.dim)
-
     # Merge grid times and pulse times into one ordered event list.
-    events = sorted(
-        [(t, "grid", i) for i, t in enumerate(times)]
-        + [(t, "pulse", -1) for t in pulses])
-
+    events = sorted([(t, "grid") for t in times]
+                    + [(t, "pulse") for t in pulses])
     step_cache: dict[float, Sectors] = {}
-
-    def step(dt: float) -> Sectors:
-        key = float(f"{dt:.12g}")
-        if key not in step_cache:
-            step_cache[key] = _step_propagator(bundle, key)
-        return step_cache[key]
-
-    out: list[np.ndarray | None] = [None] * len(times)
-    v = ops.vectorize(np.asarray(rho0, dtype=complex))
     t_now = 0.0
-    for t_ev, kind, idx in events:
+    for t_ev, kind in events:
         dt = t_ev - t_now
         if dt > 0:
-            v = _apply(step(dt), v)
+            key = float(f"{dt:.12g}")
+            if key not in step_cache:
+                step_cache[key] = _step_propagator(bundle, key)
+            v = _apply(step_cache[key], v)
             t_now = t_ev
         if kind == "pulse":
             v = v[perm]
         else:
-            out[idx] = ops.unvectorize(v)
-    return out  # type: ignore[return-value]
+            yield v
 
 
 def control_coherence(rho: np.ndarray) -> complex:
@@ -535,11 +524,13 @@ def lindblad_trace(device: DeviceModel, s: SpectatorInit, times,
     """Lindblad-engine trace over a grid of total times, starting at 1.
 
     The value is 2 Tr[rho_01] (the raw initial coherence is 1/2), so it is
-    exactly 1 at t = 0.  Ramsey propagates the sorted grid in one
-    call.  With `cpmg_order` set, every T > 0 is propagated on its own under
-    a CPMG_n train over [0, T], as in `analytic.ramsey_trace` and
-    `trajectory.ensemble_trace`.  The bundle holds only the sector that
-    `control_coherence` reads, rho[k, d/2 + k] at vec index (d/2 + k) d + k,
+    exactly 1 at t = 0.  Ramsey steps through the sorted grid once.  With
+    `cpmg_order` set, every T > 0 is stepped on its own under a CPMG_n
+    train over [0, T], as in `analytic.ramsey_trace` and
+    `trajectory.ensemble_trace`.  The engine reads the coherence from
+    vec(rho) at each grid time, sum_k v[(d/2 + k) d + k] (the entries
+    rho[k, d/2 + k] that `control_coherence` sums), and holds no density
+    matrix per point.  The bundle holds only the sector of those entries
     and the sector a pulse maps it to: the values are those of the full
     bundle to the last bit.
     """
@@ -549,14 +540,18 @@ def lindblad_trace(device: DeviceModel, s: SpectatorInit, times,
     read = (d // 2 + k) * d + k
     bundle = build_liouvillian(
         device, np.concatenate([read, _pulse_permutation(d)[read]]))
-    rho0 = ramsey_initial_state(device, s)
+    v0 = ops.vectorize(ramsey_initial_state(device, s))
+
+    def coherence(v: np.ndarray) -> complex:
+        return complex(v[read].sum())
+
     if cpmg_order is None:
-        states = propagate(bundle, rho0, times)
+        values = [coherence(v) for v in _evolve(bundle, v0, times, ())]
     else:
-        states = [rho0] * times.size
+        values = [coherence(v0)] * times.size
         for k, T in enumerate(times):
             if T > 0:
                 train = build_cpmg(T, cpmg_order).pulse_times
-                states[k] = propagate(bundle, rho0, [T], pulse_times=train)[0]
-    return CoherenceTrace(times=times, values=2.0 * np.array(
-        [control_coherence(rho) for rho in states]))
+                v, = _evolve(bundle, v0, times[k:k + 1], train)
+                values[k] = coherence(v)
+    return CoherenceTrace(times=times, values=2.0 * np.array(values))

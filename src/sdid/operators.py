@@ -55,14 +55,20 @@ def kron_all(ops: Iterable[np.ndarray]) -> np.ndarray:
 def embed(op: np.ndarray, site: int, n_qubits: int) -> np.ndarray:
     """Embed a single-qubit operator at position `site` of an n-qubit register.
 
-    Site 0 is the leftmost tensor factor (the control qubit).
+    Site 0 is the leftmost tensor factor (the control qubit).  The result is
+    I_left (x) op (x) I_right, two Kronecker products whatever n is.  For
+    `Z`, `X` and `SIGMA_MINUS` it equals the product of all n one-qubit
+    factors bit for bit, signed zeros included; an operator holding a -0.0,
+    such as `Y`, can differ from that product in the sign of a zero.
     """
     op = np.asarray(op, dtype=complex)
     if op.shape != (2, 2):
         raise ValueError(f"embed expects a 2x2 operator, got shape {op.shape}")
     if not 0 <= site < n_qubits:
         raise ValueError(f"site {site} out of range for {n_qubits} qubits")
-    return kron_all([op if k == site else I2 for k in range(n_qubits)])
+    left = np.eye(2 ** site, dtype=complex)
+    right = np.eye(2 ** (n_qubits - site - 1), dtype=complex)
+    return kron(kron(left, op), right)
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:

@@ -435,6 +435,19 @@ def test_device_round_trips_through_config_units():
         assert np.isclose(q1.gamma, q2.gamma)
         assert np.isclose(q1.gamma_tilde, q2.gamma_tilde)
         assert np.isclose(nu1, nu2)
+    # A label reads back as written, "" included; an absent one stays absent.
+    spectators = [dict(spec) for spec in DEVICE_B["spectators"]]
+    spectators[0]["label"] = ""
+    spectators[2]["label"] = "s1"
+    labelled = dict(DEVICE_B, spectators=spectators)
+    written = device_to_dict(device_from_dict(labelled))
+    assert [("label" in q, q.get("label")) for q in
+            [written["control"]] + written["spectators"]] == [
+                (False, None), (True, ""), (False, None), (True, "s1")]
+    assert device_to_dict(device_from_dict(written)) == written
+    again = device_from_dict(written)
+    assert [q.label for q, _ in again.spectators] == [
+        "", "device.spectators[1]", "s1"]
 
 
 def test_sidecar_config_reruns_the_run(tmp_path):

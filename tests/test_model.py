@@ -130,6 +130,30 @@ def test_liouvillian_reassembles(device_a, device_b, device_b4):
                                                         for k in range(n + 1)]
 
 
+def test_pattern_edges_are_the_couplings_of_distinct_indices(device_b4):
+    # With a dense h and jump, the edges are exactly the off-diagonal
+    # pattern of the Liouvillian: no pair joins an index to itself.
+    rng = np.random.default_rng(8)
+    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    h = h + h.conj().T
+    x = rng.normal(size=(4, 4)) + 0j
+    rows, cols = model._pattern_edges(4, [h, 0.5 * x.conj().T @ x], [x])
+    assert not np.any(rows == cols)
+    dense = _superop_from_terms(h, [(1.0, x)])
+    np.fill_diagonal(dense, 0)
+    assert set(zip(rows, cols)) == set(zip(*np.nonzero(dense)))
+    # A ZZ Hamiltonian and the x^dag x of local jumps are diagonal, and a Z
+    # sandwich keeps every index, so at N = 4 only the five sigma-
+    # sandwiches join indices: 16^2 pairs each.
+    bundle = build_liouvillian(device_b4)
+    jumps = [op for _, op in bundle.jump_terms]
+    rows, cols = model._pattern_edges(
+        bundle.dim, [bundle.hamiltonian] + [x.conj().T @ x for x in jumps],
+        jumps)
+    assert not np.any(rows == cols)
+    assert rows.size == 5 * 16 ** 2
+
+
 def _coherence_seeds(d):
     # The entries rho[k, d/2 + k] that control_coherence sums, as vec(rho)
     # indices, and the indices that a control pi pulse maps them to.
@@ -327,18 +351,22 @@ def test_cpmg_train_costs_two_step_exponentials(device_a, monkeypatch):
 
 
 def test_five_spectators_without_the_dense_superoperator(device_b5):
-    # The dense 4096 x 4096 superoperator alone would take 268 MB.
+    # The dense 4096 x 4096 superoperator alone would take 268 MB, and a
+    # 64 x 64 state per grid point 6.6 MB over 101 points.  The trace holds
+    # neither: it reads the coherence from the vector at each point, so
+    # its peak is the operators and the two seeded sectors, about 2 MB.
     s = "11111"
     times = np.linspace(0.0, 500e-6, 101)
-    tracemalloc.start()
-    try:
-        lindblad = lindblad_trace(device_b5, s, times).values
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64e6, peak
-    analytic = ramsey_trace(device_b5, s, times).values
-    assert np.max(np.abs(lindblad - analytic)) <= 1e-12
+    for order in (None, 4):
+        tracemalloc.start()
+        try:
+            lindblad = lindblad_trace(device_b5, s, times, order).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, (order, peak)
+        analytic = ramsey_trace(device_b5, s, times, order).values
+        assert np.max(np.abs(lindblad - analytic)) <= 1e-12, order
 
     # One pulsed point: CPMG_0 (a Hahn echo) against the trajectories, as
     # a complex number.

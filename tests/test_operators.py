@@ -22,6 +22,14 @@ def test_embed_places_operator_at_site():
     assert np.array_equal(ops.embed(ops.Z, 0, 2), ops.kron(ops.Z, ops.I2))
     assert np.array_equal(ops.embed(ops.X, 2, 3),
                           ops.kron_all([ops.I2, ops.I2, ops.X]))
+    # Bit for bit, signed zeros included, the product of all n factors.
+    for op in (ops.Z, ops.X, ops.SIGMA_MINUS):
+        for n in range(1, 6):
+            for site in range(n):
+                want = ops.kron_all([op if k == site else ops.I2
+                                     for k in range(n)])
+                got = ops.embed(op, site, n)
+                assert got.tobytes() == want.tobytes()
     with pytest.raises(ValueError):
         ops.embed(np.eye(3), 0, 2)
     with pytest.raises(ValueError):
