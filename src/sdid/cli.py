@@ -253,12 +253,9 @@ def _run(experiment: str, config_path, overrides: dict) -> None:
     given = {key: value for key, value in overrides.items()
              if value is not None}
     given["experiment"] = experiment
-    if config_path is None:
-        # Only `derive` runs without a file; it reads no device parameter.
-        cfg = config_from_dict({"device": {"control": {"t2_us": 100.0}},
-                                **given})
-    else:
-        cfg = load_config(config_path, **given)
+    # Only `derive`, which reads no device, runs without a file.
+    cfg = (config_from_dict(given) if config_path is None
+           else load_config(config_path, **given))
     run(cfg)
     click.echo(f"wrote {cfg.out}")
 

@@ -1,5 +1,10 @@
 """JSON experiment configuration: schema validation and unit conversion.
 
+One table, `_FIELDS`, gives each config field its check and the experiments
+that read it.  A config may set any field, and each field it sets is
+checked; `config_to_dict`, which a sidecar records, writes only the fields
+its experiment reads.  No experiment reads `n_seq` or `out`.
+
 Device parameters follow the measurement conventions of the source data:
 qubit times in microseconds (t1_us, t2_us) and couplings as the control
 frequency splitting 4*nu in kHz (zz_4nu_khz).  Internally everything is
@@ -11,7 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .fitting import MIN_LENGTHS, MIN_POINTS
@@ -20,8 +26,6 @@ from .model import (DeviceModel, PhysicalityError, QubitParams,
 from .rb import FRAMES, branch_weights
 
 SCHEMA_VERSION = "v1"
-
-VALID_EXPERIMENTS = ("ramsey", "cpmg", "rb", "derive")
 VALID_ENGINES = ("analytic", "lindblad", "trajectory")
 
 
@@ -61,28 +65,48 @@ def _require_list(value, name: str) -> list:
     return list(value)
 
 
-def _require_entries(value, name: str) -> list:
-    entries = _require_list(value, name)
+def _require_entries(value, name: str, entry, distinct=False) -> tuple:
+    """A non-empty list, entry k checked by `entry(value, "name[k]")`; with
+    `distinct`, no entry may repeat."""
+    entries = tuple(entry(e, f"{name}[{k}]")
+                    for k, e in enumerate(_require_list(value, name)))
     if not entries:
         raise ConfigError(f"field {name!r} must not be empty")
+    if distinct:
+        for k, e in enumerate(entries):
+            if e in entries[:k]:
+                raise ConfigError(f"field {name!r} repeats entry {e!r}")
     return entries
 
 
-def _require_distinct(entries: tuple, name: str) -> tuple:
-    for k, e in enumerate(entries):
-        if e in entries[:k]:
-            raise ConfigError(f"field {name!r} repeats entry {e!r}")
-    return entries
-
-
-def _require_seed(value) -> int:
+def _require_seed(value, name: str) -> int:
     """A Philox key: an integer in [0, 2**128); 3.0 counts as 3."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if (isinstance(value, bool) or not isinstance(value, int)
             or not 0 <= value < 2 ** 128):
-        raise ConfigError(f"field 'seed' must be an integer in [0, 2**128), "
+        raise ConfigError(f"field {name!r} must be an integer in "
+                          f"[0, 2**128), got {value!r}")
+    return value
+
+
+def _require_str(value, name: str, kind: str = "a string") -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"field {name!r} must be {kind}, got {value!r}")
+    return value
+
+
+def _require_choice(value, name: str, choices: tuple):
+    if value not in choices:
+        raise ConfigError(f"field {name!r} must be one of {choices}, "
                           f"got {value!r}")
+    return value
+
+
+def _require_engine(value, _name: str) -> str:
+    if value not in VALID_ENGINES:
+        raise ConfigError(f"field 'engines' entry {value!r} not in "
+                          f"{VALID_ENGINES}")
     return value
 
 
@@ -92,16 +116,10 @@ def _qubit_from_dict(d: dict, name: str) -> QubitParams:
     unknown = set(d) - {"t1_us", "t2_us", "label"}
     if unknown:
         raise ConfigError(f"field {name!r} has unknown keys {sorted(unknown)}")
-    label = d.get("label", name)
-    if not isinstance(label, str):
-        raise ConfigError(f"field '{name}.label' must be a string, got "
-                          f"{label!r}")
-    t1_us = d.get("t1_us")
-    t2_us = d.get("t2_us")
-    t1 = _require_positive(t1_us, f"{name}.t1_us") * 1e-6 \
-        if t1_us is not None else None
-    t2 = _require_positive(t2_us, f"{name}.t2_us") * 1e-6 \
-        if t2_us is not None else None
+    label = _require_str(d.get("label", name), f"{name}.label")
+    t1, t2 = (None if d.get(key) is None
+              else _require_positive(d[key], f"{name}.{key}") * 1e-6
+              for key in ("t1_us", "t2_us"))
     try:
         return QubitParams.from_times(t1=t1, t2=t2, label=label)
     except PhysicalityError as exc:
@@ -165,7 +183,7 @@ def device_to_dict(device: DeviceModel) -> dict:
 
 @dataclass
 class ExperimentConfig:
-    device: DeviceModel
+    device: DeviceModel | None = None
     experiment: str = "ramsey"
     spectator_init: str = ""
     tmax_us: float | None = None
@@ -186,110 +204,94 @@ class ExperimentConfig:
         return self.tgate_ns * 1e-9
 
 
-_KNOWN_KEYS = {f.name for f in fields(ExperimentConfig)} | {"version"}
+# Each config field: the check of a given value, which returns what the
+# config holds, and the experiments that read the field.
+_FIELDS = {
+    "device": (lambda value, _: device_from_dict(value),
+               ("ramsey", "cpmg", "rb")),
+    "spectator_init": (_require_str, ("ramsey", "cpmg", "rb")),
+    "tmax_us": (_require_positive, ("ramsey", "cpmg")),
+    "points": (partial(_require_int, minimum=1), ("ramsey", "cpmg")),
+    "orders": (partial(_require_entries, distinct=True,
+                       entry=partial(_require_int, minimum=0)), ("cpmg",)),
+    "lengths": (partial(_require_entries,
+                        entry=partial(_require_int, minimum=1)), ("rb",)),
+    "n_seq": (partial(_require_int, minimum=1), ()),
+    "n_traj": (partial(_require_int, minimum=1), ("ramsey",)),
+    "seed": (_require_seed, ("ramsey",)),
+    "tgate_ns": (_require_positive, ("rb",)),
+    "frame": (partial(_require_choice, choices=FRAMES), ("rb",)),
+    "engines": (partial(_require_entries, entry=_require_engine,
+                        distinct=True), ("ramsey",)),
+    "nu_tauc": (partial(_require_entries, entry=_require_positive),
+                ("derive",)),
+    "out": (partial(_require_str, kind="a path string"), ()),
+}
+VALID_EXPERIMENTS = tuple(dict.fromkeys(
+    experiment for _, readers in _FIELDS.values() for experiment in readers))
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Re-emit a config in file form, without `out` or an unset (None) field;
-    sidecars record this, and `config_from_dict` loads it back."""
-    data = {"version": SCHEMA_VERSION, "device": device_to_dict(cfg.device)}
-    for f in fields(ExperimentConfig):
-        value = getattr(cfg, f.name)
-        if f.name not in ("device", "out") and value is not None:
-            data[f.name] = list(value) if isinstance(value, tuple) else value
+    """Re-emit a config in file form: its version, its experiment, and each
+    set (not None) field that the experiment reads.  Sidecars record this,
+    and `config_from_dict` loads it back."""
+    data = {"version": SCHEMA_VERSION, "experiment": cfg.experiment}
+    for name, (_, readers) in _FIELDS.items():
+        value = getattr(cfg, name)
+        if cfg.experiment in readers and value is not None:
+            data[name] = (device_to_dict(value) if name == "device"
+                          else list(value) if isinstance(value, tuple)
+                          else value)
     return data
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
+    """Check a config in file form and fill in its defaults.  Every given
+    field is checked; `device` is required, and `spectator_init` defaults
+    to all 1s and is checked against it, only where the experiment reads
+    them."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(data) - _KNOWN_KEYS
+    unknown = set(data) - set(_FIELDS) - {"version", "experiment"}
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
     version = data.get("version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"field 'version' must be {SCHEMA_VERSION!r}, "
                           f"got {version!r}")
-    if "device" not in data:
+    experiment = _require_choice(data.get("experiment", "ramsey"),
+                                 "experiment", VALID_EXPERIMENTS)
+    reads = {name for name, (_, readers) in _FIELDS.items()
+             if experiment in readers}
+    if "device" in reads and "device" not in data:
         raise ConfigError("field 'device' is required")
-    device = device_from_dict(data["device"])
+    cfg = ExperimentConfig(experiment=experiment, **{
+        name: check(data[name], name)
+        for name, (check, _) in _FIELDS.items() if name in data})
 
-    cfg = ExperimentConfig(device=device)
-    experiment = data.get("experiment", cfg.experiment)
-    if experiment not in VALID_EXPERIMENTS:
-        raise ConfigError(f"field 'experiment' must be one of "
-                          f"{VALID_EXPERIMENTS}, got {experiment!r}")
-    cfg.experiment = experiment
-
-    spectator_init = data.get("spectator_init", "1" * device.n_spectators)
-    if not isinstance(spectator_init, str):
-        raise ConfigError(f"field 'spectator_init' must be a string, got "
-                          f"{spectator_init!r}")
-    cfg.spectator_init = spectator_init
-    # RB takes its own preparations; the other experiments take N bits.
-    check = branch_weights if experiment == "rb" else parse_spectator_init
-    if experiment != "derive":
+    if "spectator_init" in reads:
+        n = cfg.device.n_spectators
+        if "spectator_init" not in data:
+            cfg.spectator_init = "1" * n
+        # RB takes its own preparations; the other experiments take N bits.
+        check = branch_weights if experiment == "rb" else parse_spectator_init
         try:
-            check(cfg.spectator_init, device.n_spectators)
+            check(cfg.spectator_init, n)
         except ValueError:
-            allowed = f"a {device.n_spectators}-bit 0/1 string"
+            allowed = f"a {n}-bit 0/1 string"
             if experiment == "rb":
                 allowed += " or one of 'zero', 'one', 'plus'"
             raise ConfigError(f"field 'spectator_init' must be {allowed} "
                               f"for {experiment!r}, got "
                               f"{cfg.spectator_init!r}") from None
-
-    if "tmax_us" in data:
-        cfg.tmax_us = _require_positive(data["tmax_us"], "tmax_us")
-    if "points" in data:
-        cfg.points = _require_int(data["points"], "points", 1)
     if experiment == "cpmg" and cfg.points < MIN_POINTS:
         raise ConfigError(f"field 'points' must be >= {MIN_POINTS} for "
                           f"'cpmg' (the T2 fit needs {MIN_POINTS} points), "
                           f"got {cfg.points}")
-    if "orders" in data:
-        orders = tuple(
-            _require_int(n, f"orders[{k}]", 0)
-            for k, n in enumerate(_require_entries(data["orders"], "orders")))
-        cfg.orders = _require_distinct(orders, "orders")
-    if "lengths" in data:
-        cfg.lengths = tuple(
-            _require_int(m, f"lengths[{k}]", 1)
-            for k, m in enumerate(_require_list(data["lengths"], "lengths")))
     if experiment == "rb" and len(set(cfg.lengths)) < MIN_LENGTHS:
         raise ConfigError(f"field 'lengths' needs at least {MIN_LENGTHS} "
                           f"distinct lengths for 'rb' (the fit needs them), "
                           f"got {list(cfg.lengths)}")
-    if "n_seq" in data:
-        cfg.n_seq = _require_int(data["n_seq"], "n_seq", 1)
-    if "n_traj" in data:
-        cfg.n_traj = _require_int(data["n_traj"], "n_traj", 1)
-    if "seed" in data:
-        cfg.seed = _require_seed(data["seed"])
-    if "tgate_ns" in data:
-        cfg.tgate_ns = _require_positive(data["tgate_ns"], "tgate_ns")
-    frame = data.get("frame", cfg.frame)
-    if frame not in FRAMES:
-        raise ConfigError(f"field 'frame' must be one of {FRAMES}, "
-                          f"got {frame!r}")
-    cfg.frame = frame
-    if "engines" in data:
-        engines = tuple(_require_entries(data["engines"], "engines"))
-        for e in engines:
-            if e not in VALID_ENGINES:
-                raise ConfigError(f"field 'engines' entry {e!r} not in "
-                                  f"{VALID_ENGINES}")
-        cfg.engines = _require_distinct(engines, "engines")
-    if "nu_tauc" in data:
-        cfg.nu_tauc = tuple(
-            _require_positive(x, f"nu_tauc[{k}]")
-            for k, x in enumerate(_require_entries(data["nu_tauc"],
-                                                   "nu_tauc")))
-    if "out" in data:
-        if not isinstance(data["out"], str):
-            raise ConfigError(f"field 'out' must be a path string, got "
-                              f"{data['out']!r}")
-        cfg.out = data["out"]
     return cfg
 
 

@@ -394,9 +394,10 @@ def build_hamiltonian(device: DeviceModel) -> np.ndarray:
     n = device.n_qubits
     dim = 2 ** n
     h = np.zeros((dim, dim), dtype=complex)
+    # The embedded Z matrices are diagonal, so their product is elementwise.
     z0 = ops.embed(Z, 0, n)
     for j, (_, nu) in enumerate(device.spectators, start=1):
-        h = h + nu * (z0 @ ops.embed(Z, j, n))
+        h = h + nu * (z0 * ops.embed(Z, j, n))
     return h
 
 

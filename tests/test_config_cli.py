@@ -276,6 +276,7 @@ def test_list_and_count_fields_name_the_field():
            ({"engines": []}, "'engines' must not be empty"),
            ({"orders": []}, "'orders' must not be empty"),
            ({"nu_tauc": []}, "'nu_tauc' must not be empty"),
+           ({"lengths": []}, "'lengths' must not be empty"),
            *(({"device": {**DEVICE_A, "spectators": spectators}},
               "'device.spectators' must be a list")
              for spectators in (5, None, DEVICE_A["spectators"][0], "s1")),
@@ -468,12 +469,16 @@ def test_sidecar_config_reruns_the_run(tmp_path):
                                         + ["--out", str(out)])
             assert result.exit_code == 0, result.output
             meta = json.loads(Path(f"{out}.meta.json").read_text())
-            # Each qubit reads every number written, unchanged.
-            resolved = meta["resolved_config"]["device"]
-            for written, read in zip(
-                    [device["control"], *device["spectators"]],
-                    [resolved["control"], *resolved["spectators"]]):
-                assert read | written == read, (label, name)
+            resolved = meta["resolved_config"].get("device")
+            if name == "derive":
+                # derive reads no device, so its sidecar records none.
+                assert resolved is None, label
+            else:
+                # Each qubit reads every number written, unchanged.
+                for written, read in zip(
+                        [device["control"], *device["spectators"]],
+                        [resolved["control"], *resolved["spectators"]]):
+                    assert read | written == read, (label, name)
             again_cfg = tmp_path / f"{label}_{name}.resolved.json"
             again_cfg.write_text(json.dumps(meta["resolved_config"]))
             again = tmp_path / f"{label}_{name}.again.csv"
@@ -482,6 +487,62 @@ def test_sidecar_config_reruns_the_run(tmp_path):
                                                "--out", str(again)])
             assert result.exit_code == 0, (label, name, result.output)
             assert again.read_bytes() == out.read_bytes(), (label, name)
+
+
+# The fields each experiment reads, besides `version` and `experiment`.
+READS = {"ramsey": {"device", "spectator_init", "tmax_us", "points",
+                    "engines", "n_traj", "seed"},
+         "cpmg": {"device", "spectator_init", "tmax_us", "points", "orders"},
+         "rb": {"device", "spectator_init", "lengths", "tgate_ns", "frame"},
+         "derive": {"nu_tauc"}}
+
+
+def test_sidecar_config_lists_what_the_run_read(tmp_path):
+    # The config file sets fields that no run here reads (n_seq) or that
+    # only some read; each sidecar records exactly its experiment's fields.
+    cfg = _write_config(tmp_path / "b.json", DEVICE_B, n_seq=7, seed=3,
+                        orders=[0, 2], nu_tauc=[1.0], tgate_ns=20.0)
+    for name, args in (
+            ("ramsey", ["--points", "11", "--tmax-us", "100"]),
+            ("cpmg", ["--points", "11", "--tmax-us", "100"]),
+            ("rb", ["--init", "plus"]), ("derive", [])):
+        out = tmp_path / f"{name}.csv"
+        result = CliRunner().invoke(main, [name, "--config", cfg] + args
+                                    + ["--out", str(out)])
+        assert result.exit_code == 0, result.output
+        resolved = json.loads(Path(f"{out}.meta.json").read_text())[
+            "resolved_config"]
+        assert set(resolved) == READS[name] | {"version", "experiment"}, name
+    assert config_from_dict(resolved).nu_tauc == (1.0,)
+
+
+def test_derive_without_a_config_records_no_device(tmp_path):
+    out = tmp_path / "derive.csv"
+    result = CliRunner().invoke(main, ["derive", "--nu-tauc", "0.1,10",
+                                       "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    resolved = json.loads(Path(f"{out}.meta.json").read_text())[
+        "resolved_config"]
+    assert resolved == {"version": "v1", "experiment": "derive",
+                        "nu_tauc": [0.1, 10.0]}
+    again_cfg = tmp_path / "derive.resolved.json"
+    again_cfg.write_text(json.dumps(resolved))
+    again = tmp_path / "derive.again.csv"
+    result = CliRunner().invoke(main, ["derive", "--config", str(again_cfg),
+                                       "--out", str(again)])
+    assert result.exit_code == 0, result.output
+    assert again.read_bytes() == out.read_bytes()
+
+
+@pytest.mark.parametrize("experiment", sorted(READS))
+def test_cli_options_are_the_fields_the_experiment_reads(experiment):
+    # Each subcommand takes an option for each field its experiment reads,
+    # save the device, which only a config file gives.
+    reads = {name for name, (_, readers) in sdid.config._FIELDS.items()
+             if experiment in readers}
+    assert reads == READS[experiment]
+    options = {p.name for p in main.commands[experiment].params}
+    assert options - {"config_path", "out"} == reads - {"device"}
 
 
 def test_config_defaults():

@@ -80,6 +80,20 @@ def test_hamiltonian_single_spectator_is_diagonal_zz():
     assert np.allclose(h, np.diag([nu, -nu, -nu, nu]))
 
 
+def test_hamiltonian_is_the_dense_product_sum_bit_for_bit():
+    # Each term's embedded Z matrices are diagonal, so their elementwise
+    # product gives the bits of sum_j nu_j embed(Z, 0) @ embed(Z, j).
+    for n in range(1, 6):
+        nus = [2.0 * np.pi * 1e4 * (1.0 + 0.137 * j) for j in range(n)]
+        device = DeviceModel(control=QubitParams(), spectators=tuple(
+            (QubitParams(), nu) for nu in nus))
+        dense = np.zeros((2 ** (n + 1),) * 2, dtype=complex)
+        z0 = ops.embed(ops.Z, 0, n + 1)
+        for j, nu in enumerate(nus, start=1):
+            dense = dense + nu * (z0 @ ops.embed(ops.Z, j, n + 1))
+        assert build_hamiltonian(device).tobytes() == dense.tobytes(), n
+
+
 def test_hamiltonian_three_spectators_eigenvalues():
     nus = (1.0, 2.5, 4.0)
     device = DeviceModel(control=QubitParams(),
