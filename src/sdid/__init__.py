@@ -12,12 +12,13 @@ __version__ = "0.1.0"
 from .analytic import (coherence, cpmg_effective, heuristic_rate,
                        phase_bounds, ramsey_trace)
 from .config import (ConfigError, ExperimentConfig, config_from_dict,
-                     config_to_dict, device_from_dict, device_to_dict,
-                     load_config, nu_from_4nu_khz)
-from .derivations import (BohrTerm, Cluster, RateMatrix, bohr_spectrum,
-                          build_bmpsa, build_cetcg, cetcg_rate, choi_matrix,
-                          cluster_bohr, two_qubit_cetcg_reference,
-                          two_qubit_coupling, two_qubit_hamiltonian)
+                     config_to_dict, device_from_dict, load_config,
+                     nu_from_4nu_khz)
+from .derivations import (BohrTerm, Cluster, DissipativeGenerator,
+                          RateMatrix, bohr_spectrum, build_bmpsa, build_cetcg,
+                          cetcg_rate, choi_matrix, cluster_bohr,
+                          two_qubit_cetcg_reference, two_qubit_coupling,
+                          two_qubit_hamiltonian)
 from .fitting import FitResult, fit_exponential, fit_rb
 from .model import (CoherenceTrace, DeviceModel, LiouvillianBundle,
                     PhysicalityError, PulseSequence, QubitParams,
@@ -35,8 +36,9 @@ __all__ = [
     "coherence", "cpmg_effective", "heuristic_rate", "phase_bounds",
     "ramsey_trace",
     "ConfigError", "ExperimentConfig", "config_from_dict", "config_to_dict",
-    "device_from_dict", "device_to_dict", "load_config", "nu_from_4nu_khz",
-    "BohrTerm", "Cluster", "RateMatrix", "bohr_spectrum", "build_bmpsa",
+    "device_from_dict", "load_config", "nu_from_4nu_khz",
+    "BohrTerm", "Cluster", "DissipativeGenerator", "RateMatrix",
+    "bohr_spectrum", "build_bmpsa",
     "build_cetcg", "cetcg_rate", "choi_matrix", "cluster_bohr",
     "two_qubit_cetcg_reference", "two_qubit_coupling",
     "two_qubit_hamiltonian",

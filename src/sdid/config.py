@@ -3,7 +3,10 @@
 One table, `_FIELDS`, gives each config field its check and the experiments
 that read it.  A config may set any field, and each field it sets is
 checked; `config_to_dict`, which a sidecar records, writes only the fields
-its experiment reads.  No experiment reads `n_seq` or `out`.
+its experiment reads.  No experiment reads `n_seq` or `out`.  It writes
+the `device` object as the config gave it, once checked, so that a run
+reruns from its sidecar bit for bit: numbers re-derived from the rates
+would not read back to the same rates.
 
 Device parameters follow the measurement conventions of the source data:
 qubit times in microseconds (t1_us, t2_us) and couplings as the control
@@ -14,9 +17,10 @@ nu = 2 pi * 1e3 * zz_4nu_khz / 4.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -148,39 +152,6 @@ def device_from_dict(d: dict) -> DeviceModel:
     return DeviceModel(control=control, spectators=tuple(spectators))
 
 
-def device_to_dict(device: DeviceModel) -> dict:
-    """Re-emit a device in config units; round-trips the physical rates.
-
-    Each number is re-derived from a rate and rounded to 12 significant
-    digits, so that a time given as 141.0 reads 141.0, not
-    140.99999999999997.  A label is written exactly when it differs from
-    the default that reading gives an unlabelled qubit, its field path
-    (`device.control`, `device.spectators[k]`), so the result reads back
-    to the same labels, "" included.
-    """
-    def rounded(x: float) -> float:
-        return float(f"{x:.12g}")
-
-    def qubit_dict(q: QubitParams, name: str) -> dict:
-        out = {}
-        if q.gamma > 0:
-            out["t1_us"] = rounded(1e6 / q.gamma)
-        if q.gamma_tilde > 0:
-            out["t2_us"] = rounded(1e6 / q.gamma_tilde)
-        if q.label != name:
-            out["label"] = q.label
-        return out
-
-    return {
-        "control": qubit_dict(device.control, "device.control"),
-        "spectators": [
-            dict(qubit_dict(q, f"device.spectators[{k}]"),
-                 zz_4nu_khz=rounded(4.0 * nu / (2.0 * math.pi * 1e3)))
-            for k, (q, nu) in enumerate(device.spectators)
-        ],
-    }
-
-
 @dataclass
 class ExperimentConfig:
     device: DeviceModel | None = None
@@ -198,6 +169,9 @@ class ExperimentConfig:
     engines: tuple[str, ...] = ("analytic",)
     nu_tauc: tuple[float, ...] = (0.001, 0.1, 1.0, 10.0, 1000.0)
     out: str | None = None
+    # The `device` object as the config gave it, which a sidecar records;
+    # not a field of a config file.
+    device_given: dict | None = field(default=None, repr=False)
 
     @property
     def t_gate(self) -> float:
@@ -239,7 +213,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     for name, (_, readers) in _FIELDS.items():
         value = getattr(cfg, name)
         if cfg.experiment in readers and value is not None:
-            data[name] = (device_to_dict(value) if name == "device"
+            data[name] = (cfg.device_given if name == "device"
                           else list(value) if isinstance(value, tuple)
                           else value)
     return data
@@ -265,9 +239,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
              if experiment in readers}
     if "device" in reads and "device" not in data:
         raise ConfigError("field 'device' is required")
-    cfg = ExperimentConfig(experiment=experiment, **{
-        name: check(data[name], name)
-        for name, (check, _) in _FIELDS.items() if name in data})
+    cfg = ExperimentConfig(
+        experiment=experiment, device_given=copy.deepcopy(data.get("device")),
+        **{name: check(data[name], name)
+           for name, (check, _) in _FIELDS.items() if name in data})
 
     if "spectator_init" in reads:
         n = cfg.device.n_spectators

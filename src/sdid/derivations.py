@@ -24,12 +24,37 @@ from typing import Sequence
 import numpy as np
 
 from . import operators as ops
-from .model import LiouvillianBundle
 
 
 def sinc(x) -> np.ndarray:
     """sin(x)/x with sinc(0) = 1 (unnormalized convention)."""
     return np.sinc(np.asarray(x) / np.pi)
+
+
+@dataclass(frozen=True)
+class DissipativeGenerator:
+    """Generator sum rate D[x] over the (rate, x) of `jump_terms`, with
+    ``D[x] rho = x rho x^dag - {x^dag x, rho}/2`` on a `dim`-level system
+    and no Hamiltonian."""
+
+    jump_terms: tuple[tuple[float, np.ndarray], ...]
+    dim: int
+
+    @property
+    def superop(self) -> np.ndarray:
+        """Dense dim^2 x dim^2 superoperator, summed per read.  Each
+        dissipator is complete before it is scaled and added, so rate * D[x]
+        keeps its trace cancellation exact instead of mixing the rates of
+        different jumps."""
+        total = np.zeros((self.dim ** 2,) * 2, dtype=complex)
+        for rate, x in self.jump_terms:
+            minus_half = -0.5 * (x.conj().T @ x)
+            term = ops.sandwich(x, x.conj().T)
+            term += ops.left_mult(minus_half)
+            term += ops.right_mult(minus_half)
+            term *= rate
+            total += term
+        return total
 
 
 @dataclass(frozen=True)
@@ -136,7 +161,7 @@ def cluster_bohr(terms: Sequence[BohrTerm],
 
 
 def _dissipative(clusters: Sequence[Cluster], gamma0: float,
-                 cluster_jumps) -> LiouvillianBundle:
+                 cluster_jumps) -> DissipativeGenerator:
     """Generator of a flat zero-temperature bath: each cluster of positive
     mean frequency adds the jumps `cluster_jumps(cluster, gamma0)`, the
     others none.  No Lamb-shift Hamiltonian: it would only weakly
@@ -144,11 +169,11 @@ def _dissipative(clusters: Sequence[Cluster], gamma0: float,
     d = clusters[0].members[0].op.shape[0] if clusters else 1
     jumps = [jump for cluster in clusters if cluster.mean > 0 and gamma0 > 0
              for jump in cluster_jumps(cluster, gamma0)]
-    return LiouvillianBundle(np.zeros((d, d), dtype=complex), jumps)
+    return DissipativeGenerator(tuple(jumps), d)
 
 
 def build_bmpsa(clusters: Sequence[Cluster],
-                gamma0: float) -> LiouvillianBundle:
+                gamma0: float) -> DissipativeGenerator:
     """Partial secular generator: one dissipator per cluster, its members
     summed coherently.  Over zero-width clusters it is fully secular."""
     return _dissipative(clusters, gamma0,
@@ -184,12 +209,12 @@ def _kossakowski_jumps(rate_matrix: np.ndarray,
 
 
 def build_cetcg(clusters: Sequence[Cluster], gamma0: float,
-                tau_c: float) -> LiouvillianBundle:
+                tau_c: float) -> DissipativeGenerator:
     """Coarse-grained generator with coherent cross terms inside each cluster.
 
     Cross-cluster rates are taken to be zero ((O'-O) tau_c >> 1 between
-    clusters).  Each cluster's rate matrix is diagonalized so that the bundle
-    is expressed as a plain (rate, operator) Lindblad list.
+    clusters).  Each cluster's rate matrix is diagonalized so that the
+    generator is expressed as a plain (rate, operator) Lindblad list.
     """
     def cluster_jumps(cluster, rate):
         rm = RateMatrix.build([m.frequency for m in cluster.members], tau_c,
@@ -242,7 +267,8 @@ def two_qubit_cetcg_reference(nu: float, tau_c: float,
                 (i I (x) sm rho Zs (x) sp + h.c.) ],
     with Zs = |1><1| - |0><0| the spectator-conditioned sign operator, as
     its dense 16 x 16 superoperator on vec(rho).  The sum is taken term by
-    term, independently of the sector builder, so it checks `build_cetcg`.
+    term over the rate matrix, not over its diagonalized jumps, so it
+    checks `build_cetcg`.
     """
     k = two_qubit_kossakowski(nu, tau_c, gamma)
     p = ops.kron(ops.I2, ops.SIGMA_MINUS)

@@ -11,25 +11,25 @@ It also holds the types the three engines share: the pi-pulse train
 `lindblad_trace` is this engine's counterpart of `analytic.ramsey_trace` and
 `trajectory.ensemble_trace`.
 
-The Liouvillian is never built as a dense 4^(N+1) matrix.  The
-`LiouvillianBundle(h, jumps)` constructor finds its sectors (sets of vec(rho)
-indices that no term of H or of the jumps connects to the rest) from the
-nonzero patterns of H and the jump operators, keeping only the pairs of
-distinct indices they couple, and computes each sector's block from them
-directly.  With diagonal H and local sigma-/Z jumps only the sigma-
-sandwiches join indices, and there are 3^(N+1) sectors, none wider than
-2^(N+1); blocks of one size are stacked, so a step exp(L dt) costs one
-stacked exponential and one batched matrix product per block size.  A pi
-pulse on the control is a permutation of vec(rho).  The dense matrix is
-assembled only when :attr:`LiouvillianBundle.superop` is read.
+The Liouvillian is never built as a dense 4^(N+1) matrix, nor is any
+operator on the 2^(N+1)-dimensional state space: `LiouvillianBundle(device)`
+holds H as its diagonal and each jump as a 2 x 2 operator on one qubit.
+Its sectors (sets of vec(rho) indices that no term connects to the rest)
+follow in closed form from one fact: relaxation of a qubit joins |1><1| to
+|0><0| on that qubit, and no other term joins two indices.  There are
+3^R 4^(N+1-R) sectors when R qubits relax, none wider than 2^R; each
+sector's block is computed from the local operators directly.  Blocks of
+one size are stacked, so a step exp(L dt) costs one stacked exponential and
+one batched matrix product per block size.  A pi pulse on the control is a
+permutation of vec(rho).  The dense matrix is assembled only when
+:attr:`LiouvillianBundle.superop` is read.
 
-Given seed indices, the constructor keeps only the sectors that hold a
-seed: the one component search starts from the seeds instead of from
-every index, so the other indices are never labelled.  `lindblad_trace`
-seeds it with the entries that `control_coherence` reads and their images
-under a pi pulse: two sectors 2^N wide, which give the full bundle's
-coherence to the last bit.  It reads the coherence from vec(rho) at each
-grid time and keeps no state per point; `propagate` returns the states.
+Given seed indices, the bundle keeps only the sectors that hold a seed.
+`lindblad_trace` seeds it with the entries that `control_coherence` reads,
+one sector 2^N wide, and for a pulse train also with their images under a
+pi pulse, a second sector; either gives the full bundle's coherence to the
+last bit.  It reads the coherence from vec(rho) at each grid time and
+keeps no state per point; `propagate` returns the states.
 
 Internal units: rates in 1/s, couplings nu in rad/s, times in s.
 """
@@ -222,45 +222,69 @@ Sectors = tuple[tuple[np.ndarray, np.ndarray], ...]
 
 @dataclass(frozen=True)
 class LiouvillianBundle:
-    """Liouvillian ``-i[h, .] + sum rate D[op]`` over (rate, op) in the jump
-    list, held as its sector blocks, which the constructor finds.
+    """The device Liouvillian
+    L = -i[H, .] + sum_j (gamma_j D[sigma-_j] + (gamma_phi_j / 2) D[Z_j]),
+    held as its sector blocks.
 
-    ``D[x] rho = x rho x^dag - {x^dag x, rho}/2``.  Each block entry is
-    summed in a fixed order: the Hamiltonian's left and right products,
-    then per jump the sandwich, the anticommutator's left and right
-    products, the rate, and the total.  Each dissipator is complete before
-    it is scaled and added, so rate * D[x] keeps its trace cancellation
-    exact instead of mixing the rates of different jumps.
+    ``D[x] rho = x rho x^dag - {x^dag x, rho}/2``.  The Z dissipator
+    dephases coherences at twice its rate, so the factor of one half keeps
+    gamma_phi equal to the pure dephasing rate and preserves
+    1/T2 = gamma_phi + gamma/2 across all engines.  `hamiltonian` is the
+    diagonal of H, and each of `jump_terms` is (rate, site, x): the 2 x 2
+    operator x on qubit `site` (0 is the control, the leading bit of a
+    basis index).  No d x d operator is formed.
+
+    Each block entry is summed in a fixed order: the Hamiltonian's left and
+    right products, then per jump the sandwich, the anticommutator's left
+    and right products, the rate, and the total.  Each dissipator is
+    complete before it is scaled and added, so rate * D[x] keeps its trace
+    cancellation exact instead of mixing the rates of different jumps.
 
     With `seeds` (vec(rho) indices), only the sectors that hold a seed are
-    kept, found by a search from the seeds; they are those sectors of the
-    full bundle, in the same order with the same blocks.  L maps each
-    sector into itself, so the kept ones evolve exactly; `superop` and
-    `propagate` give 0 on every other index.
+    kept; they are those sectors of the full bundle, in the same order with
+    the same blocks.  L maps each sector into itself, so the kept ones
+    evolve exactly; `superop` and `propagate` give 0 on every other index.
     """
 
-    hamiltonian: np.ndarray
-    jump_terms: tuple[tuple[float, np.ndarray], ...]
+    device: DeviceModel
     seeds: InitVar[np.ndarray | None] = None
+    hamiltonian: np.ndarray = field(init=False, repr=False, compare=False)
+    jump_terms: tuple[tuple[float, int, np.ndarray], ...] = field(
+        init=False, repr=False, compare=False)
     sectors: Sectors = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, seeds):
-        h, jumps = self.hamiltonian, tuple(self.jump_terms)
-        terms = [(rate, np.asarray(op, dtype=complex)) for rate, op in jumps]
-        halves = [0.5 * (op.conj().T @ op) for _, op in terms]
-        d = h.shape[0]
-        rows, cols = _pattern_edges(d, [h] + halves, [op for _, op in terms])
-        labels = _component_labels(rows, cols, d * d, seeds)
-        kept = np.flatnonzero(labels < d * d)
-        groups = [kept[idx] for idx in _group_by_size(labels[kept])]
-        sectors = tuple((idx, _block_entries(idx, d, h, terms, halves))
+        device = self.device
+        d = 2 ** device.n_qubits
+        jumps, relaxing = [], 0
+        for site, q in enumerate([device.control]
+                                 + [q for q, _ in device.spectators]):
+            if q.gamma > 0:
+                jumps.append((q.gamma, site, SIGMA_MINUS))
+                relaxing |= d >> (site + 1)
+            if q.gamma_phi > 0:
+                jumps.append((q.gamma_phi / 2.0, site, Z))
+        # Relaxation of qubit q joins the index i*d + j with bit q set in
+        # both i and j to the one with it clear in both, and no other term
+        # joins two indices.  So a sector is the indices that differ only
+        # in relaxing bits on which i and j agree, and its label, its
+        # smallest member, clears those bits.
+        i, j = np.divmod(np.arange(d * d), d)
+        free = ~(relaxing & ~(i ^ j))
+        labels = (i & free) * d + (j & free)
+        kept = (np.arange(d * d) if seeds is None
+                else np.flatnonzero(np.isin(labels, labels[seeds])))
+        groups = [kept[k] for k in _group_by_size(labels[kept])]
+        h = build_hamiltonian(device)
+        sectors = tuple((idx, _block_entries(idx, d, h, jumps))
                         for idx in groups)
-        object.__setattr__(self, "jump_terms", jumps)
+        object.__setattr__(self, "hamiltonian", h)
+        object.__setattr__(self, "jump_terms", tuple(jumps))
         object.__setattr__(self, "sectors", sectors)
 
     @property
     def dim(self) -> int:
-        return self.hamiltonian.shape[0]
+        return self.hamiltonian.size
 
     @property
     def superop(self) -> np.ndarray:
@@ -268,88 +292,37 @@ class LiouvillianBundle:
         return _assemble(self.dim ** 2, self.sectors)
 
 
-def _pattern_edges(d: int, lr_ops,
-                   sandwiched) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (rows, cols) of distinct indices that the dense Liouvillian
-    can couple.
-
-    The operators ``a`` entering as rho -> a rho and rho -> rho a couple
-    (k*d + p, k*d + q) and (q*d + k, p*d + k) for every k and each nonzero
-    a[p, q] of their joint pattern; a sandwich x rho x^dag couples
-    (p*d + p', q*d + q') for nonzero x[p, q] and x[p', q'].  A pair that
-    joins an index to itself cannot join two sectors, so none is emitted:
-    a diagonal a, such as a ZZ Hamiltonian or x^dag x, adds no pair.
-    """
-    k = np.arange(d)[:, None]
-    pattern = np.zeros((d, d), dtype=bool)
-    for a in lr_ops:
-        pattern |= a != 0
-    p, q = np.nonzero(pattern & ~np.eye(d, dtype=bool))
-    rows = [(k * d + p).ravel(), (q * d + k).ravel()]
-    cols = [(k * d + q).ravel(), (p * d + k).ravel()]
-    for x in sandwiched:
-        p, q = np.nonzero(x)
-        moved = (p[:, None] != q[:, None]) | (p[None, :] != q[None, :])
-        rows.append((p[:, None] * d + p[None, :])[moved])
-        cols.append((q[:, None] * d + q[None, :])[moved])
-    return np.concatenate(rows), np.concatenate(cols)
-
-
-def _block_entries(idx: np.ndarray, d: int, h: np.ndarray, terms,
-                   halves) -> np.ndarray:
+def _block_entries(idx: np.ndarray, d: int, h: np.ndarray,
+                   jumps) -> np.ndarray:
     """Stacked Liouvillian blocks over the (m, n) vec(rho) index array idx.
 
-    `terms` are the (rate, x) jumps and `halves` their x^dag x / 2.  vec
+    `h` is the diagonal of H and `jumps` the (rate, site, x) terms.  vec
     index r = i*d + j as in ``s[i, j, k, l]`` of the dense d^2 x d^2 matrix
     (row i*d + j, column k*d + l): rho -> a rho is a[j, l] where i == k,
     rho -> rho b is b[k, i] where j == l, and x rho x^dag is
-    conj(x[i, k]) x[j, l].
+    conj(x[i, k]) x[j, l].  An operator a on one qubit is a[p, q] of its
+    bits where the other bits agree, and 0 elsewhere.
     """
     i, j = np.divmod(idx, d)
     ri, rj = i[:, :, None], j[:, :, None]
     ci, cj = i[:, None, :], j[:, None, :]
     same_i, same_j = ri == ci, rj == cj
-
-    def add_left_right(term, a, b):
-        term += np.where(same_i, a[rj, cj], 0)
-        term += np.where(same_j, b.T[ri, ci], 0)
+    diagonal = same_i & same_j
 
     blocks = np.zeros(idx.shape + idx.shape[-1:], dtype=complex)
-    add_left_right(blocks, -1j * h, 1j * h)
-    for (rate, op), half_xdx in zip(terms, halves):
-        term = op.conj()[ri, ci] * op[rj, cj]
-        add_left_right(term, -half_xdx, -half_xdx)
+    blocks += np.where(diagonal, (-1j * h)[rj], 0)
+    blocks += np.where(diagonal, (1j * h)[ri], 0)
+    for rate, site, x in jumps:
+        bit = d >> (site + 1)
+        bi, bj, bk, bl = ((a & bit) // bit for a in (ri, rj, ci, cj))
+        rest_ik, rest_jl = ((ri ^ ci) | bit) == bit, ((rj ^ cj) | bit) == bit
+        minus_half = -0.5 * (x.conj().T @ x)
+        term = np.where(rest_ik & rest_jl, x.conj()[bi, bk] * x[bj, bl], 0)
+        term += np.where(same_i & rest_jl, minus_half[bj, bl], 0)
+        term += np.where(same_j & rest_ik, minus_half.T[bi, bk], 0)
         term *= rate
         blocks += term
     return blocks
-
-
-def _component_labels(rows: np.ndarray, cols: np.ndarray, n: int,
-                      seeds=None) -> np.ndarray:
-    """Smallest index of each index's connected component of the edges, or
-    n for an index that no path of edges joins to a seed.
-
-    Label propagation from the seeds (every index when `seeds` is None):
-    each reached index takes the smallest label among its neighbours, then
-    follows its label's own label (pointer jumping), until nothing changes.
-    A component then carries its smallest seed, and is relabelled by its
-    smallest member.
-    """
-    seeds = np.arange(n) if seeds is None else seeds
-    labels = np.full(n + 1, n)  # entry n stands for "not reached"
-    labels[seeds] = seeds
-    while True:
-        new = labels.copy()
-        np.minimum.at(new, rows, labels[cols])
-        np.minimum.at(new, cols, labels[rows])
-        new = new[new]
-        if np.array_equal(new, labels):
-            break
-        labels = new
-    smallest = np.full(n + 1, n)
-    reached = np.flatnonzero(labels[:n] < n)
-    np.minimum.at(smallest, labels[reached], reached)
-    return smallest[labels[:n]]
 
 
 def _group_by_size(labels: np.ndarray) -> list[np.ndarray]:
@@ -390,36 +363,25 @@ def _apply(sectors: Sectors, v: np.ndarray) -> np.ndarray:
 
 
 def build_hamiltonian(device: DeviceModel) -> np.ndarray:
-    """H = sum_j nu_j Z_0 Z_j on N+1 qubits (rotating frame)."""
+    """Diagonal of H = sum_j nu_j Z_0 Z_j on N+1 qubits (rotating frame),
+    over the basis indices; H has no other entries."""
     n = device.n_qubits
-    dim = 2 ** n
-    h = np.zeros((dim, dim), dtype=complex)
-    # The embedded Z matrices are diagonal, so their product is elementwise.
-    z0 = ops.embed(Z, 0, n)
+    index = np.arange(2 ** n)
+
+    def z(site):  # Z of qubit `site` on each basis state
+        return 1 - 2 * ((index >> (n - 1 - site)) & 1)
+
+    h = np.zeros(2 ** n)
     for j, (_, nu) in enumerate(device.spectators, start=1):
-        h = h + nu * (z0 * ops.embed(Z, j, n))
+        h = h + nu * (z(0) * z(j))
     return h
 
 
 def build_liouvillian(device: DeviceModel,
                       seeds: np.ndarray | None = None) -> LiouvillianBundle:
-    """L = -i[H, .] + sum_j (gamma_j D[sigma-_j] + (gamma_phi_j / 2) D[Z_j]).
-
-    The Z dissipator dephases coherences at twice its rate, so the factor of
-    one half keeps gamma_phi equal to the pure dephasing rate and preserves
-    1/T2 = gamma_phi + gamma/2 across all engines.  With `seeds`, the bundle
-    holds only the sectors of those vec(rho) indices (`LiouvillianBundle`).
-    """
-    n = device.n_qubits
-    h = build_hamiltonian(device)
-    jumps: list[tuple[float, np.ndarray]] = []
-    all_qubits = [device.control] + [q for q, _ in device.spectators]
-    for j, q in enumerate(all_qubits):
-        if q.gamma > 0:
-            jumps.append((q.gamma, ops.embed(SIGMA_MINUS, j, n)))
-        if q.gamma_phi > 0:
-            jumps.append((q.gamma_phi / 2.0, ops.embed(Z, j, n)))
-    return LiouvillianBundle(h, jumps, seeds)
+    """The device's `LiouvillianBundle`; with `seeds`, it holds only the
+    sectors of those vec(rho) indices."""
+    return LiouvillianBundle(device, seeds)
 
 
 def validate_density_matrix(rho: np.ndarray) -> None:
@@ -461,9 +423,11 @@ def propagate(bundle: LiouvillianBundle, rho0: np.ndarray,
     in the last bits. Each step is then off by at most 5e-13 of its length,
     far below any engine-agreement tolerance; apart from that, the only
     error is floating point. Pulse times must form a `PulseSequence` over
-    [0, max(times)]: strictly increasing inside (0, max(times)).  A bundle
-    built with seeds evolves only its sectors: after the first step, the
-    returned matrices are 0 on every vec(rho) index outside them.
+    [0, max(times)]: strictly increasing inside (0, max(times)).  At a grid
+    time equal to a pulse time, the returned state is the one before that
+    pulse.  A bundle built with seeds evolves only its sectors: after the
+    first step, the returned matrices are 0 on every vec(rho) index outside
+    them.
     """
     times = time_grid(times)
     validate_density_matrix(rho0)
@@ -480,9 +444,12 @@ def _evolve(bundle: LiouvillianBundle, v: np.ndarray, times: np.ndarray,
     caller has checked the grid, the state and the pulse train."""
     if pulses:
         perm = _pulse_permutation(bundle.dim)
-    # Merge grid times and pulse times into one ordered event list.
-    events = sorted([(t, "grid") for t in times]
-                    + [(t, "pulse") for t in pulses])
+    # Merge grid times and pulse times into one ordered event list; a grid
+    # time equal to a pulse time comes first, and reads the state before
+    # the pulse.
+    grid, pulse = 0, 1
+    events = sorted([(t, grid) for t in times]
+                    + [(t, pulse) for t in pulses])
     step_cache: dict[float, Sectors] = {}
     t_now = 0.0
     for t_ev, kind in events:
@@ -493,7 +460,7 @@ def _evolve(bundle: LiouvillianBundle, v: np.ndarray, times: np.ndarray,
                 step_cache[key] = _step_propagator(bundle, key)
             v = _apply(step_cache[key], v)
             t_now = t_ev
-        if kind == "pulse":
+        if kind == pulse:
             v = v[perm]
         else:
             yield v
@@ -531,16 +498,17 @@ def lindblad_trace(device: DeviceModel, s: SpectatorInit, times,
     `trajectory.ensemble_trace`.  The engine reads the coherence from
     vec(rho) at each grid time, sum_k v[(d/2 + k) d + k] (the entries
     rho[k, d/2 + k] that `control_coherence` sums), and holds no density
-    matrix per point.  The bundle holds only the sector of those entries
-    and the sector a pulse maps it to: the values are those of the full
-    bundle to the last bit.
+    matrix per point.  The bundle holds only the sector of those entries,
+    and with `cpmg_order` set also the sector a pulse maps it to: the
+    values are those of the full bundle to the last bit.
     """
     times = time_grid(times)
     d = 2 ** device.n_qubits
     k = np.arange(d // 2)
     read = (d // 2 + k) * d + k
-    bundle = build_liouvillian(
-        device, np.concatenate([read, _pulse_permutation(d)[read]]))
+    seeds = (read if cpmg_order is None
+             else np.concatenate([read, _pulse_permutation(d)[read]]))
+    bundle = build_liouvillian(device, seeds)
     v0 = ops.vectorize(ramsey_initial_state(device, s))
 
     def coherence(v: np.ndarray) -> complex:

@@ -16,8 +16,8 @@ from click.testing import CliRunner
 
 import sdid
 from sdid import (ConfigError, average_survival, config_from_dict,
-                  device_from_dict, device_to_dict, fit_exponential,
-                  load_config, nu_from_4nu_khz)
+                  device_from_dict, fit_exponential, load_config,
+                  nu_from_4nu_khz)
 from sdid.cli import _json, main
 from sdid.fitting import MAX_RMS_RESIDUAL
 
@@ -427,35 +427,56 @@ def test_cli_notes_a_curve_that_does_not_decay(tmp_path):
         assert json.loads(result.output) == {"fits": meta["fits"]}
 
 
-def test_device_round_trips_through_config_units():
-    device = device_from_dict(DEVICE_B)
-    again = device_from_dict(device_to_dict(device))
-    assert np.isclose(again.control.gamma, device.control.gamma)
-    assert np.isclose(again.control.gamma_tilde, device.control.gamma_tilde)
-    for (q1, nu1), (q2, nu2) in zip(device.spectators, again.spectators):
-        assert np.isclose(q1.gamma, q2.gamma)
-        assert np.isclose(q1.gamma_tilde, q2.gamma_tilde)
-        assert np.isclose(nu1, nu2)
-    # A label reads back as written, "" included; an absent one stays absent.
+def test_sidecar_records_the_device_as_written(tmp_path):
+    # Labels included: an empty one, one that repeats another qubit's, and
+    # an absent one, which stays absent.
     spectators = [dict(spec) for spec in DEVICE_B["spectators"]]
     spectators[0]["label"] = ""
     spectators[2]["label"] = "s1"
     labelled = dict(DEVICE_B, spectators=spectators)
-    written = device_to_dict(device_from_dict(labelled))
-    assert [("label" in q, q.get("label")) for q in
-            [written["control"]] + written["spectators"]] == [
-                (False, None), (True, ""), (False, None), (True, "s1")]
-    assert device_to_dict(device_from_dict(written)) == written
-    again = device_from_dict(written)
+    cfg = _write_config(tmp_path / "b.json", labelled)
+    out = tmp_path / "ramsey.csv"
+    result = CliRunner().invoke(main, ["ramsey", "--config", cfg, "--points",
+                                       "11", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    resolved = json.loads(Path(f"{out}.meta.json").read_text())[
+        "resolved_config"]
+    assert resolved["device"] == labelled
+    again = device_from_dict(resolved["device"])
     assert [q.label for q, _ in again.spectators] == [
         "", "device.spectators[1]", "s1"]
 
 
+def test_sidecar_of_a_many_digit_device_reruns_the_run(tmp_path):
+    # A number with more digits than a rate reads back from: re-derived
+    # from the rate and rounded, it would give other rates and other rows.
+    spectators = [dict(spec) for spec in DEVICE_B["spectators"]]
+    spectators[2]["t1_us"] = 123.456789012345
+    cfg = _write_config(tmp_path / "b.json",
+                        dict(DEVICE_B, spectators=spectators))
+    for name, args in (("ramsey", ["--engines", "analytic,lindblad"]),
+                       ("cpmg", ["--orders", "0,4"]),
+                       ("rb", ["--init", "plus"])):
+        out = tmp_path / f"{name}.csv"
+        result = CliRunner().invoke(main, [name, "--config", cfg] + args
+                                    + ["--out", str(out)])
+        assert result.exit_code == 0, result.output
+        meta = json.loads(Path(f"{out}.meta.json").read_text())
+        again_cfg = tmp_path / f"{name}.resolved.json"
+        again_cfg.write_text(json.dumps(meta["resolved_config"]))
+        again = tmp_path / f"{name}.again.csv"
+        result = CliRunner().invoke(main, [name, "--config", str(again_cfg),
+                                           "--out", str(again)])
+        assert result.exit_code == 0, (name, result.output)
+        assert again.read_bytes() == out.read_bytes(), name
+        assert meta["resolved_config"]["device"]["spectators"][2][
+            "t1_us"] == 123.456789012345
+
+
 def test_sidecar_config_reruns_the_run(tmp_path):
     # A sidecar's resolved_config is a config file: fed back through
-    # --config, it reproduces the run's CSV byte for byte.  Its device holds
-    # each number as written: re-derived from a rate and rounded to 12
-    # significant digits, 141.0 reads 141.0, not 140.99999999999997.
+    # --config, it reproduces the run's CSV byte for byte.  Its device is
+    # the one written.
     for label, device in (("a", DEVICE_A), ("b", DEVICE_B)):
         cfg = _write_config(tmp_path / f"{label}.json", device)
         for name, args in (
@@ -474,11 +495,7 @@ def test_sidecar_config_reruns_the_run(tmp_path):
                 # derive reads no device, so its sidecar records none.
                 assert resolved is None, label
             else:
-                # Each qubit reads every number written, unchanged.
-                for written, read in zip(
-                        [device["control"], *device["spectators"]],
-                        [resolved["control"], *resolved["spectators"]]):
-                    assert read | written == read, (label, name)
+                assert resolved == device, (label, name)
             again_cfg = tmp_path / f"{label}_{name}.resolved.json"
             again_cfg.write_text(json.dumps(meta["resolved_config"]))
             again = tmp_path / f"{label}_{name}.again.csv"

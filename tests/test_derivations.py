@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from sdid import (LiouvillianBundle, RateMatrix, bohr_spectrum, build_bmpsa,
-                  build_cetcg, cetcg_rate, choi_matrix, cluster_bohr,
-                  two_qubit_cetcg_reference, two_qubit_coupling,
-                  two_qubit_hamiltonian)
+from sdid import (DissipativeGenerator, RateMatrix, bohr_spectrum,
+                  build_bmpsa, build_cetcg, cetcg_rate, choi_matrix,
+                  cluster_bohr, two_qubit_cetcg_reference,
+                  two_qubit_coupling, two_qubit_hamiltonian)
 from sdid import operators as ops
 from sdid.derivations import sinc, two_qubit_kossakowski
 
@@ -28,7 +28,7 @@ def _secular_reference(terms, gamma0):
     only (zero temperature), and no Hamiltonian."""
     d = terms[0].op.shape[0]
     jumps = [(gamma0, t.op) for t in terms if t.frequency > 0]
-    return LiouvillianBundle(np.zeros((d, d), dtype=complex), jumps)
+    return DissipativeGenerator(tuple(jumps), d)
 
 
 def test_sinc_convention():

@@ -4,7 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.csgraph
 
+from conftest import _with_spectators
 from sdid import (DeviceModel, EnsembleSpec, LiouvillianBundle,
                   PhysicalityError, QubitParams, bohr_spectrum, build_bmpsa,
                   build_cetcg, build_cpmg, build_hamiltonian,
@@ -36,6 +39,13 @@ def _superop_from_terms(h: np.ndarray, jumps) -> np.ndarray:
         term *= rate
         total += term
     return total
+
+
+def _dense_terms(bundle):
+    """A device bundle's H and jumps as dense d x d matrices."""
+    n = bundle.device.n_qubits
+    return np.diag(bundle.hamiltonian), [
+        (rate, ops.embed(x, site, n)) for rate, site, x in bundle.jump_terms]
 
 
 def dissipator_superop(op: np.ndarray) -> np.ndarray:
@@ -77,12 +87,12 @@ def test_hamiltonian_single_spectator_is_diagonal_zz():
     device = DeviceModel(control=QubitParams(),
                          spectators=((QubitParams(), nu),))
     h = build_hamiltonian(device)
-    assert np.allclose(h, np.diag([nu, -nu, -nu, nu]))
+    assert np.allclose(h, [nu, -nu, -nu, nu])
 
 
 def test_hamiltonian_is_the_dense_product_sum_bit_for_bit():
-    # Each term's embedded Z matrices are diagonal, so their elementwise
-    # product gives the bits of sum_j nu_j embed(Z, 0) @ embed(Z, j).
+    # The diagonal holds the bits of sum_j nu_j embed(Z, 0) @ embed(Z, j),
+    # whose other entries are all zero.
     for n in range(1, 6):
         nus = [2.0 * np.pi * 1e4 * (1.0 + 0.137 * j) for j in range(n)]
         device = DeviceModel(control=QubitParams(), spectators=tuple(
@@ -91,14 +101,16 @@ def test_hamiltonian_is_the_dense_product_sum_bit_for_bit():
         z0 = ops.embed(ops.Z, 0, n + 1)
         for j, nu in enumerate(nus, start=1):
             dense = dense + nu * (z0 @ ops.embed(ops.Z, j, n + 1))
-        assert build_hamiltonian(device).tobytes() == dense.tobytes(), n
+        h = build_hamiltonian(device)
+        assert h.tobytes() == np.diag(dense).real.tobytes(), n
+        assert np.array_equal(np.diag(h), dense), n
 
 
 def test_hamiltonian_three_spectators_eigenvalues():
     nus = (1.0, 2.5, 4.0)
     device = DeviceModel(control=QubitParams(),
                          spectators=tuple((QubitParams(), nu) for nu in nus))
-    evals = np.sort(np.linalg.eigvalsh(build_hamiltonian(device)))
+    evals = np.sort(build_hamiltonian(device))
     expected = np.sort([s1 * nus[0] + s2 * nus[1] + s3 * nus[2]
                         for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)
                         for _ in (0,)] * 2)
@@ -130,12 +142,11 @@ def test_liouvillian_reassembles(device_a, device_b, device_b4):
     # qubit relaxes there are 3^(N+1) sectors, of widths 1 to 2^(N+1).
     for device in (device_a, device_b, device_b4):
         bundle = build_liouvillian(device)
-        dense = _superop_from_terms(bundle.hamiltonian, bundle.jump_terms)
+        dense = _superop_from_terms(*_dense_terms(bundle))
         assert np.array_equal(bundle.superop, dense)
     # The constructor finds the sectors; no caller can hand it others.
     with pytest.raises(TypeError):
-        LiouvillianBundle(bundle.hamiltonian, bundle.jump_terms,
-                          sectors=bundle.sectors)
+        LiouvillianBundle(device, sectors=bundle.sectors)
     for device in (device_b, device_b4):
         sectors = build_liouvillian(device).sectors
         n = device.n_qubits
@@ -144,28 +155,34 @@ def test_liouvillian_reassembles(device_a, device_b, device_b4):
                                                         for k in range(n + 1)]
 
 
-def test_pattern_edges_are_the_couplings_of_distinct_indices(device_b4):
-    # With a dense h and jump, the edges are exactly the off-diagonal
-    # pattern of the Liouvillian: no pair joins an index to itself.
-    rng = np.random.default_rng(8)
-    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    h = h + h.conj().T
-    x = rng.normal(size=(4, 4)) + 0j
-    rows, cols = model._pattern_edges(4, [h, 0.5 * x.conj().T @ x], [x])
-    assert not np.any(rows == cols)
-    dense = _superop_from_terms(h, [(1.0, x)])
-    np.fill_diagonal(dense, 0)
-    assert set(zip(rows, cols)) == set(zip(*np.nonzero(dense)))
-    # A ZZ Hamiltonian and the x^dag x of local jumps are diagonal, and a Z
-    # sandwich keeps every index, so at N = 4 only the five sigma-
-    # sandwiches join indices: 16^2 pairs each.
-    bundle = build_liouvillian(device_b4)
-    jumps = [op for _, op in bundle.jump_terms]
-    rows, cols = model._pattern_edges(
-        bundle.dim, [bundle.hamiltonian] + [x.conj().T @ x for x in jumps],
-        jumps)
-    assert not np.any(rows == cols)
-    assert rows.size == 5 * 16 ** 2
+def test_sectors_are_the_components_of_the_dense_liouvillian():
+    # The closed-form sectors, labelled by their smallest member, are the
+    # connected components of the off-diagonal pattern of the dense
+    # Liouvillian summed from the jumps, for N = 0 to 4 with each qubit's
+    # gamma and gamma_phi independently zero or not.  Every on/off pattern
+    # is tried up to N = 2, and six at random beyond.
+    rng = np.random.default_rng(26)
+    for n_spectators in range(5):
+        n = n_spectators + 1
+        patterns = (np.array(np.unravel_index(np.arange(4 ** n), (4,) * n)).T
+                    if n <= 3 else rng.integers(0, 4, size=(6, n)))
+        for pattern in patterns:
+            qubits = [QubitParams(gamma=1e4 * (1 + k) * (on & 1),
+                                  gamma_phi=3e3 * (1 + k) * (on >> 1))
+                      for k, on in enumerate(pattern)]
+            device = DeviceModel(control=qubits[0], spectators=tuple(
+                (q, 2e5 * (1 + k)) for k, q in enumerate(qubits[1:])))
+            bundle = build_liouvillian(device)
+            labels = np.empty(bundle.dim ** 2, dtype=int)
+            for idx, _ in bundle.sectors:
+                labels[idx] = idx[:, :1]
+            dense = _superop_from_terms(*_dense_terms(bundle))
+            np.fill_diagonal(dense, 0)
+            _, comp = scipy.sparse.csgraph.connected_components(
+                scipy.sparse.csr_matrix(dense != 0), directed=False)
+            smallest = np.full(comp.max() + 1, labels.size)
+            np.minimum.at(smallest, comp, np.arange(labels.size))
+            assert np.array_equal(labels, smallest[comp]), pattern
 
 
 def _coherence_seeds(d):
@@ -188,6 +205,9 @@ def test_seeded_bundle_keeps_the_sectors_that_hold_a_seed(device_a, device_b,
         assert [idx.shape for idx, _ in
                 build_liouvillian(device, coherence).sectors] == [
                     (2, 2 ** device.n_spectators)]
+        assert [idx.shape for idx, _ in build_liouvillian(
+            device, coherence[:full.dim // 2]).sectors] == [
+                (1, 2 ** device.n_spectators)]
         for seeds in (coherence, rng.choice(d2, 5, replace=False), [0],
                       np.arange(d2)):
             want = []
@@ -237,8 +257,8 @@ def test_master_equation_bundles_match_dense_reference():
                build_bmpsa(clusters, 1.0),
                build_cetcg(clusters, 1.0, 0.7)]
     for bundle in bundles:
-        dense = _superop_from_terms(bundle.hamiltonian, bundle.jump_terms)
-        assert np.max(np.abs(bundle.superop - dense)) <= 1e-15
+        dense = _superop_from_terms(np.zeros((4, 4)), bundle.jump_terms)
+        assert np.array_equal(bundle.superop, dense)
 
 
 def test_pulse_permutation_matches_dense_pulse_superop():
@@ -295,6 +315,19 @@ def test_hahn_echo_refocuses_static_spectator():
     T = 60e-6
     rho = propagate(bundle, rho0, [T], pulse_times=[T / 2])[0]
     assert np.isclose(abs(control_coherence(rho)), 0.5, atol=1e-12)
+
+
+def test_grid_time_at_a_pulse_reads_the_state_before_it(device_a):
+    # A Hahn echo sampled at T/2 and T: the T/2 point is the free evolution
+    # to T/2, and the T point the whole echo.
+    bundle = build_liouvillian(device_a)
+    rho0 = ramsey_initial_state(device_a, "1")
+    T = 60e-6
+    before, echo = propagate(bundle, rho0, [T / 2, T], pulse_times=[T / 2])
+    assert np.array_equal(before, propagate(bundle, rho0, [T / 2])[0])
+    assert np.array_equal(echo, propagate(bundle, rho0, [T],
+                                          pulse_times=[T / 2])[0])
+    assert not np.allclose(echo, propagate(bundle, rho0, [T])[0])
 
 
 def test_propagate_validates_pulses_and_grid():
@@ -368,7 +401,7 @@ def test_five_spectators_without_the_dense_superoperator(device_b5):
     # The dense 4096 x 4096 superoperator alone would take 268 MB, and a
     # 64 x 64 state per grid point 6.6 MB over 101 points.  The trace holds
     # neither: it reads the coherence from the vector at each point, so
-    # its peak is the operators and the two seeded sectors, about 2 MB.
+    # its peak is the sector labels and the seeded sectors, under 2 MB.
     s = "11111"
     times = np.linspace(0.0, 500e-6, 101)
     for order in (None, 4):
@@ -389,6 +422,29 @@ def test_five_spectators_without_the_dense_superoperator(device_b5):
     val, err = ensemble_coherence(device_b5, s, build_cpmg(T, 0),
                                   EnsembleSpec(n_traj=200_000, seed=3))
     assert abs(val - dense) <= 4.0 * err, (val, dense, err)
+
+
+def test_eight_spectators_without_any_d_by_d_operator(device_b5):
+    # At N = 8 a dense operator on the state is 512 x 512 (4 MB), and H,
+    # 18 jumps and their x^dag x / 2 would take 155 MB.  The bundle forms
+    # none: Ramsey steps one 256-wide sector, CPMG_4 (at six window
+    # lengths) two.
+    device = _with_spectators(device_b5, [(160e-6, 280e-6, 43.0),
+                                          (190e-6, 310e-6, 45.0),
+                                          (210e-6, 350e-6, 42.0)])
+    s = "1" * 8
+    for times, order in ((np.linspace(0.0, 500e-6, 101), None),
+                         (np.array([20.0, 56.0, 92.0, 128.0, 164.0, 200.0])
+                          * 1e-6, 4)):
+        tracemalloc.start()
+        try:
+            lindblad = lindblad_trace(device, s, times, order).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6, (order, peak)
+        analytic = ramsey_trace(device, s, times, order).values
+        assert np.max(np.abs(lindblad - analytic)) <= 1e-12, order
 
 
 def test_control_coherence_block_sum(rng):
