@@ -497,19 +497,26 @@ def lindblad_trace(device: DeviceModel, s: SpectatorInit, times,
     train over [0, T], as in `analytic.ramsey_trace` and
     `trajectory.ensemble_trace`.  The engine reads the coherence from
     vec(rho) at each grid time, sum_k v[(d/2 + k) d + k] (the entries
-    rho[k, d/2 + k] that `control_coherence` sums), and holds no density
-    matrix per point.  The bundle holds only the sector of those entries,
-    and with `cpmg_order` set also the sector a pulse maps it to: the
-    values are those of the full bundle to the last bit.
+    rho[k, d/2 + k] that `control_coherence` sums), and forms no density
+    matrix: vec(rho0) is written from its four entries.  The bundle holds
+    only the sector of those entries, and with `cpmg_order` set also the
+    sector a pulse maps it to: the values are those of the full bundle to
+    the last bit.
     """
     times = time_grid(times)
+    s = parse_spectator_init(s, device.n_spectators)
     d = 2 ** device.n_qubits
     k = np.arange(d // 2)
     read = (d // 2 + k) * d + k
     seeds = (read if cpmg_order is None
              else np.concatenate([read, _pulse_permutation(d)[read]]))
     bundle = build_liouvillian(device, seeds)
-    v0 = ops.vectorize(ramsey_initial_state(device, s))
+    # vec(rho0) of `ramsey_initial_state` without forming rho0: its only
+    # entries are rho0[a, b] = 1/2 for a, b in {s, s + d/2}, at b*d + a.
+    spec = sum(bit << j for j, bit in enumerate(reversed(s)))
+    ab = np.array([spec, spec + d // 2])
+    v0 = np.zeros(d * d, dtype=complex)
+    v0[(ab[:, None] * d + ab[None, :]).ravel()] = 0.5
 
     def coherence(v: np.ndarray) -> complex:
         return complex(v[read].sum())

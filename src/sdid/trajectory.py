@@ -25,12 +25,12 @@ engine reports, as the analytic and Lindblad engines do; the experimental
 Kernel design: one point builds the phase of all its shots in the imaginary
 part of the complex shot buffer, one decaying spectator at a time, in
 spectator order.  Each spectator's decay times are drawn from the point's
-stream in blocks of `_BLOCK` shots, so the draw temporaries stay in cache and
-no (spectators, shots) array is held; the blocks continue the Generator
-exactly, so they are the numbers a single draw would give.  With pulses,
-the segment of each decay time comes from a bucket table of at most
-4 x (pulses + 1) uniform buckets, plus a fixed number of exact correction
-steps, instead of a binary search; the result is the segment that
+stream in ceil(n_traj / `_BLOCK`) equal blocks, so the draw temporaries
+stay small and no (spectators, shots) array is held; the blocks continue
+the Generator exactly, so they are the numbers a single draw would give.
+With pulses, the segment of each decay time comes from a bucket table of
+at most 4 x (pulses + 1) uniform buckets, plus a fixed number of exact
+correction steps, instead of a binary search; the result is the segment that
 `np.searchsorted(seq.starts, t, "right") - 1` gives, so the phases are the
 same to the last bit.  Without pulses there is one segment and P(t) = t
 exactly, so a Ramsey point does no lookup: each block goes from the
@@ -57,10 +57,12 @@ import numpy as np
 from .model import (CoherenceTrace, DeviceModel, PulseSequence, SpectatorInit,
                     build_cpmg, parse_spectator_init, time_grid)
 
-# Shots per phase block.  The block's float temporaries (256 kB each) stay in
-# cache, and a block is long enough that the interpreter work per numpy call
-# is small next to the call itself, which worker threads run without the
-# interpreter lock.
+# Most shots per phase block; the shots are split into equal blocks of at
+# most this many (25,000 at 1e5 shots).  A block is long enough that the
+# interpreter work per numpy call is small next to the call itself, which
+# worker threads run without the interpreter lock.  A worker's block scratch
+# is 33 bytes per shot of one block, next to 16 bytes per shot of its n_traj
+# shots.
 _BLOCK = 32768
 
 
@@ -85,14 +87,16 @@ class EnsembleSpec:
 
 
 class _Workspace:
-    """Buffers of one worker: n_traj complex shots, and scratch for blocks
-    of up to `_BLOCK` shots.  Reused for every point the worker computes."""
+    """Buffers of one worker: n_traj complex shots, and scratch for one of
+    the ceil(n_traj / `_BLOCK`) equal blocks they are split into.  A
+    segment lookup keeps its bucket indices in `p`, as intp, until it fills
+    `p` with P.  Reused for every point the worker computes."""
 
     def __init__(self, n_traj: int):
         self.shots = np.empty(n_traj, dtype=complex)
-        self.block = block = min(n_traj, _BLOCK)
+        n_blocks = -(-n_traj // _BLOCK)
+        self.block = block = -(-n_traj // n_blocks)
         self.t, self.p, self.tmp = (np.empty(block) for _ in range(3))
-        self.bucket = np.empty(block, dtype=np.intp)
         self.seg = np.empty(block, dtype=np.intp)
         self.step = np.empty(block, dtype=bool)
 
@@ -121,7 +125,7 @@ class _Parity:
         self.scale = n_buckets / T
         self.last_bucket = n_buckets - 1
         home = np.empty(edges.size, dtype=np.intp)
-        self._bucket(edges, np.empty(edges.size), home)
+        self._bucket(edges, home)
         np.minimum(home, self.last_bucket, out=home)
         self.first = np.maximum(np.searchsorted(home, np.arange(n_buckets))
                                 - 1, 0)
@@ -129,16 +133,16 @@ class _Parity:
         shared[0] -= 1      # edge 0 is already bucket 0's first segment
         self.steps = int(shared.max())
 
-    def _bucket(self, t, tmp, out):
-        """floor(t * scale), unclamped: at t = T it may be one past the
-        last bucket."""
-        np.multiply(t, self.scale, out=tmp)
-        np.copyto(out, tmp, casting="unsafe")
+    def _bucket(self, t, out):
+        """floor(t * scale) into the intp array out, unclamped: at t = T it
+        may be one past the last bucket."""
+        np.multiply(t, self.scale, out=out, casting="unsafe")
 
     def segments(self, t, ws: _Workspace, m: int) -> np.ndarray:
-        """Segment index of each of the m times t (a view into ws)."""
-        tmp, bucket, seg = ws.tmp[:m], ws.bucket[:m], ws.seg[:m]
-        self._bucket(t, tmp, bucket)
+        """Segment index of each of the m times t (a view into ws).  The
+        buckets go in ws.p, which `__call__` fills only after this."""
+        tmp, bucket, seg = ws.tmp[:m], ws.p.view(np.intp)[:m], ws.seg[:m]
+        self._bucket(t, bucket)
         # mode="clip" clamps the buckets to the last one, as in __init__.
         np.take(self.first, bucket, out=seg, mode="clip")
         step = ws.step[:m]

@@ -318,7 +318,8 @@ def test_parity_kernel_matches_searchsorted_reference():
     assert trajectory._Parity(PulseSequence(1e-4)).steps == 0
 
 
-@pytest.mark.parametrize("n_traj", [1, 7, 8192, 8193, 20_000])
+@pytest.mark.parametrize("n_traj", [1, 7, 8192, 8193, 20_000,
+                                    2 * trajectory._BLOCK + 1])
 def test_ensemble_coherence_matches_reference(device_b, n_traj):
     device = _mixed_device(device_b)
     ens = EnsembleSpec(n_traj=n_traj, seed=31)
@@ -460,3 +461,5 @@ def test_workspace_does_not_grow_with_excited_spectators(device_b,
         finally:
             tracemalloc.stop()
     assert peaks["111"] <= 1.1 * peaks["100"], peaks
+    # 1.6 MB of shots and 0.825 MB of scratch for four 25,000-shot blocks.
+    assert peaks["111"] <= 2.7e6, peaks
