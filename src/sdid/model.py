@@ -17,19 +17,20 @@ holds H as its diagonal and each jump as a 2 x 2 operator on one qubit.
 Its sectors (sets of vec(rho) indices that no term connects to the rest)
 follow in closed form from one fact: relaxation of a qubit joins |1><1| to
 |0><0| on that qubit, and no other term joins two indices.  There are
-3^R 4^(N+1-R) sectors when R qubits relax, none wider than 2^R; each
-sector's block is computed from the local operators directly.  Blocks of
-one size are stacked, so a step exp(L dt) costs one stacked exponential and
-one batched matrix product per block size.  A pi pulse on the control is a
+3^R 4^(N+1-R) sectors when R qubits relax, none wider than 2^R.  Each
+sector is enumerated from its label; its block is a diagonal summed from
+the local operators plus relaxation's one-bit entries.  Blocks of one size
+are stacked, so a step exp(L dt) costs one stacked exponential and one
+batched matrix product per block size.  A pi pulse on the control is a
 permutation of vec(rho).  The dense matrix is assembled only when
 :attr:`LiouvillianBundle.superop` is read.
 
-Given seed indices, the bundle keeps only the sectors that hold a seed.
-`lindblad_trace` seeds it with the entries that `control_coherence` reads,
-one sector 2^N wide, and for a pulse train also with their images under a
-pi pulse, a second sector; either gives the full bundle's coherence to the
-last bit.  It reads the coherence from vec(rho) at each grid time and
-keeps no state per point; `propagate` returns the states.
+Given seed indices, the bundle enumerates only the sectors that hold a
+seed.  `lindblad_trace` seeds it with the entries that `control_coherence`
+reads, one sector 2^N wide, and for a pulse train also with their images
+under a pi pulse, a second sector; either gives the full bundle's
+coherence to the last bit.  It reads the coherence from vec(rho) at each
+grid time and keeps no state per point; `propagate` returns the states.
 
 Internal units: rates in 1/s, couplings nu in rad/s, times in s.
 """
@@ -234,16 +235,17 @@ class LiouvillianBundle:
     operator x on qubit `site` (0 is the control, the leading bit of a
     basis index).  No d x d operator is formed.
 
-    Each block entry is summed in a fixed order: the Hamiltonian's left and
-    right products, then per jump the sandwich, the anticommutator's left
-    and right products, the rate, and the total.  Each dissipator is
+    Each diagonal entry is summed in a fixed order: the Hamiltonian's left
+    and right products, then per jump the sandwich, the anticommutator's
+    left and right products, the rate, and the total.  Each dissipator is
     complete before it is scaled and added, so rate * D[x] keeps its trace
     cancellation exact instead of mixing the rates of different jumps.
 
-    With `seeds` (vec(rho) indices), only the sectors that hold a seed are
-    kept; they are those sectors of the full bundle, in the same order with
-    the same blocks.  L maps each sector into itself, so the kept ones
-    evolve exactly; `superop` and `propagate` give 0 on every other index.
+    With `seeds` (vec(rho) indices, integers in [0, d^2)), only the sectors
+    that hold a seed are kept; they are those sectors of the full bundle,
+    in the same order with the same blocks; empty seeds keep none.  L maps
+    each sector into itself, so the kept ones evolve exactly; `superop` and
+    `propagate` give 0 on every other index.
     """
 
     device: DeviceModel
@@ -256,31 +258,43 @@ class LiouvillianBundle:
     def __post_init__(self, seeds):
         device = self.device
         d = 2 ** device.n_qubits
-        jumps, relaxing = [], 0
+        jumps, relaxing, gamma = [], 0, np.zeros(d)
         for site, q in enumerate([device.control]
                                  + [q for q, _ in device.spectators]):
             if q.gamma > 0:
                 jumps.append((q.gamma, site, SIGMA_MINUS))
                 relaxing |= d >> (site + 1)
+                gamma[d >> (site + 1)] = q.gamma
             if q.gamma_phi > 0:
                 jumps.append((q.gamma_phi / 2.0, site, Z))
+        seeds = np.arange(d * d) if seeds is None else np.ravel(seeds)
+        if seeds.size and (seeds.dtype.kind not in "iu"
+                           or not 0 <= seeds.min() <= seeds.max() < d * d):
+            raise ValueError(f"seeds must be integers in [0, {d * d})")
         # Relaxation of qubit q joins the index i*d + j with bit q set in
         # both i and j to the one with it clear in both, and no other term
         # joins two indices.  So a sector is the indices that differ only
-        # in relaxing bits on which i and j agree, and its label, its
-        # smallest member, clears those bits.
-        i, j = np.divmod(np.arange(d * d), d)
-        free = ~(relaxing & ~(i ^ j))
-        labels = (i & free) * d + (j & free)
-        kept = (np.arange(d * d) if seeds is None
-                else np.flatnonzero(np.isin(labels, labels[seeds])))
-        groups = [kept[k] for k in _group_by_size(labels[kept])]
+        # in the relaxing bits on which i and j agree.  Its label, its
+        # smallest member, clears those bits, and its members add
+        # (d + 1) * S to it for the subsets S of them, S ascending.
+        i, j = np.divmod(seeds.astype(np.int64), d)
+        agree = relaxing & ~(i ^ j)
+        labels, first = np.unique((i & ~agree) * d + (j & ~agree),
+                                  return_index=True)
+        agree = agree[first]
+        width = sum(agree >> b & 1 for b in range(device.n_qubits))
         h = build_hamiltonian(device)
-        sectors = tuple((idx, _block_entries(idx, d, h, jumps))
-                        for idx in groups)
+        sectors = []
+        for k in np.unique(width):
+            idx, free = labels[width == k, None], agree[width == k]
+            for _ in range(k):
+                low = free & -free
+                free ^= low
+                idx = np.hstack([idx, idx + (d + 1) * low[:, None]])
+            sectors.append((idx, _block_entries(idx, d, h, jumps, gamma)))
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "jump_terms", tuple(jumps))
-        object.__setattr__(self, "sectors", sectors)
+        object.__setattr__(self, "sectors", tuple(sectors))
 
     @property
     def dim(self) -> int:
@@ -292,51 +306,36 @@ class LiouvillianBundle:
         return _assemble(self.dim ** 2, self.sectors)
 
 
-def _block_entries(idx: np.ndarray, d: int, h: np.ndarray,
-                   jumps) -> np.ndarray:
-    """Stacked Liouvillian blocks over the (m, n) vec(rho) index array idx.
+def _block_entries(idx: np.ndarray, d: int, h: np.ndarray, jumps,
+                   gamma: np.ndarray) -> np.ndarray:
+    """Stacked Liouvillian blocks over the (m, 2^k) array idx of sectors.
 
-    `h` is the diagonal of H and `jumps` the (rate, site, x) terms.  vec
-    index r = i*d + j as in ``s[i, j, k, l]`` of the dense d^2 x d^2 matrix
-    (row i*d + j, column k*d + l): rho -> a rho is a[j, l] where i == k,
-    rho -> rho b is b[k, i] where j == l, and x rho x^dag is
-    conj(x[i, k]) x[j, l].  An operator a on one qubit is a[p, q] of its
-    bits where the other bits agree, and 0 elsewhere.
+    `h` is the diagonal of H, `jumps` the (rate, site, x) terms and
+    `gamma[b]` the relaxation rate of bit b.  Member t = idx[:, t] is the
+    vec index i*d + j.  Its diagonal entry is -i h[j] + i h[i] plus, per
+    jump, rate * (conj(x[a, a]) x[b, b] + y[b, b] + y[a, a]), where
+    y = -x^dag x / 2 and a, b are the site's bits of i and j.  The only
+    other entries are relaxation's: member t | 2^q sets the sector's q-th
+    bit in both i and j of member t, and decays into it at that bit's rate.
     """
     i, j = np.divmod(idx, d)
-    ri, rj = i[:, :, None], j[:, :, None]
-    ci, cj = i[:, None, :], j[:, None, :]
-    same_i, same_j = ri == ci, rj == cj
-    diagonal = same_i & same_j
-
-    blocks = np.zeros(idx.shape + idx.shape[-1:], dtype=complex)
-    blocks += np.where(diagonal, (-1j * h)[rj], 0)
-    blocks += np.where(diagonal, (1j * h)[ri], 0)
+    diagonal = np.zeros(idx.shape, dtype=complex)
+    diagonal += (-1j * h)[j]
+    diagonal += (1j * h)[i]
     for rate, site, x in jumps:
         bit = d >> (site + 1)
-        bi, bj, bk, bl = ((a & bit) // bit for a in (ri, rj, ci, cj))
-        rest_ik, rest_jl = ((ri ^ ci) | bit) == bit, ((rj ^ cj) | bit) == bit
+        a, b = (i & bit) // bit, (j & bit) // bit
         minus_half = -0.5 * (x.conj().T @ x)
-        term = np.where(rest_ik & rest_jl, x.conj()[bi, bk] * x[bj, bl], 0)
-        term += np.where(same_i & rest_jl, minus_half[bj, bl], 0)
-        term += np.where(same_j & rest_ik, minus_half.T[bi, bk], 0)
-        term *= rate
-        blocks += term
+        diagonal += (x.conj()[a, a] * x[b, b] + minus_half[b, b]
+                     + minus_half[a, a]) * rate
+    blocks = np.zeros(idx.shape + idx.shape[-1:], dtype=complex)
+    t = np.arange(idx.shape[1])
+    blocks[:, t, t] = diagonal
+    for q in range(t.size.bit_length() - 1):
+        low = t[(t & 1 << q) == 0]
+        qbit = (idx[:, 1 << q] - idx[:, 0]) // (d + 1)
+        blocks[:, low, low | 1 << q] = gamma[qbit][:, None]
     return blocks
-
-
-def _group_by_size(labels: np.ndarray) -> list[np.ndarray]:
-    """The components as (m, n) index arrays, one per size n, ascending.
-
-    Each component's indices are in increasing order, and components of one
-    size are in the order of their smallest index.
-    """
-    order = np.argsort(labels, kind="stable")
-    cuts = np.flatnonzero(np.diff(labels[order])) + 1
-    by_size: dict[int, list[np.ndarray]] = {}
-    for comp in np.split(order, cuts):
-        by_size.setdefault(comp.size, []).append(comp)
-    return [np.array(by_size[n]) for n in sorted(by_size)]
 
 
 def _assemble(size: int, sectors: Sectors) -> np.ndarray:
@@ -403,10 +402,10 @@ def _pulse_permutation(d: int) -> np.ndarray:
     The pulse U = exp(-i pi/2 X) = -i X flips the control, the leading bit
     of a basis index j, so U[j, j ^ (d/2)] = -i for every j.  rho -> U rho
     U^dag then sends vec index i*d + j to ``v[perm]`` with perm =
-    (i ^ d/2)*d + (j ^ d/2); the phases cancel, since conj(-i)(-i) = 1.
+    (i ^ d/2)*d + (j ^ d/2), which is (i*d + j) ^ (d + 1)*(d/2); the phases
+    cancel, since conj(-i)(-i) = 1.
     """
-    flipped = np.arange(d) ^ (d // 2)
-    return (flipped[:, None] * d + flipped[None, :]).ravel()
+    return np.arange(d * d) ^ (d + 1) * (d // 2)
 
 
 def propagate(bundle: LiouvillianBundle, rho0: np.ndarray,
@@ -509,7 +508,7 @@ def lindblad_trace(device: DeviceModel, s: SpectatorInit, times,
     k = np.arange(d // 2)
     read = (d // 2 + k) * d + k
     seeds = (read if cpmg_order is None
-             else np.concatenate([read, _pulse_permutation(d)[read]]))
+             else np.concatenate([read, read ^ (d + 1) * (d // 2)]))
     bundle = build_liouvillian(device, seeds)
     # vec(rho0) of `ramsey_initial_state` without forming rho0: its only
     # entries are rho0[a, b] = 1/2 for a, b in {s, s + d/2}, at b*d + a.

@@ -160,8 +160,9 @@ def test_sectors_are_the_components_of_the_dense_liouvillian():
     # connected components of the off-diagonal pattern of the dense
     # Liouvillian summed from the jumps, for N = 0 to 4 with each qubit's
     # gamma and gamma_phi independently zero or not.  Every on/off pattern
-    # is tried up to N = 2, and six at random beyond.
-    rng = np.random.default_rng(26)
+    # is tried up to N = 2, and six at random beyond.  A bundle seeded with
+    # three random indices keeps the full bundle's sectors of those seeds.
+    rng, seed_rng = np.random.default_rng(26), np.random.default_rng(28)
     for n_spectators in range(5):
         n = n_spectators + 1
         patterns = (np.array(np.unravel_index(np.arange(4 ** n), (4,) * n)).T
@@ -173,6 +174,8 @@ def test_sectors_are_the_components_of_the_dense_liouvillian():
             device = DeviceModel(control=qubits[0], spectators=tuple(
                 (q, 2e5 * (1 + k)) for k, q in enumerate(qubits[1:])))
             bundle = build_liouvillian(device)
+            _assert_keeps_the_seeded_sectors(
+                device, bundle, seed_rng.choice(bundle.dim ** 2, 3))
             labels = np.empty(bundle.dim ** 2, dtype=int)
             for idx, _ in bundle.sectors:
                 labels[idx] = idx[:, :1]
@@ -209,17 +212,32 @@ def test_seeded_bundle_keeps_the_sectors_that_hold_a_seed(device_a, device_b,
             device, coherence[:full.dim // 2]).sectors] == [
                 (1, 2 ** device.n_spectators)]
         for seeds in (coherence, rng.choice(d2, 5, replace=False), [0],
-                      np.arange(d2)):
-            want = []
-            for idx, blocks in full.sectors:
-                hit = np.isin(idx, seeds).any(axis=1)
-                if hit.any():
-                    want.append((idx[hit], blocks[hit]))
-            got = build_liouvillian(device, seeds).sectors
-            assert len(got) == len(want)
-            for (idx, blocks), (want_idx, want_blocks) in zip(got, want):
-                assert np.array_equal(idx, want_idx)
-                assert np.array_equal(blocks, want_blocks)
+                      np.arange(d2), []):
+            _assert_keeps_the_seeded_sectors(device, full, seeds)
+        # Seeds are vec(rho) indices, integers in [0, d^2).
+        for seeds in ([-1], [d2], [3.5]):
+            with pytest.raises(ValueError, match="seeds"):
+                build_liouvillian(device, seeds)
+    # Empty seeds keep no sector, and the state goes to 0.
+    empty = build_liouvillian(device_a, [])
+    assert empty.sectors == ()
+    rho, = propagate(empty, ramsey_initial_state(device_a, "1"), [1e-6])
+    assert not rho.any()
+
+
+def _assert_keeps_the_seeded_sectors(device, full, seeds):
+    # The seeded bundle holds the full bundle's sectors that hold a seed,
+    # in its order, with its blocks.
+    want = []
+    for idx, blocks in full.sectors:
+        hit = np.isin(idx, seeds).any(axis=1)
+        if hit.any():
+            want.append((idx[hit], blocks[hit]))
+    got = build_liouvillian(device, seeds).sectors
+    assert len(got) == len(want)
+    for (idx, blocks), (want_idx, want_blocks) in zip(got, want):
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(blocks, want_blocks)
 
 
 @pytest.mark.parametrize("name",
@@ -405,7 +423,8 @@ def test_five_spectators_without_the_dense_superoperator(device_b5):
     # The dense 4096 x 4096 superoperator alone would take 268 MB, and a
     # 64 x 64 state per grid point 6.6 MB over 101 points.  The trace holds
     # neither: it reads the coherence from the vector at each point, so
-    # its peak is the sector labels and the seeded sectors, under 2 MB.
+    # its peak is a few vec(rho)-wide vectors and the seeded sectors, under
+    # 2 MB.
     s = "11111"
     times = np.linspace(0.0, 500e-6, 101)
     for order in (None, 4):
@@ -449,6 +468,18 @@ def test_eight_spectators_without_any_d_by_d_operator(device_b5):
         assert peak < 64e6, (order, peak)
         analytic = ramsey_trace(device, s, times, order).values
         assert np.max(np.abs(lindblad - analytic)) <= 1e-12, order
+    # A seeded build costs what it keeps: it enumerates its sectors from
+    # their labels and labels no other vec(rho) index.
+    coherence = _coherence_seeds(2 ** device.n_qubits)
+    for seeds in (coherence[:coherence.size // 2], coherence):
+        tracemalloc.start()
+        try:
+            bundle = build_liouvillian(device, seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(blocks.nbytes for _, blocks in bundle.sectors)
+        assert peak <= 1.5 * kept, (seeds.size, peak, kept)
 
 
 def test_control_coherence_block_sum(rng):
