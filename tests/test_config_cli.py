@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import textwrap
@@ -668,6 +669,47 @@ def test_cli_lindblad_csv_is_byte_identical(tmp_path):
         assert result.exit_code == 0, result.output
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_cli_rewrite_leaves_only_the_new_bytes(tmp_path):
+    # Outputs are rewritten in place; a shorter output written over a
+    # longer one must leave none of the old bytes behind.
+    cfg = _write_config(tmp_path / "a.json", DEVICE_A)
+    out, fresh = tmp_path / "r.csv", tmp_path / "fresh.csv"
+    for points, path in (("41", out), ("11", out), ("11", fresh)):
+        result = CliRunner().invoke(main, [
+            "ramsey", "--config", cfg, "--points", points,
+            "--engines", "analytic,lindblad", "--out", str(path)])
+        assert result.exit_code == 0, result.output
+    assert out.read_bytes() == fresh.read_bytes()
+    assert (Path(f"{out}.meta.json").read_bytes()
+            == Path(f"{fresh}.meta.json").read_bytes())
+    fit_out, fit_fresh = tmp_path / "fit.json", tmp_path / "fit_fresh.json"
+    fit_out.write_text("x" * 10000)
+    for path in (fit_out, fit_fresh):
+        result = CliRunner().invoke(main, ["fit", "--in", str(fresh),
+                                           "--out", str(path)])
+        assert result.exit_code == 0, result.output
+    assert fit_out.read_bytes() == fit_fresh.read_bytes()
+
+
+def test_cli_writes_to_a_device_and_creates_files_as_open_does(tmp_path):
+    # A device has no old bytes to cut, and cannot be truncated: writing to
+    # one succeeds.  A new regular file gets the mode open(path, "w") gives.
+    table = tmp_path / "derive.csv"
+    result = CliRunner().invoke(main, ["derive", "--nu-tauc", "0.1,10",
+                                       "--out", str(table)])
+    assert result.exit_code == 0, result.output
+    result = CliRunner().invoke(main, ["fit", "--in", str(table),
+                                       "--out", os.devnull])
+    assert result.exit_code == 0, result.output
+    assert result.output == f"wrote {os.devnull}\n"
+    reference = tmp_path / "reference"
+    with open(reference, "w"):
+        pass
+    mode = stat.S_IMODE(reference.stat().st_mode)
+    for path in (table, Path(f"{table}.meta.json")):
+        assert stat.S_IMODE(path.stat().st_mode) == mode, path
 
 
 def test_cli_cpmg_sweep(tmp_path):

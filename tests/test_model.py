@@ -194,7 +194,7 @@ def _coherence_seeds(d):
     read = np.zeros((d, d))
     read[:d // 2, d // 2:] = np.eye(d // 2)
     idx = np.flatnonzero(ops.vectorize(read))
-    return np.concatenate([idx, model._pulse_permutation(d)[idx]])
+    return np.concatenate([idx, idx ^ (d + 1) * (d // 2)])
 
 
 def test_seeded_bundle_keeps_the_sectors_that_hold_a_seed(device_a, device_b,
@@ -284,13 +284,13 @@ def test_master_equation_bundles_match_dense_reference():
 
 
 def test_pulse_permutation_matches_dense_pulse_superop():
-    # The pulse's phases cancel in U rho U^dag: the permutation alone, with
-    # ones and no sign, is the dense superoperator.
+    # The pulse's phases cancel in U rho U^dag: a permutation, with ones and
+    # no sign, is the dense superoperator.  Its columns are the pulse applied
+    # to each basis vector of vec(rho).
     for n_qubits in (1, 2, 3, 4):
-        d2 = 4 ** n_qubits
-        perm = model._pulse_permutation(2 ** n_qubits)
-        dense = np.zeros((d2, d2), dtype=complex)
-        dense[np.arange(d2), perm] = 1.0
+        d = 2 ** n_qubits
+        basis = np.eye(d * d, dtype=complex)
+        dense = np.column_stack([model._pulse(e, d) for e in basis])
         assert np.array_equal(dense, _pulse_superop(n_qubits))
 
 
