@@ -52,13 +52,17 @@ def _require_positive(value, name: str) -> float:
     return float(value)
 
 
-def _require_int(value, name: str, minimum: int) -> int:
-    """An integer >= minimum; 3.0 counts as 3."""
+def _require_int(value, name: str, minimum: int,
+                 below: int | None = None) -> int:
+    """An integer >= minimum, and < `below`, a power of two, if given;
+    3.0 counts as 3."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if (isinstance(value, bool) or not isinstance(value, int)
-            or value < minimum):
-        raise ConfigError(f"field {name!r} must be an integer >= {minimum}, "
+            or value < minimum or below is not None and value >= below):
+        rule = (f">= {minimum}" if below is None
+                else f"in [{minimum}, 2**{below.bit_length() - 1})")
+        raise ConfigError(f"field {name!r} must be an integer {rule}, "
                           f"got {value!r}")
     return value
 
@@ -81,17 +85,6 @@ def _require_entries(value, name: str, entry, distinct=False) -> tuple:
             if e in entries[:k]:
                 raise ConfigError(f"field {name!r} repeats entry {e!r}")
     return entries
-
-
-def _require_seed(value, name: str) -> int:
-    """A Philox key: an integer in [0, 2**128); 3.0 counts as 3."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if (isinstance(value, bool) or not isinstance(value, int)
-            or not 0 <= value < 2 ** 128):
-        raise ConfigError(f"field {name!r} must be an integer in "
-                          f"[0, 2**128), got {value!r}")
-    return value
 
 
 def _require_str(value, name: str, kind: str = "a string") -> str:
@@ -191,8 +184,8 @@ _FIELDS = {
     "lengths": (partial(_require_entries,
                         entry=partial(_require_int, minimum=1)), ("rb",)),
     "n_seq": (partial(_require_int, minimum=1), ()),
-    "n_traj": (partial(_require_int, minimum=1), ("ramsey",)),
-    "seed": (_require_seed, ("ramsey",)),
+    "n_traj": (partial(_require_int, minimum=2), ("ramsey",)),
+    "seed": (partial(_require_int, minimum=0, below=2 ** 128), ("ramsey",)),
     "tgate_ns": (_require_positive, ("rb",)),
     "frame": (partial(_require_choice, choices=FRAMES), ("rb",)),
     "engines": (partial(_require_entries, entry=_require_engine,

@@ -289,11 +289,6 @@ def two_qubit_cetcg_reference(nu: float, tau_c: float,
 def choi_matrix(superop: np.ndarray) -> np.ndarray:
     """Choi matrix sum_ij |i><j| (x) E(|i><j|) of a channel superoperator."""
     d = int(round(np.sqrt(superop.shape[0])))
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            e_ij = np.zeros((d, d), dtype=complex)
-            e_ij[i, j] = 1.0
-            out = ops.unvectorize(superop @ ops.vectorize(e_ij))
-            choi += np.kron(e_ij, out)
-    return choi
+    # Column stacking puts E(|i><j|)[k, l] at superop[l*d + k, j*d + i].
+    choi = superop.reshape((d,) * 4).transpose(3, 1, 2, 0)
+    return choi.reshape(d * d, d * d)

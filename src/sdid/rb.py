@@ -76,16 +76,9 @@ def conditional_channel(i: int, j: int, nu: float, gamma1: float,
                                                   label="spectator"), nu),))
     prop = ops.expm(build_liouvillian(device).superop * t_gate)
 
-    bra_j = (ops.KET_1 if j else ops.KET_0).conj().reshape(1, 2)
-    # vec index of the 4x4 rho decomposes as (c_col, s_col, c_row, s_row).
-    project = ops.kron_all([ops.I2, bra_j, ops.I2, bra_j])
-    ket_i = ops.KET_1 if i else ops.KET_0
-    rho_s = np.outer(ket_i, ket_i.conj())
-
-    lifted = np.empty((4, 4), dtype=complex)
-    for m in range(4):
-        rho_c = ops.unvectorize(np.eye(4)[m])
-        lifted[:, m] = project @ prop @ ops.vectorize(np.kron(rho_c, rho_s))
+    # vec index of the 4x4 rho decomposes as (c_col, s_col, c_row, s_row):
+    # keep spectator |j><j| out and |i><i| in, control axes free.
+    lifted = prop.reshape((2,) * 8)[:, j, :, j, :, i, :, i].reshape(4, 4)
     norm = lifted[0, 0].real
     if norm <= 1e-14:
         raise ForbiddenTransitionError(

@@ -286,6 +286,7 @@ def test_list_and_count_fields_name_the_field():
            ({"n_seq": 0}, "'n_seq'"),
            ({"n_seq": 2.5}, "'n_seq'"),
            ({"n_traj": "100"}, "'n_traj'"),
+           ({"n_traj": 1}, "'n_traj'"),
            ({"experiment": "cpmg", "points": 3}, "'points'"),
            ({"experiment": "rb", "lengths": [1, 5, 5, 1]}, "'lengths'")]
     for extra, field in bad:

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from sdid import (DissipativeGenerator, RateMatrix, bohr_spectrum,
-                  build_bmpsa, build_cetcg, cetcg_rate, choi_matrix,
-                  cluster_bohr, two_qubit_cetcg_reference,
+from sdid import (DeviceModel, DissipativeGenerator, QubitParams,
+                  RateMatrix, bohr_spectrum, build_bmpsa, build_cetcg,
+                  build_liouvillian, cetcg_rate, choi_matrix, cluster_bohr,
+                  conditional_channel, two_qubit_cetcg_reference,
                   two_qubit_coupling, two_qubit_hamiltonian)
 from sdid import operators as ops
 from sdid.derivations import sinc, two_qubit_kossakowski
@@ -257,3 +258,45 @@ def test_choi_of_identity_channel():
     choi = choi_matrix(np.eye(4, dtype=complex))
     evals = np.sort(np.linalg.eigvalsh(choi).real)
     assert np.allclose(evals, [0.0, 0.0, 0.0, 2.0], atol=1e-12)
+
+
+def test_choi_matrix_is_its_definition(rng):
+    """choi_matrix reads sum_ij |i><j| (x) E(|i><j|) off the superoperator;
+    it equals the sum built from d*d applications of E, bit for bit."""
+    for d in (2, 3, 4):
+        superop = (rng.standard_normal((d * d, d * d))
+                   + 1j * rng.standard_normal((d * d, d * d)))
+        expected = np.zeros((d * d, d * d), dtype=complex)
+        for i in range(d):
+            for j in range(d):
+                e_ij = np.zeros((d, d), dtype=complex)
+                e_ij[i, j] = 1.0
+                out = ops.unvectorize(superop @ ops.vectorize(e_ij))
+                expected += np.kron(e_ij, out)
+        assert choi_matrix(superop).tobytes() == expected.tobytes()
+
+
+def test_conditional_channel_is_the_projected_propagator(rng):
+    """The channel is <j|_s P(t) (rho_c (x) |i><i|) |j>_s over the four unit
+    rho_c, divided by its (0, 0) entry, the transition probability."""
+    for _ in range(6):
+        nu = float(rng.uniform(1e4, 2e5))
+        gamma1 = float(rng.uniform(1e3, 2e4))
+        t = float(rng.uniform(1e-8, 5e-7))
+        device = DeviceModel(
+            control=QubitParams(label="control"),
+            spectators=((QubitParams(gamma=gamma1, label="spectator"), nu),))
+        prop = ops.expm(build_liouvillian(device).superop * t)
+        for i, j in ((0, 0), (1, 1), (1, 0)):
+            ket_i = ops.KET_1 if i else ops.KET_0
+            bra_j = (ops.KET_1 if j else ops.KET_0).conj().reshape(1, 2)
+            project = ops.kron_all([ops.I2, bra_j, ops.I2, bra_j])
+            rho_s = np.outer(ket_i, ket_i.conj())
+            lifted = np.empty((4, 4), dtype=complex)
+            for m in range(4):
+                rho_c = ops.unvectorize(np.eye(4)[m])
+                lifted[:, m] = (project @ prop
+                                @ ops.vectorize(np.kron(rho_c, rho_s)))
+            chan = conditional_channel(i, j, nu, gamma1, t)
+            assert chan.norm == lifted[0, 0].real
+            assert np.array_equal(chan.superop, lifted / lifted[0, 0].real)
