@@ -181,10 +181,13 @@ _FIELDS = {
     "points": (partial(_require_int, minimum=1), ("ramsey", "cpmg")),
     "orders": (partial(_require_entries, distinct=True,
                        entry=partial(_require_int, minimum=0)), ("cpmg",)),
-    "lengths": (partial(_require_entries,
-                        entry=partial(_require_int, minimum=1)), ("rb",)),
+    # RB lengths become a numpy int64 array, which 2**63 overflows.
+    "lengths": (partial(_require_entries, entry=partial(
+        _require_int, minimum=1, below=2 ** 63)), ("rb",)),
     "n_seq": (partial(_require_int, minimum=1), ()),
-    "n_traj": (partial(_require_int, minimum=2), ("ramsey",)),
+    # Each trajectory worker holds 16 bytes of shots per trajectory: 268 MB
+    # at the bound.
+    "n_traj": (partial(_require_int, minimum=2, below=2 ** 24), ("ramsey",)),
     "seed": (partial(_require_int, minimum=0, below=2 ** 128), ("ramsey",)),
     "tgate_ns": (_require_positive, ("rb",)),
     "frame": (partial(_require_choice, choices=FRAMES), ("rb",)),

@@ -19,9 +19,13 @@ follow in closed form from one fact: relaxation of a qubit joins |1><1| to
 |0><0| on that qubit, and no other term joins two indices.  There are
 3^R 4^(N+1-R) sectors when R qubits relax, none wider than 2^R.  Each
 sector is enumerated from its label; its block is a diagonal summed from
-the local operators plus relaxation's one-bit entries.  Blocks of one size
-are stacked, so a step exp(L dt) costs one stacked exponential and one
-batched matrix product per block size.  A pi pulse on the control is a
+the local operators plus relaxation's one-bit entries.  Each block is a
+Kronecker sum of 2 x 2 upper-triangular terms, one per relaxing qubit q,
+whose diagonal entries differ by -gamma_q plus an imaginary ZZ phase, so
+it is diagonalizable.  The bundle diagonalizes each stack of blocks of one
+size once, B = V diag(lam) V^-1, and the state steps in those
+coordinates: exp(L dt) is exp(lam dt), for any dt (method 14 of Moler &
+Van Loan, SIAM Rev. 45, 3 (2003)).  A pi pulse on the control is a
 permutation of vec(rho).  The dense matrix is assembled only when
 :attr:`LiouvillianBundle.superop` is read.
 
@@ -38,6 +42,7 @@ Internal units: rates in 1/s, couplings nu in rad/s, times in s.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -305,6 +310,17 @@ class LiouvillianBundle:
         """Dense d^2 x d^2 Liouvillian, assembled from the blocks per read."""
         return _assemble(self.dim ** 2, self.sectors)
 
+    @cached_property
+    def eigensectors(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Each sector stack diagonalized, blocks = V diag(lam) V^-1: one
+        (indices, lam, V, V^-1) per block size, with lam of stack shape
+        (m, n), computed on the first read and kept."""
+        out = []
+        for idx, blocks in self.sectors:
+            lam, vecs = np.linalg.eig(blocks)
+            out.append((idx, lam, vecs, np.linalg.inv(vecs)))
+        return tuple(out)
+
 
 def _block_entries(idx: np.ndarray, d: int, h: np.ndarray, jumps,
                    gamma: np.ndarray) -> np.ndarray:
@@ -343,21 +359,6 @@ def _assemble(size: int, sectors: Sectors) -> np.ndarray:
     out = np.zeros((size, size), dtype=complex)
     for idx, blocks in sectors:
         out[idx[:, :, None], idx[:, None, :]] = blocks
-    return out
-
-
-def _step_propagator(bundle: LiouvillianBundle, dt: float) -> Sectors:
-    """exp(L dt) as blocks: one stacked exponential per block size."""
-    return tuple((idx, ops.expm(blocks * dt))
-                 for idx, blocks in bundle.sectors)
-
-
-def _apply(sectors: Sectors, v: np.ndarray) -> np.ndarray:
-    """Block-diagonal operator times vector, one batched product per size;
-    0 on the indices that no sector holds."""
-    out = np.zeros(v.shape, dtype=v.dtype)
-    for idx, blocks in sectors:
-        out[idx] = np.matmul(blocks, v[idx][:, :, None])[:, :, 0]
     return out
 
 
@@ -414,15 +415,20 @@ def propagate(bundle: LiouvillianBundle, rho0: np.ndarray,
               pulse_times: Sequence[float] | None = None) -> list[np.ndarray]:
     """Evolve rho0 under exp(L t), applying instantaneous control X pi pulses.
 
-    Returns the density matrix at each requested time. Time stepping uses
-    an exact matrix exponential per segment, taken block by block over the
-    Liouvillian's sectors. Segment steps are cached by their length
-    rounded to 12 significant digits, and a step advances by that rounded
-    length, so the segments of a uniform grid or the equal spacings of a
-    pulse train share one exponential even when their float lengths differ
-    in the last bits. Each step is then off by at most 5e-13 of its length,
-    far below any engine-agreement tolerance; apart from that, the only
-    error is floating point. Pulse times must form a `PulseSequence` over
+    Returns the density matrix at each requested time.  The state steps in
+    the eigenvectors of the Liouvillian's sector blocks
+    (`LiouvillianBundle.eigensectors`, computed once per bundle): a step
+    of any length dt multiplies its coordinates y = V^-1 x by exp(lam dt),
+    with no matrix exponential and no rounding of dt.  vec(rho) is formed
+    only at a grid time or a pulse, and a pulse projects it again.  Each
+    such round trip through V errs by about cond(V) times the machine
+    epsilon.  The eigenvectors of one relaxing qubit's 2 x 2 term have
+    condition number at most 1 + sqrt(2), reached when the term has no ZZ
+    phase, and V is their Kronecker product when the eigenvalues are
+    distinct: the worst sector of a full bundle reads 478 at N=6 (seven
+    relaxing qubits), while the sectors `lindblad_trace` keeps read
+    1.0-1.3 on device B plus up to seven spectators, and 1.2e3 with eight
+    uncoupled ones.  Pulse times must form a `PulseSequence` over
     [0, max(times)]: strictly increasing inside (0, max(times)).  At a grid
     time equal to a pulse time, the returned state is the one before that
     pulse.  A bundle built with seeds evolves only its sectors: after the
@@ -441,25 +447,36 @@ def propagate(bundle: LiouvillianBundle, rho0: np.ndarray,
 def _evolve(bundle: LiouvillianBundle, v: np.ndarray, times: np.ndarray,
             pulses: Sequence[float]) -> Iterator[np.ndarray]:
     """Yield vec(rho) at each grid time, as `propagate` describes; the
-    caller has checked the grid, the state and the pulse train."""
+    caller has checked the grid, the state and the pulse train.
+
+    Between events the state is its sector coordinates y = V^-1 x, one
+    (m, n) array per block size, and a step of any dt multiplies them by
+    exp(lam dt).  vec(rho), x = V y on the sectors and 0 elsewhere, is
+    formed only at a grid time or a pulse; after a pulse y is projected
+    again.  Until the first step, vec(rho) is the given v itself.
+    """
     # Merge grid times and pulse times into one ordered event list; a grid
     # time equal to a pulse time comes first, and reads the state before
     # the pulse.
     grid, pulse = 0, 1
     events = sorted([(t, grid) for t in times]
                     + [(t, pulse) for t in pulses])
-    step_cache: dict[float, Sectors] = {}
-    t_now = 0.0
+    sectors = bundle.eigensectors
+    y, t_now = None, 0.0
     for t_ev, kind in events:
-        dt = t_ev - t_now
-        if dt > 0:
-            key = float(f"{dt:.12g}")
-            if key not in step_cache:
-                step_cache[key] = _step_propagator(bundle, key)
-            v = _apply(step_cache[key], v)
-            t_now = t_ev
+        if t_ev > t_now:
+            if y is None:
+                y = [np.matmul(inv, v[idx][:, :, None])[:, :, 0]
+                     for idx, _, _, inv in sectors]
+            for yk, (_, lam, _, _) in zip(y, sectors):
+                yk *= np.exp(lam * (t_ev - t_now))
+            v, t_now = None, t_ev
+        if v is None:
+            v = np.zeros(bundle.dim ** 2, dtype=complex)
+            for yk, (idx, _, vecs, _) in zip(y, sectors):
+                v[idx] = np.matmul(vecs, yk[:, :, None])[:, :, 0]
         if kind == pulse:
-            v = _pulse(v, bundle.dim)
+            v, y = _pulse(v, bundle.dim), None
         else:
             yield v
 
@@ -467,10 +484,8 @@ def _evolve(bundle: LiouvillianBundle, v: np.ndarray, times: np.ndarray,
 def control_coherence(rho: np.ndarray) -> complex:
     """Tr[rho_01]: trace over spectators of the <0|.|1> control block."""
     rho = np.asarray(rho)
-    d = rho.shape[0]
-    ds = d // 2
-    block = rho[:ds, ds:]
-    return complex(np.trace(block))
+    ds = rho.shape[0] // 2
+    return complex(np.trace(rho[:ds, ds:]))
 
 
 def ramsey_initial_state(device: DeviceModel, s: SpectatorInit) -> np.ndarray:
@@ -515,17 +530,11 @@ def lindblad_trace(device: DeviceModel, s: SpectatorInit, times,
     ab = np.array([spec, spec + d // 2])
     v0 = np.zeros(d * d, dtype=complex)
     v0[(ab[:, None] * d + ab[None, :]).ravel()] = 0.5
-
-    def coherence(v: np.ndarray) -> complex:
-        return complex(v[read].sum())
-
     if cpmg_order is None:
-        values = [coherence(v) for v in _evolve(bundle, v0, times, ())]
+        states = _evolve(bundle, v0, times, ())
     else:
-        values = [coherence(v0)] * times.size
-        for k, T in enumerate(times):
-            if T > 0:
-                train = build_cpmg(T, cpmg_order).pulse_times
-                v, = _evolve(bundle, v0, times[k:k + 1], train)
-                values[k] = coherence(v)
-    return CoherenceTrace(times=times, values=2.0 * np.array(values))
+        states = (next(_evolve(bundle, v0, [T],
+                               build_cpmg(T, cpmg_order).pulse_times))
+                  if T > 0 else v0 for T in times)
+    values = np.array([v[read].sum() for v in states])
+    return CoherenceTrace(times=times, values=2.0 * values)

@@ -2,9 +2,10 @@
 tensor embedding, vectorization, superoperator helpers and a checked matrix
 exponential.
 
-The exponential takes any matrix, or a stack of equal-size matrices; the
-Lindblad engine in :mod:`sdid.model` exponentiates its sector blocks with
-it, and other callers pass small dense generators.  It is scaling and
+The exponential takes any matrix, or a stack of equal-size matrices;
+`rb.conditional_channel` exponentiates a dense two-qubit Liouvillian with
+it (the Lindblad engine in :mod:`sdid.model` steps in eigenvectors and
+takes no exponential of a matrix).  It is scaling and
 squaring with the degree-13 Pade approximant (Higham, SIAM J. Matrix Anal.
 Appl. 26, 1179 (2005)), written in numpy over the whole stack, so the
 package never loads scipy.  Each matrix gets its own scaling exponent, so

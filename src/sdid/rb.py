@@ -22,6 +22,12 @@ therefore 1/2 + 1/2 prod_{k<=m} p_k, and its average over histories is
 1/2 + 1/2 sum_branches w 1^T M^m e_branch, with M the transition matrix of
 the 2^N excited-spectator configurations weighted by each step's p.  Both
 engines show that RB is insensitive to spectator-decay-induced dephasing.
+
+The RB model leaves out the control's own T1 and T2 (141 and 241 us on the
+test suite's device B): every gate error comes from the spectators, while
+`sdid ramsey` includes the control's decay.  With the control's channel in
+each gate, a dense N=3 reference differed from `average_survival` by
+0.066-0.076 in survival at 20 ns gates, for every preparation and frame.
 """
 
 from __future__ import annotations

@@ -305,6 +305,37 @@ def test_list_and_count_fields_name_the_field():
     assert cfg.nu_tauc == (1.0, 0.5)
 
 
+@pytest.mark.parametrize("command, extra, field", [
+    (["ramsey", "--engines", "trajectory"], {"n_traj": 10 ** 15},
+     "'n_traj' must be an integer in [2, 2**24)"),
+    (["rb"], {"lengths": [1, 2, 2 ** 63]},
+     "'lengths[2]' must be an integer in [1, 2**63)")])
+def test_counts_over_their_bound_fail_before_any_allocation(
+        tmp_path, monkeypatch, command, extra, field):
+    # Past their bounds, these would end in a MemoryError from the
+    # trajectory workspace and an OverflowError from the RB length array.
+    # The config rejects them, so no engine is reached.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an engine ran")
+
+    monkeypatch.setattr(sdid.trajectory, "_Workspace", unreachable)
+    monkeypatch.setattr(sdid.rb, "_rb_lengths", unreachable)
+    cfg = _write_config(tmp_path / "a.json", DEVICE_A, spectator_init="1",
+                        **extra)
+    out = tmp_path / "x.csv"
+    result = CliRunner().invoke(main, command + ["--config", cfg,
+                                                 "--out", str(out)])
+    assert result.exit_code != 0
+    assert type(result.exception) is SystemExit
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"Error: field {field}")
+    assert not out.exists()
+    # The largest values below the bounds load.
+    cfg = config_from_dict({"device": DEVICE_A, "n_traj": 2 ** 24 - 1,
+                            "lengths": [1, 2, 2 ** 63 - 1]})
+    assert (cfg.n_traj, cfg.lengths[-1]) == (2 ** 24 - 1, 2 ** 63 - 1)
+
+
 @pytest.mark.parametrize("command, option, value", [
     ("cpmg", "--orders", "1,x"), ("rb", "--lengths", "1,20,x"),
     ("derive", "--nu-tauc", "0.1,x")])

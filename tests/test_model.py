@@ -12,9 +12,9 @@ from sdid import (DeviceModel, EnsembleSpec, LiouvillianBundle,
                   PhysicalityError, QubitParams, bohr_spectrum, build_bmpsa,
                   build_cetcg, build_cpmg, build_hamiltonian,
                   build_liouvillian, cluster_bohr, control_coherence,
-                  ensemble_coherence, lindblad_trace, parse_spectator_init,
-                  propagate, ramsey_initial_state, ramsey_trace,
-                  two_qubit_coupling, two_qubit_hamiltonian)
+                  ensemble_coherence, heuristic_rate, lindblad_trace,
+                  parse_spectator_init, propagate, ramsey_initial_state,
+                  ramsey_trace, two_qubit_coupling, two_qubit_hamiltonian)
 from sdid import model
 from sdid import operators as ops
 from sdid.model import validate_density_matrix
@@ -381,42 +381,69 @@ def test_propagate_takes_pulse_times_as_an_array(device_b):
     assert [r.tobytes() for r in got] == [r.tobytes() for r in want]
 
 
-def _count_step_propagators(monkeypatch):
-    """Count step propagators built, and record each exponential's width."""
-    calls, widths = [], []
-    original_step, original_expm = model._step_propagator, ops.expm
+def _count_diagonalizations(monkeypatch):
+    """Record each eigendecomposition's width; fail on any matrix exponential.
 
-    def counting_step(bundle, dt):
-        calls.append(dt)
-        return original_step(bundle, dt)
+    A bundle diagonalizes each of its sector stacks on first use and keeps
+    the factors: any step length is exp(lam dt) in those coordinates.
+    """
+    widths = []
+    original_eig = np.linalg.eig
 
-    def recording_expm(m):
-        widths.append(m.shape[-1])
-        return original_expm(m)
+    def counting_eig(a):
+        widths.append(a.shape[-1])
+        return original_eig(a)
 
-    monkeypatch.setattr(model, "_step_propagator", counting_step)
-    monkeypatch.setattr(ops, "expm", recording_expm)
-    return calls, widths
+    def no_expm(m):
+        raise AssertionError("the Lindblad engine called expm")
 
-
-def test_uniform_grid_costs_one_step_exponential(device_a, monkeypatch):
-    # linspace gives ten distinct float spacings; they round to one step.
-    calls, widths = _count_step_propagators(monkeypatch)
-    rho0 = ramsey_initial_state(device_a, "1")
-    propagate(build_liouvillian(device_a), rho0, np.linspace(0, 500e-6, 101))
-    assert len(calls) == 1
-    assert max(widths) <= 2 ** device_a.n_qubits
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    monkeypatch.setattr(ops, "expm", no_expm)
+    return widths
 
 
-def test_cpmg_train_costs_two_step_exponentials(device_a, monkeypatch):
-    # Order 4 at T: tau/2, four spacings tau, tau/2; tau = T/5.
-    calls, widths = _count_step_propagators(monkeypatch)
-    rho0 = ramsey_initial_state(device_a, "1")
-    T = 150e-6
-    pulses = build_cpmg(T, 4).pulse_times
-    propagate(build_liouvillian(device_a), rho0, [T], pulse_times=pulses)
-    assert len(calls) == 2
-    assert max(widths) <= 2 ** device_a.n_qubits
+def test_uniform_grid_costs_one_step_exponential(device_a, device_b,
+                                                 monkeypatch):
+    # linspace gives ten distinct float spacings; the bundle still
+    # diagonalizes each block size once and builds no step propagator.
+    widths = _count_diagonalizations(monkeypatch)
+    for device in (device_a, device_b):
+        s = "1" * device.n_spectators
+        bundle = build_liouvillian(device)
+        rho0 = ramsey_initial_state(device, s)
+        propagate(bundle, rho0, np.linspace(0, 500e-6, 101))
+        propagate(bundle, rho0, np.linspace(0, 300e-6, 37))
+        assert widths == [idx.shape[1] for idx, _ in bundle.sectors]
+        assert len(set(widths)) == len(widths)
+        assert max(widths) <= 2 ** device.n_qubits
+        # A Ramsey trace builds its own seeded bundle: one sector 2^N wide.
+        widths.clear()
+        lindblad_trace(device, s, np.linspace(0, 500e-6, 11))
+        assert widths == [2 ** device.n_spectators]
+        widths.clear()
+
+
+def test_cpmg_train_costs_two_step_exponentials(device_a, device_b,
+                                                monkeypatch):
+    # Order 4 at T: tau/2, four spacings tau, tau/2; tau = T/5.  Both step
+    # lengths, and any others, reuse one eigendecomposition per block size.
+    widths = _count_diagonalizations(monkeypatch)
+    for device in (device_a, device_b):
+        s = "1" * device.n_spectators
+        bundle = build_liouvillian(device)
+        rho0 = ramsey_initial_state(device, s)
+        T = 150e-6
+        propagate(bundle, rho0, [T], pulse_times=build_cpmg(T, 4).pulse_times)
+        propagate(bundle, rho0, [T / 3, T], pulse_times=[T / 2])
+        assert widths == [idx.shape[1] for idx, _ in bundle.sectors]
+        assert len(set(widths)) == len(widths)
+        assert max(widths) <= 2 ** device.n_qubits
+        # A pulse train's seeded bundle holds two sectors 2^N wide: one
+        # stack, one eigendecomposition.
+        widths.clear()
+        lindblad_trace(device, s, np.linspace(0, 500e-6, 11), 4)
+        assert widths == [2 ** device.n_spectators]
+        widths.clear()
 
 
 def test_five_spectators_without_the_dense_superoperator(device_b5):
@@ -452,9 +479,7 @@ def test_eight_spectators_without_any_d_by_d_operator(device_b5):
     # 18 jumps and their x^dag x / 2 would take 155 MB.  The bundle forms
     # none: Ramsey steps one 256-wide sector, CPMG_4 (at six window
     # lengths) two.
-    device = _with_spectators(device_b5, [(160e-6, 280e-6, 43.0),
-                                          (190e-6, 310e-6, 45.0),
-                                          (210e-6, 350e-6, 42.0)])
+    device = _eight_spectators(device_b5)
     s = "1" * 8
     for times, order in ((np.linspace(0.0, 500e-6, 101), None),
                          (np.array([20.0, 56.0, 92.0, 128.0, 164.0, 200.0])
@@ -480,6 +505,50 @@ def test_eight_spectators_without_any_d_by_d_operator(device_b5):
             tracemalloc.stop()
         kept = sum(blocks.nbytes for _, blocks in bundle.sectors)
         assert peak <= 1.5 * kept, (seeds.size, peak, kept)
+
+
+def _eight_spectators(device_b5):
+    return _with_spectators(device_b5, [(160e-6, 280e-6, 43.0),
+                                        (190e-6, 310e-6, 45.0),
+                                        (210e-6, 350e-6, 42.0)])
+
+
+@pytest.mark.parametrize("case", ["uncoupled", "identical", "t1_1us"])
+def test_eigenbasis_holds_in_its_worst_known_cases(device_b5, case):
+    # The engine steps in each sector's eigenvectors, so its error grows
+    # with cond(V).  Eight spectators, all excited: with nu = 0 the
+    # eigenvectors of each relaxing qubit are furthest from orthogonal
+    # (cond(V) about 1e3); eight copies of one spectator make the
+    # eigenvalues degenerate; T1 = 1 us puts relaxation far above the
+    # couplings (cond(V) about 9e2).  Both default windows: `sdid cpmg`'s
+    # five heuristic decay times, and `sdid ramsey`'s 500 us.
+    device = _eight_spectators(device_b5)
+    spectators = {
+        "uncoupled": [(q, 0.0) for q, _ in device.spectators],
+        "identical": [device.spectators[0]] * 8,
+        "t1_1us": [(QubitParams.from_times(t1=1e-6), nu)
+                   for _, nu in device.spectators]}[case]
+    device = DeviceModel(control=device.control, spectators=spectators)
+    s = "1" * 8
+    for tmax in (5.0 / heuristic_rate(device, s), 500e-6):
+        for order, points in ((None, 101), (4, 21)):
+            times = np.linspace(0.0, tmax, points)
+            lindblad = lindblad_trace(device, s, times, order).values
+            analytic = ramsey_trace(device, s, times, order).values
+            assert np.max(np.abs(lindblad - analytic)) <= 1e-12, (tmax,
+                                                                  order)
+
+
+def test_device_b_cpmg_window_matches_the_closed_form(device_b):
+    # The default `sdid cpmg` window, Ramsey and the orders of the cpmg
+    # scan: up to 322 steps and 161 pulses a point, each step of its own
+    # length.
+    s = "111"
+    times = np.linspace(0.0, 5.0 / heuristic_rate(device_b, s), 101)
+    for order in (None, 0, 1, 4, 16, 64, 160):
+        lindblad = lindblad_trace(device_b, s, times, order).values
+        analytic = ramsey_trace(device_b, s, times, order).values
+        assert np.max(np.abs(lindblad - analytic)) <= 1e-12, order
 
 
 def test_control_coherence_block_sum(rng):

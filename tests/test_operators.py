@@ -104,12 +104,15 @@ def _random_complex(rng, n):
 
 
 def test_expm_block_split_matches_full_expm(device_b):
-    # Device B's Liouvillian splits into 3^4 sectors, and its scattered
-    # block exponentials are the exponential of the dense matrix.
+    # Device B's Liouvillian splits into 3^4 sectors, and the exponentials
+    # of their blocks, V exp(lam dt) V^-1 from each block's
+    # eigendecomposition and scattered, are the exponential of the dense
+    # matrix.
     bundle = build_liouvillian(device_b)
     assert sum(idx.shape[0] for idx, _ in bundle.sectors) == 81
-    scattered = model._assemble(bundle.dim ** 2,
-                                model._step_propagator(bundle, 5e-6))
+    steps = tuple((idx, (vecs * np.exp(lam * 5e-6)[:, None, :]) @ inv)
+                  for idx, lam, vecs, inv in bundle.eigensectors)
+    scattered = model._assemble(bundle.dim ** 2, steps)
     full = scipy.linalg.expm(bundle.superop * 5e-6)
     assert np.max(np.abs(scattered - full)) <= 1e-13
 
