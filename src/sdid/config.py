@@ -31,6 +31,11 @@ from .rb import FRAMES, branch_weights
 
 SCHEMA_VERSION = "v1"
 VALID_ENGINES = ("analytic", "lindblad", "trajectory")
+# `rb` and the `lindblad` engine hold arrays of 4^N entries: (2^N, 2^N, N)
+# gate histories and their eigenvalues (168 MB complex at N = 10), and
+# 2^N-wide sector blocks and eigenvectors (16 MB each at N = 10).  Each
+# further spectator roughly quadruples their time and memory.
+MAX_SPECTATORS = 10
 
 
 class ConfigError(ValueError):
@@ -178,9 +183,13 @@ _FIELDS = {
                ("ramsey", "cpmg", "rb")),
     "spectator_init": (_require_str, ("ramsey", "cpmg", "rb")),
     "tmax_us": (_require_positive, ("ramsey", "cpmg")),
-    "points": (partial(_require_int, minimum=1), ("ramsey", "cpmg")),
-    "orders": (partial(_require_entries, distinct=True,
-                       entry=partial(_require_int, minimum=0)), ("cpmg",)),
+    # The Lindblad trace holds (sectors, 2^N, points) coordinates, 134 MB
+    # per sector at N = 10 and the bound, and the closed form a (points,
+    # segments) array per spectator, 134 MB at both bounds.
+    "points": (partial(_require_int, minimum=1, below=2 ** 13),
+               ("ramsey", "cpmg")),
+    "orders": (partial(_require_entries, distinct=True, entry=partial(
+        _require_int, minimum=0, below=2 ** 10)), ("cpmg",)),
     # RB lengths become a numpy int64 array, which 2**63 overflows.
     "lengths": (partial(_require_entries, entry=partial(
         _require_int, minimum=1, below=2 ** 63)), ("rb",)),
@@ -240,6 +249,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         **{name: check(data[name], name)
            for name, (check, _) in _FIELDS.items() if name in data})
 
+    user = ("'rb'" if experiment == "rb" else "the 'lindblad' engine"
+            if experiment == "ramsey" and "lindblad" in cfg.engines else None)
+    if user and cfg.device.n_spectators > MAX_SPECTATORS:
+        raise ConfigError(f"field 'device.spectators' may hold at most "
+                          f"{MAX_SPECTATORS} spectators for {user}, got "
+                          f"{cfg.device.n_spectators}")
     if "spectator_init" in reads:
         n = cfg.device.n_spectators
         if "spectator_init" not in data:

@@ -30,11 +30,14 @@ permutation of vec(rho).  The dense matrix is assembled only when
 :attr:`LiouvillianBundle.superop` is read.
 
 Given seed indices, the bundle enumerates only the sectors that hold a
-seed.  `lindblad_trace` seeds it with the entries that `control_coherence`
-reads, one sector 2^N wide, and for a pulse train also with their images
-under a pi pulse, a second sector; either gives the full bundle's
-coherence to the last bit.  It reads the coherence from vec(rho) at each
-grid time and keeps no state per point; `propagate` returns the states.
+seed.  `propagate` steps a state through a bundle's sectors event by
+event, and forms vec(rho) at each grid time and pulse.  `lindblad_trace`
+seeds its bundle with rho0's entry rho0[s, s + d/2], whose sector holds
+the coherence that `control_coherence` reads, and for a pulse train also
+with that entry's image under a pi pulse, whose sector is the first one's
+image, member for member.  CPMG_n at time T is T times the unit train, so
+it moves every grid point at once: one batched product per segment in the
+eigenbasis, and one fixed matrix V^-1 V[image] per pulse.
 
 Internal units: rates in 1/s, couplings nu in rad/s, times in s.
 """
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -415,46 +418,35 @@ def propagate(bundle: LiouvillianBundle, rho0: np.ndarray,
               pulse_times: Sequence[float] | None = None) -> list[np.ndarray]:
     """Evolve rho0 under exp(L t), applying instantaneous control X pi pulses.
 
-    Returns the density matrix at each requested time.  The state steps in
+    Returns the density matrix at each requested time, stepping event by
+    event; `lindblad_trace` instead moves every point of a grid of pulse
+    trains at once, with one fixed pulse map.  The state steps in
     the eigenvectors of the Liouvillian's sector blocks
     (`LiouvillianBundle.eigensectors`, computed once per bundle): a step
     of any length dt multiplies its coordinates y = V^-1 x by exp(lam dt),
-    with no matrix exponential and no rounding of dt.  vec(rho) is formed
-    only at a grid time or a pulse, and a pulse projects it again.  Each
-    such round trip through V errs by about cond(V) times the machine
-    epsilon.  The eigenvectors of one relaxing qubit's 2 x 2 term have
-    condition number at most 1 + sqrt(2), reached when the term has no ZZ
-    phase, and V is their Kronecker product when the eigenvalues are
-    distinct: the worst sector of a full bundle reads 478 at N=6 (seven
-    relaxing qubits), while the sectors `lindblad_trace` keeps read
-    1.0-1.3 on device B plus up to seven spectators, and 1.2e3 with eight
-    uncoupled ones.  Pulse times must form a `PulseSequence` over
-    [0, max(times)]: strictly increasing inside (0, max(times)).  At a grid
-    time equal to a pulse time, the returned state is the one before that
-    pulse.  A bundle built with seeds evolves only its sectors: after the
-    first step, the returned matrices are 0 on every vec(rho) index outside
-    them.
+    with no matrix exponential and no rounding of dt.  vec(rho), x = V y on
+    the sectors and 0 elsewhere, is formed only at a grid time or a pulse;
+    a pulse permutes it (`_pulse`) and it is projected again.  Each such
+    round trip through V errs by about cond(V) times the machine epsilon.
+    The eigenvectors of one relaxing qubit's 2 x 2 term have condition
+    number at most 1 + sqrt(2), reached when the term has no ZZ phase, and
+    V is their Kronecker product when the eigenvalues are distinct: the
+    worst sector of a full bundle reads 478 at N=6 (seven relaxing qubits),
+    while the sectors `lindblad_trace` keeps read 1.0-1.3 on device B plus
+    up to seven spectators, and 1.2e3 with eight uncoupled ones.  Pulse
+    times must form a `PulseSequence` over [0, max(times)]: strictly
+    increasing inside (0, max(times)).  At a grid time equal to a pulse
+    time, the returned state is the one before that pulse.  Until the
+    first step, the state is vec(rho0) itself.  A bundle built with seeds
+    evolves only its sectors: after the first step, the returned matrices
+    are 0 on every vec(rho) index outside them.
     """
     times = time_grid(times)
     validate_density_matrix(rho0)
     pulses = () if pulse_times is None else tuple(pulse_times)
     if pulses:
         pulses = PulseSequence(times[-1], pulses).pulse_times
-    v0 = ops.vectorize(np.asarray(rho0, dtype=complex))
-    return [ops.unvectorize(v) for v in _evolve(bundle, v0, times, pulses)]
-
-
-def _evolve(bundle: LiouvillianBundle, v: np.ndarray, times: np.ndarray,
-            pulses: Sequence[float]) -> Iterator[np.ndarray]:
-    """Yield vec(rho) at each grid time, as `propagate` describes; the
-    caller has checked the grid, the state and the pulse train.
-
-    Between events the state is its sector coordinates y = V^-1 x, one
-    (m, n) array per block size, and a step of any dt multiplies them by
-    exp(lam dt).  vec(rho), x = V y on the sectors and 0 elsewhere, is
-    formed only at a grid time or a pulse; after a pulse y is projected
-    again.  Until the first step, vec(rho) is the given v itself.
-    """
+    v = ops.vectorize(np.asarray(rho0, dtype=complex))
     # Merge grid times and pulse times into one ordered event list; a grid
     # time equal to a pulse time comes first, and reads the state before
     # the pulse.
@@ -462,7 +454,7 @@ def _evolve(bundle: LiouvillianBundle, v: np.ndarray, times: np.ndarray,
     events = sorted([(t, grid) for t in times]
                     + [(t, pulse) for t in pulses])
     sectors = bundle.eigensectors
-    y, t_now = None, 0.0
+    states, y, t_now = [], None, 0.0
     for t_ev, kind in events:
         if t_ev > t_now:
             if y is None:
@@ -478,7 +470,8 @@ def _evolve(bundle: LiouvillianBundle, v: np.ndarray, times: np.ndarray,
         if kind == pulse:
             v, y = _pulse(v, bundle.dim), None
         else:
-            yield v
+            states.append(ops.unvectorize(v))
+    return states
 
 
 def control_coherence(rho: np.ndarray) -> complex:
@@ -504,37 +497,44 @@ def lindblad_trace(device: DeviceModel, s: SpectatorInit, times,
                    cpmg_order: int | None = None) -> CoherenceTrace:
     """Lindblad-engine trace over a grid of total times, starting at 1.
 
-    The value is 2 Tr[rho_01] (the raw initial coherence is 1/2), so it is
-    exactly 1 at t = 0.  Ramsey steps through the sorted grid once.  With
-    `cpmg_order` set, every T > 0 is stepped on its own under a CPMG_n
-    train over [0, T], as in `analytic.ramsey_trace` and
-    `trajectory.ensemble_trace`.  The engine reads the coherence from
-    vec(rho) at each grid time, sum_k v[(d/2 + k) d + k] (the entries
-    rho[k, d/2 + k] that `control_coherence` sums), and forms no density
-    matrix: vec(rho0) is written from its four entries.  The bundle holds
-    only the sector of those entries, and with `cpmg_order` set also the
-    sector a pulse maps it to: the values are those of the full bundle to
-    the last bit.
+    The value is 2 Tr[rho_01] (the raw initial coherence is 1/2), exactly 1
+    at t = 0.  With `cpmg_order` set, every T is the total time of its own
+    CPMG_n train, as in `analytic.ramsey_trace` and
+    `trajectory.ensemble_trace`; Ramsey is the train without pulses.
+
+    The bundle holds only the sector of rho0[s, s + d/2], the one entry
+    rho[k, d/2 + k] that `control_coherence` sums and rho0 sets, and for a
+    pulse train also the sector of its image under a pulse,
+    rho0[s + d/2, s]: the image of a sector is the one labelled
+    label ^ (d+1) d/2, with its members in the same order.  rho0 is
+    projected once onto their eigenvectors.  The train at T is T times the
+    unit train, so the coordinates of every grid point move at once, as
+    one (sectors, width, points) array: a segment of unit length dt
+    multiplies them by exp(lam dt T), and a pulse maps each sector's
+    coordinates to its image's by one fixed matrix, V^-1 V[image].  Every
+    member of the seed's sector is read, so the value is 2 times the sum
+    of V y over it.  No vec(rho)-wide vector and no density matrix is
+    formed.
     """
     times = time_grid(times)
     s = parse_spectator_init(s, device.n_spectators)
+    unit = build_cpmg(1.0, cpmg_order)
     d = 2 ** device.n_qubits
-    k = np.arange(d // 2)
-    read = (d // 2 + k) * d + k
-    seeds = (read if cpmg_order is None
-             else np.concatenate([read, read ^ (d + 1) * (d // 2)]))
-    bundle = build_liouvillian(device, seeds)
-    # vec(rho0) of `ramsey_initial_state` without forming rho0: its only
-    # entries are rho0[a, b] = 1/2 for a, b in {s, s + d/2}, at b*d + a.
     spec = sum(bit << j for j, bit in enumerate(reversed(s)))
-    ab = np.array([spec, spec + d // 2])
-    v0 = np.zeros(d * d, dtype=complex)
-    v0[(ab[:, None] * d + ab[None, :]).ravel()] = 0.5
-    if cpmg_order is None:
-        states = _evolve(bundle, v0, times, ())
-    else:
-        states = (next(_evolve(bundle, v0, [T],
-                               build_cpmg(T, cpmg_order).pulse_times))
-                  if T > 0 else v0 for T in times)
-    values = np.array([v[read].sum() for v in states])
-    return CoherenceTrace(times=times, values=2.0 * values)
+    seed = (spec + d // 2) * d + spec
+    seeds = np.array([seed, seed ^ (d + 1) * (d // 2)] if unit.pulse_times
+                     else [seed])
+    (idx, lam, vecs, inv), = build_liouvillian(device, seeds).eigensectors
+    y = np.matmul(inv, 0.5 * np.isin(idx, seeds)[:, :, None])
+    # A pulse train keeps two sectors, the seed's and its image's, in label
+    # order: each is the other's image, the stack reversed.
+    if unit.pulse_times:
+        pulse = np.matmul(inv, vecs[::-1])
+    for k, dt in enumerate(np.diff(np.append(unit.starts, 1.0))):
+        if k:
+            y = np.matmul(pulse, y[::-1])
+        y = y * np.exp(lam[:, :, None] * (dt * times))
+    # The seed's own sector, the last, holds the entries that are read.
+    values = 2.0 * np.matmul(vecs[-1].sum(axis=0), y[-1])
+    return CoherenceTrace(times=times,
+                          values=np.where(times > 0, values, 1.0))

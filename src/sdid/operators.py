@@ -2,14 +2,12 @@
 tensor embedding, vectorization, superoperator helpers and a checked matrix
 exponential.
 
-The exponential takes any matrix, or a stack of equal-size matrices;
-`rb.conditional_channel` exponentiates a dense two-qubit Liouvillian with
-it (the Lindblad engine in :mod:`sdid.model` steps in eigenvectors and
-takes no exponential of a matrix).  It is scaling and
-squaring with the degree-13 Pade approximant (Higham, SIAM J. Matrix Anal.
-Appl. 26, 1179 (2005)), written in numpy over the whole stack, so the
-package never loads scipy.  Each matrix gets its own scaling exponent, so
-a matrix of a stack comes out bitwise equal to its exponential taken alone.
+The exponential takes one square matrix; `rb.conditional_channel`
+exponentiates a dense two-qubit Liouvillian with it (the Lindblad engine
+in :mod:`sdid.model` steps in eigenvectors and takes no exponential of a
+matrix).  It is scaling and squaring with the degree-13 Pade approximant
+(Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)), written in numpy,
+so the package never loads scipy.
 
 Conventions used throughout the package:
 
@@ -126,11 +124,10 @@ def expm(m: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring with the [13/13] Pade
     approximant (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
 
-    Takes a square matrix or a stack (..., n, n) of them.  Each matrix A is
-    scaled by its own 2^-s, s = max(0, ceil(log2(||A||_1 / theta_13))), and
-    matrices that share s are evaluated together, so every matrix of a
-    stack comes out bitwise equal to its exponential taken alone.  Raises
-    ValueError on non-square or non-finite input.
+    Takes one square matrix A, scaled by 2^-s with
+    s = max(0, ceil(log2(||A||_1 / theta_13))): r13(A / 2^s) =
+    solve(V - U, V + U), squared s times.  Raises ValueError on input that
+    is not a square matrix or not finite.
 
     The exponent follows the 1-norm, so a matrix whose norm far exceeds
     the growth of its powers is over-scaled: on [[1, b], [0, -1]] the
@@ -138,25 +135,15 @@ def expm(m: np.ndarray) -> np.ndarray:
     The Lindblad sector blocks are far from that regime.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"expm expects square matrices, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expm expects a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("expm input contains non-finite entries")
-    n = m.shape[-1]
-    stack = m.reshape(-1, n, n)
-    norms = np.abs(stack).sum(axis=-2).max(axis=-1)
-    exponents = np.ceil(np.log2(np.maximum(norms / _THETA13, 1.0))).astype(int)
-    out = np.empty_like(stack)
-    for s in np.unique(exponents):
-        pick = exponents == s
-        out[pick] = _pade13_squared(stack[pick] / 2.0 ** s, int(s))
-    return out.reshape(m.shape)
-
-
-def _pade13_squared(a: np.ndarray, squarings: int) -> np.ndarray:
-    """r13(a) = solve(V - U, V + U) for a stack a, squared `squarings` times."""
+    norm = np.abs(m).sum(axis=0).max()
+    squarings = int(np.ceil(np.log2(max(norm / _THETA13, 1.0))))
+    a = m / 2.0 ** squarings
     b = _PADE13
-    eye = np.eye(a.shape[-1], dtype=complex)
+    eye = np.eye(m.shape[0], dtype=complex)
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2

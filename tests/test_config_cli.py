@@ -305,23 +305,40 @@ def test_list_and_count_fields_name_the_field():
     assert cfg.nu_tauc == (1.0, 0.5)
 
 
+def _spectators(n):
+    return {"control": {"t2_us": 127.0},
+            "spectators": [{"t1_us": 107.0, "zz_4nu_khz": 45.0}] * n}
+
+
 @pytest.mark.parametrize("command, extra, field", [
     (["ramsey", "--engines", "trajectory"], {"n_traj": 10 ** 15},
      "'n_traj' must be an integer in [2, 2**24)"),
     (["rb"], {"lengths": [1, 2, 2 ** 63]},
-     "'lengths[2]' must be an integer in [1, 2**63)")])
+     "'lengths[2]' must be an integer in [1, 2**63)"),
+    (["rb"], {"device": _spectators(11)},
+     "'device.spectators' may hold at most 10 spectators for 'rb'"),
+    (["ramsey", "--engines", "analytic,lindblad"],
+     {"device": _spectators(11), "spectator_init": "1" * 11},
+     "'device.spectators' may hold at most 10 spectators for the "
+     "'lindblad' engine"),
+    (["ramsey"], {"points": 2 ** 13},
+     "'points' must be an integer in [1, 2**13)"),
+    (["cpmg"], {"orders": [0, 2 ** 10]},
+     "'orders[1]' must be an integer in [0, 2**10)")])
 def test_counts_over_their_bound_fail_before_any_allocation(
         tmp_path, monkeypatch, command, extra, field):
-    # Past their bounds, these would end in a MemoryError from the
-    # trajectory workspace and an OverflowError from the RB length array.
-    # The config rejects them, so no engine is reached.
+    # Past their bounds, these would end in a MemoryError or an
+    # OverflowError in an engine, or in an out-of-memory kill.  The config
+    # rejects them, so no experiment runs.
     def unreachable(*args, **kwargs):
         raise AssertionError("an engine ran")
 
+    monkeypatch.setattr(sdid.cli, "_RUNNERS",
+                        dict.fromkeys(sdid.cli._RUNNERS, unreachable))
     monkeypatch.setattr(sdid.trajectory, "_Workspace", unreachable)
     monkeypatch.setattr(sdid.rb, "_rb_lengths", unreachable)
-    cfg = _write_config(tmp_path / "a.json", DEVICE_A, spectator_init="1",
-                        **extra)
+    cfg = _write_config(tmp_path / "a.json", **{
+        "device": DEVICE_A, "spectator_init": "1", **extra})
     out = tmp_path / "x.csv"
     result = CliRunner().invoke(main, command + ["--config", cfg,
                                                  "--out", str(out)])
@@ -332,8 +349,17 @@ def test_counts_over_their_bound_fail_before_any_allocation(
     assert not out.exists()
     # The largest values below the bounds load.
     cfg = config_from_dict({"device": DEVICE_A, "n_traj": 2 ** 24 - 1,
-                            "lengths": [1, 2, 2 ** 63 - 1]})
-    assert (cfg.n_traj, cfg.lengths[-1]) == (2 ** 24 - 1, 2 ** 63 - 1)
+                            "lengths": [1, 2, 2 ** 63 - 1],
+                            "points": 2 ** 13 - 1, "orders": [2 ** 10 - 1]})
+    assert (cfg.n_traj, cfg.lengths[-1], cfg.points, cfg.orders) == (
+        2 ** 24 - 1, 2 ** 63 - 1, 2 ** 13 - 1, (2 ** 10 - 1,))
+    for data in ({"experiment": "rb"}, {"engines": ["lindblad"]}):
+        cfg = config_from_dict({"device": _spectators(10), **data})
+        assert cfg.device.n_spectators == 10
+    # The closed form and the trajectories take any number of spectators.
+    cfg = config_from_dict({"device": _spectators(11),
+                            "engines": ["analytic", "trajectory"]})
+    assert cfg.device.n_spectators == 11
 
 
 @pytest.mark.parametrize("command, option, value", [

@@ -9,12 +9,13 @@ import scipy.sparse.csgraph
 
 from conftest import _with_spectators
 from sdid import (DeviceModel, EnsembleSpec, LiouvillianBundle,
-                  PhysicalityError, QubitParams, bohr_spectrum, build_bmpsa,
-                  build_cetcg, build_cpmg, build_hamiltonian,
-                  build_liouvillian, cluster_bohr, control_coherence,
-                  ensemble_coherence, heuristic_rate, lindblad_trace,
-                  parse_spectator_init, propagate, ramsey_initial_state,
-                  ramsey_trace, two_qubit_coupling, two_qubit_hamiltonian)
+                  PhysicalityError, PulseSequence, QubitParams,
+                  bohr_spectrum, build_bmpsa, build_cetcg, build_cpmg,
+                  build_hamiltonian, build_liouvillian, cluster_bohr,
+                  control_coherence, ensemble_coherence, heuristic_rate,
+                  lindblad_trace, parse_spectator_init, propagate,
+                  ramsey_initial_state, ramsey_trace, two_qubit_coupling,
+                  two_qubit_hamiltonian)
 from sdid import model
 from sdid import operators as ops
 from sdid.model import validate_density_matrix
@@ -243,32 +244,41 @@ def _assert_keeps_the_seeded_sectors(device, full, seeds):
 @pytest.mark.parametrize("name",
                          ["device_a", "device_b", "device_b4", "device_b5"])
 def test_lindblad_trace_is_the_full_bundle_coherence(name, request):
-    # Bit for bit: the seeded bundle steps only the sectors it reads.  The
-    # trace writes vec(rho0) itself, so a mixed preparation is checked too.
+    # The trace seeds its bundle with rho0's coherence entry, and for a
+    # pulse train also with that entry's image under a control pi pulse.
+    # `propagate` on that seeded bundle steps only the sectors it reads,
+    # so it gives the full bundle's coherence bit for bit.  The trace moves
+    # every point at once, in its own order of operations, so it is held
+    # to that coherence within 1e-14, and reads exactly 1 at t = 0.  Both
+    # preparations are checked, a mixed one too.
     device = request.getfixturevalue(name)
     n = device.n_spectators
     full = build_liouvillian(device)
+    flip = ops.embed(ops.X, 0, device.n_qubits)
     times = np.array([0.0, 40e-6, 130e-6])
     for s in (("01" * n)[:n], "1" * n):
         rho0 = ramsey_initial_state(device, s)
-        want = [2.0 * control_coherence(rho)
-                for rho in propagate(full, rho0, times)]
-        assert np.array_equal(lindblad_trace(device, s, times).values, want)
-        for order in (0, 3):
-            want = [2.0 * control_coherence(propagate(
-                full, rho0, [T],
-                pulse_times=build_cpmg(T, order).pulse_times)[0])
-                for T in times[1:]]
-            got = lindblad_trace(device, s, times[1:],
-                                 cpmg_order=order).values
-            assert np.array_equal(got, want)
-    # One pulse off the centre of the window, all spectators excited.
-    seeded = build_liouvillian(device, _coherence_seeds(full.dim))
-    T = times[-1]
-    got, want = (control_coherence(propagate(bundle, rho0, [T],
-                                             pulse_times=[T / 3])[0])
-                 for bundle in (seeded, full))
-    assert got == want
+        d = rho0.shape[0]
+        coherence = np.zeros_like(rho0)
+        coherence[:d // 2, d // 2:] = rho0[:d // 2, d // 2:]
+        seed = np.flatnonzero(ops.vectorize(coherence))
+        image = np.flatnonzero(ops.vectorize(flip @ coherence @ flip))
+        assert seed.size == image.size == 1
+        for order in (None, 0, 3):
+            seeded = build_liouvillian(
+                device, seed if order is None else np.append(seed, image))
+            trains = [build_cpmg(T, order) for T in times[1:]]
+            if order is not None:
+                # One pulse off the centre of the window.
+                trains.append(PulseSequence(times[-1], (times[-1] / 3,)))
+            want, got = ([control_coherence(propagate(
+                bundle, rho0, [seq.total_time], seq.pulse_times)[0])
+                for seq in trains] for bundle in (full, seeded))
+            assert got == want
+            trace = lindblad_trace(device, s, times, order).values
+            assert trace[0] == 1
+            assert np.max(np.abs(trace[1:] - 2.0 * np.array(
+                want[:times.size - 1]))) <= 1e-14, (s, order)
 
 
 def test_master_equation_bundles_match_dense_reference():
@@ -449,9 +459,8 @@ def test_cpmg_train_costs_two_step_exponentials(device_a, device_b,
 def test_five_spectators_without_the_dense_superoperator(device_b5):
     # The dense 4096 x 4096 superoperator alone would take 268 MB, and a
     # 64 x 64 state per grid point 6.6 MB over 101 points.  The trace holds
-    # neither: it reads the coherence from the vector at each point, so
-    # its peak is a few vec(rho)-wide vectors and the seeded sectors, under
-    # 2 MB.
+    # neither: its peak is the seeded sectors' blocks and eigenvectors and
+    # their coordinates at every point, under 2 MB.
     s = "11111"
     times = np.linspace(0.0, 500e-6, 101)
     for order in (None, 4):
@@ -478,7 +487,11 @@ def test_eight_spectators_without_any_d_by_d_operator(device_b5):
     # At N = 8 a dense operator on the state is 512 x 512 (4 MB), and H,
     # 18 jumps and their x^dag x / 2 would take 155 MB.  The bundle forms
     # none: Ramsey steps one 256-wide sector, CPMG_4 (at six window
-    # lengths) two.
+    # lengths) two.  The trace forms no vec(rho)-wide vector (4.2 MB
+    # each): its peak, about 3 MB for Ramsey and 7 MB for CPMG_4, is the
+    # blocks, eigenvectors, their inverses and the pulse map, 1 MB per
+    # sector each.  A trace that steps vec(rho) from event to event peaks
+    # at 16 MB for Ramsey and 23 MB for CPMG_4, so the bound catches it.
     device = _eight_spectators(device_b5)
     s = "1" * 8
     for times, order in ((np.linspace(0.0, 500e-6, 101), None),
@@ -490,7 +503,7 @@ def test_eight_spectators_without_any_d_by_d_operator(device_b5):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64e6, (order, peak)
+        assert peak < 12e6, (order, peak)
         analytic = ramsey_trace(device, s, times, order).values
         assert np.max(np.abs(lindblad - analytic)) <= 1e-12, order
     # A seeded build costs what it keeps: it enumerates its sectors from

@@ -158,24 +158,6 @@ def test_expm_matches_scipy_on_hard_matrices():
 
 def test_expm_of_zero_is_exactly_the_identity():
     assert np.array_equal(ops.expm(np.zeros((5, 5))), np.eye(5))
-    assert np.array_equal(ops.expm(np.zeros((3, 4, 4))),
-                          np.broadcast_to(np.eye(4), (3, 4, 4)))
-
-
-def test_expm_of_a_stack_is_the_expm_of_each_matrix(rng):
-    # 1-norms from ~0.07 to ~250 need scaling exponents from 0 to about 6,
-    # so one call splits the stack into several exponent groups.
-    scales = (0.01, 0.3, 3.0, 30.0, 0.3, 30.0)
-    stack = np.stack([_random_complex(rng, 6) * c for c in scales])
-    stack = stack.reshape(2, 3, 6, 6)
-    exponents = {int(np.ceil(np.log2(max(np.linalg.norm(m, 1)
-                                         / ops._THETA13, 1))))
-                 for m in stack.reshape(-1, 6, 6)}
-    assert len(exponents) >= 3
-    out = ops.expm(stack)
-    assert out.shape == stack.shape
-    for m, e in zip(stack.reshape(-1, 6, 6), out.reshape(-1, 6, 6)):
-        assert np.array_equal(e, ops.expm(m))
 
 
 def test_expm_rejects_bad_input():
@@ -183,6 +165,9 @@ def test_expm_rejects_bad_input():
         ops.expm(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         ops.expm(np.array([[np.inf, 0], [0, 0]]))
+    # One matrix only: a stack of them is not a matrix.
+    with pytest.raises(ValueError):
+        ops.expm(np.zeros((3, 4, 4)))
 
 
 def test_hermiticity_checks():
